@@ -31,11 +31,8 @@ from .expr import (
     Or,
     Var,
     normalize_not,
-    variables,
 )
-from .semantics import TruthTable, equivalent, truth_table
-
-_ORACLE_VAR_LIMIT = 10
+from .semantics import TruthTable, check_oracle, lowest_row, rows_of
 
 
 @dataclass(frozen=True)
@@ -91,10 +88,6 @@ def noi_term(literals: tuple[Expr, ...]) -> Expr:
     return ImplyChain((*literals[:-1], _complement(literals[-1])))
 
 
-def _onset(t: TruthTable) -> list[int]:
-    return [r for r, b in enumerate(t.bits) if b]
-
-
 def _require_vars(t: TruthTable, what: str) -> None:
     if not t.variables:
         raise ShapeError(f"canon: {what} needs a table with >= 1 variable")
@@ -104,7 +97,7 @@ def soi_from_tt(t: TruthTable) -> Expr:
     """Canonical OR-of-IAND-chains for a truth table."""
     _require_vars(t, "soi_from_tt")
     terms = [
-        soi_term(_minterm_literals(t.variables, r)) for r in _onset(t)
+        soi_term(_minterm_literals(t.variables, r)) for r in rows_of(t.mask)
     ]
     result: Expr
     if not terms:
@@ -113,7 +106,7 @@ def soi_from_tt(t: TruthTable) -> Expr:
         result = terms[0]
     else:
         result = Or(tuple(terms))
-    _assert_matches(result, t)
+    check_oracle(result, t, "canon")
     return result
 
 
@@ -121,7 +114,7 @@ def noi_from_tt(t: TruthTable) -> Expr:
     """Canonical NAND-of-IMPLY-chains for a truth table."""
     _require_vars(t, "noi_from_tt")
     terms = [
-        noi_term(_minterm_literals(t.variables, r)) for r in _onset(t)
+        noi_term(_minterm_literals(t.variables, r)) for r in rows_of(t.mask)
     ]
     result: Expr
     if not terms:
@@ -130,7 +123,7 @@ def noi_from_tt(t: TruthTable) -> Expr:
         result = normalize_not(Not(terms[0]))
     else:
         result = Not(And(tuple(terms)))
-    _assert_matches(result, t)
+    check_oracle(result, t, "canon")
     return result
 
 
@@ -210,7 +203,7 @@ def soi_to_noi(e: Expr) -> Expr:
         result = normalize_not(Not(converted[0]))
     else:
         result = Not(And(tuple(converted)))
-    _assert_equivalent(e, result)
+    check_oracle(result, e, "canon")
     return result
 
 
@@ -229,7 +222,7 @@ def noi_to_soi(e: Expr) -> Expr:
             case _:
                 converted.append(_complement(term))
     result = converted[0] if len(converted) == 1 else Or(tuple(converted))
-    _assert_equivalent(e, result)
+    check_oracle(result, e, "canon")
     return result
 
 
@@ -258,18 +251,18 @@ def ios_from_tt(t: TruthTable) -> Expr | Unsupported:
     and S1 any sum false elsewhere (the lowest-index OFF row is used).
     """
     _require_vars(t, "ios_from_tt")
-    ons = _onset(t)
-    if len(ons) != 1:
+    ons = t.mask.bit_count()
+    if ons != 1:
         return Unsupported(
             "an IAND of full-support sums denotes a single-ON-row function; "
-            f"this table has {len(ons)} ON rows"
+            f"this table has {ons} ON rows"
         )
-    p = ons[0]
-    off = next(r for r in range(len(t.bits)) if not t.bits[r])
+    p = t.mask.bit_length() - 1
+    off = lowest_row(~t.mask)
     result = IandChain(
         (_maxterm_sum(t.variables, off), _maxterm_sum(t.variables, p))
     )
-    _assert_matches(result, t)
+    check_oracle(result, t, "canon")
     return result
 
 
@@ -282,33 +275,22 @@ def ion_from_tt(t: TruthTable) -> Expr | Unsupported:
     and N2 from the single OFF row.
     """
     _require_vars(t, "ion_from_tt")
-    offs = [r for r, b in enumerate(t.bits) if not b]
+    top = (1 << len(t.variables)) - 1
+    offs = ((1 << (top + 1)) - 1) ^ t.mask
     if not offs:
-        nand = _minterm_nand(t.variables, len(t.bits) - 1)
+        nand = _minterm_nand(t.variables, top)
         result = ImplyChain((nand, nand))
-        _assert_matches(result, t)
+        check_oracle(result, t, "canon")
         return result
-    if len(offs) != 1:
+    if offs.bit_count() != 1:
         return Unsupported(
             "an IMPLY of full-support minterm-NANDs denotes a function with "
-            f"at most one OFF row; this table has {len(offs)} OFF rows"
+            f"at most one OFF row; this table has {offs.bit_count()} OFF rows"
         )
-    p = offs[0]
-    ons = _onset(t)
-    n1 = _minterm_nand(t.variables, ons[-1])
+    p = offs.bit_length() - 1
+    n1 = _minterm_nand(t.variables, t.mask.bit_length() - 1)
     n2 = _minterm_nand(t.variables, p)
     result = ImplyChain((n1, n2))
-    _assert_matches(result, t)
+    check_oracle(result, t, "canon")
     return result
 
-
-def _assert_matches(e: Expr, t: TruthTable) -> None:
-    if __debug__ and len(t.variables) <= _ORACLE_VAR_LIMIT:
-        assert truth_table(e, t.variables).bits == t.bits, (
-            "canonical form does not match its table"
-        )
-
-
-def _assert_equivalent(a: Expr, b: Expr) -> None:
-    if __debug__ and len(variables(a)) <= _ORACLE_VAR_LIMIT:
-        assert equivalent(a, b), "conversion changed the function"

@@ -53,7 +53,13 @@ from .laws import (
     verify_rule,
 )
 from .memristor import compile_noi, program_text, simulate, step_count
-from .minimize import cover_text, minimize_table, minimized_noi, minimized_soi
+from .minimize import (
+    cover_form,
+    cover_text,
+    minimize_table,
+    minimized_noi,
+    minimized_soi,
+)
 from .parser import parse
 from .semantics import TruthTable, equivalent, truth_table
 from .spindiode import (
@@ -210,8 +216,8 @@ def _cmd_convert(args: argparse.Namespace) -> int:
 
 def _cmd_minimize(args: argparse.Namespace) -> int:
     t = _source_table(args)
-    expr = minimized_soi(t) if args.form == "soi" else minimized_noi(t)
     primes, cover = minimize_table(t)
+    expr = cover_form(t, cover, args.form)
     if args.format == "structured":
         record = {
             "expr": format_expr(expr),

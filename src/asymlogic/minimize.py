@@ -13,15 +13,20 @@ complemented, '-' absent), so "1-1" over (A, B, C) is the product A AND C.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable
+from typing import Iterable
 
 from .errors import CapacityError
 from .expr import Const, Expr, Not, Or, Var, normalize_not, And
-from .semantics import TruthTable, truth_table
+from .semantics import (
+    TruthTable,
+    check_oracle,
+    columns,
+    lowest_row,
+    rows_of,
+)
 from .canon import noi_term, soi_term
 
 MAX_MINIMIZE_VARS = 12
-_ORACLE_VAR_LIMIT = 10
 
 
 @dataclass(frozen=True)
@@ -142,13 +147,27 @@ def prime_implicants(
         primes |= current - merged
         current = nxt
 
-    cubes = [
-        Cube(_trits(v, c, n))
-        for v, c in primes
-    ]
-    cubes = [q for q in cubes if any(q.covers(r) for r in ons)]
+    cubes = [Cube(_trits(v, c, n)) for v, c in primes]
+    on_rows = sum(1 << r for r in ons)
+    cubes = [q for q, m in zip(cubes, _row_masks(cubes, n)) if m & on_rows]
     cubes.sort(key=Cube.sort_key)
     return PrimeImplicantSet(tuple(names), tuple(cubes))
+
+
+def _row_masks(cubes: Iterable[Cube], n: int) -> list[int]:
+    """Each cube's covered rows as a mask: the AND of its literal columns."""
+    cols = columns(n)
+    full = (1 << (1 << n)) - 1
+    out = []
+    for q in cubes:
+        rows = full
+        for c, col in zip(q.trits, cols):
+            if c == "1":
+                rows &= col
+            elif c == "0":
+                rows &= ~col
+        out.append(rows)
+    return out
 
 
 def minimum_cover(
@@ -159,58 +178,62 @@ def minimum_cover(
     Objective: least total literal count, then fewest cubes, then the
     lexicographically least tuple of cube encodings.  Essential primes
     (sole cover of some row) are taken first and recorded in the trace.
+    Row sets are int masks, bit ``r`` for row ``r``.
     """
-    ons = sorted(set(onset))
     cubes = list(primes.cubes)
+    masks = _row_masks(cubes, len(primes.variables))
     trace: list[str] = []
     chosen: list[Cube] = []
 
-    uncovered = set(ons)
-    # iterate: picking an essential can expose new sole-cover rows
-    while True:
-        essentials: list[tuple[Cube, int]] = []
-        for r in sorted(uncovered):
-            hits = [q for q in cubes if q.covers(r)]
-            if not hits:
-                raise ValueError(f"minimize: ON row {r} covered by no prime")
-            if len(hits) == 1 and hits[0] not in chosen:
-                if all(q is not hits[0] for q, _ in essentials):
-                    essentials.append((hits[0], r))
-        if not essentials:
-            break
-        for q, r in essentials:
-            chosen.append(q)
-            trace.append(f"essential {q.trits}: sole cover of row {r}")
-            uncovered -= {row for row in uncovered if q.covers(row)}
+    uncovered = 0
+    for r in set(onset):
+        uncovered |= 1 << r
+    once = twice = 0
+    for m in masks:
+        twice |= once & m
+        once |= m
+    if uncovered & ~once:
+        row = lowest_row(uncovered & ~once)
+        raise ValueError(f"minimize: ON row {row} covered by no prime")
+    # Essentials in order of their lowest sole-cover row.  Taking them
+    # cannot make another row's cover unique, since every cube still counts.
+    sole = uncovered & ~twice
+    essentials = sorted(
+        (lowest_row(sole & m), i) for i, m in enumerate(masks) if sole & m
+    )
+    for r, i in essentials:
+        chosen.append(cubes[i])
+        trace.append(f"essential {cubes[i].trits}: sole cover of row {r}")
+        uncovered &= ~masks[i]
 
     if uncovered:
-        rest = [q for q in cubes if q not in chosen]
+        # (rows, literals, sort key, cube), in prime order: the branch order
+        rest = [
+            (m, q.literal_count, q.sort_key(), q)
+            for q, m in zip(cubes, masks)
+            if q not in chosen
+        ]
+        sel: list[tuple[int, int, tuple[int, str], Cube]] = []
         best: list[Cube] | None = None
         best_key: tuple | None = None
 
-        def search(sel: list[Cube], left: set[int]) -> None:
+        def search(lits: int, left: int) -> None:
             nonlocal best, best_key
-            lits = sum(q.literal_count for q in sel)
             if best_key is not None and (lits, len(sel)) > best_key[:2]:
                 return
             if not left:
-                key = (
-                    lits,
-                    len(sel),
-                    tuple(q.sort_key() for q in sorted(sel, key=Cube.sort_key)),
-                )
+                key = (lits, len(sel), tuple(sorted(c[2] for c in sel)))
                 if best_key is None or key < best_key:
-                    best, best_key = list(sel), key
+                    best, best_key = [c[3] for c in sel], key
                 return
-            row = min(left)
-            for q in rest:
-                if q in sel or not q.covers(row):
-                    continue
-                sel.append(q)
-                search(sel, {r for r in left if not q.covers(r)})
-                sel.pop()
+            row = left & -left
+            for c in rest:
+                if c[0] & row:
+                    sel.append(c)
+                    search(lits + c[1], left & ~c[0])
+                    sel.pop()
 
-        search([], set(uncovered))
+        search(0, uncovered)
         assert best is not None
         for q in sorted(best, key=Cube.sort_key):
             chosen.append(q)
@@ -227,7 +250,7 @@ def minimum_cover(
 def minimize_table(t: TruthTable) -> tuple[PrimeImplicantSet, CoverSolution]:
     """Prime implicants and a minimum cover for a table's ON-set."""
     n = len(t.variables)
-    ons = [r for r, b in enumerate(t.bits) if b]
+    ons = rows_of(t.mask)
     if not ons:
         return (
             PrimeImplicantSet(t.variables, ()),
@@ -237,40 +260,35 @@ def minimize_table(t: TruthTable) -> tuple[PrimeImplicantSet, CoverSolution]:
     return primes, minimum_cover(primes, ons)
 
 
-def _emit(
-    t: TruthTable,
-    term_of: Callable[[tuple[Expr, ...]], Expr],
-    nand: bool,
-) -> Expr:
-    _, cover = minimize_table(t)
+def cover_form(t: TruthTable, cover: CoverSolution, form: str) -> Expr:
+    """A cover of ``t``'s ON-set as ``form`` "soi" (OR of IAND chains) or
+    "noi" (NAND of IMPLY chains), checked against ``t`` by the oracle."""
     if not cover.cubes:
         return Const(0)
     if any(q.literal_count == 0 for q in cover.cubes):
         return Const(1)
+    term_of = noi_term if form == "noi" else soi_term
     terms = [term_of(q.literals(t.variables)) for q in cover.cubes]
     result: Expr
-    if nand:
+    if form == "noi":
         if len(terms) == 1:
             result = normalize_not(Not(terms[0]))
         else:
             result = Not(And(tuple(terms)))
     else:
         result = terms[0] if len(terms) == 1 else Or(tuple(terms))
-    if __debug__ and len(t.variables) <= _ORACLE_VAR_LIMIT:
-        assert truth_table(result, t.variables).bits == t.bits, (
-            "minimized form does not match its table"
-        )
+    check_oracle(result, t, "minimize")
     return result
 
 
 def minimized_soi(t: TruthTable) -> Expr:
     """Minimum-cover OR of IAND chains for a table."""
-    return _emit(t, soi_term, nand=False)
+    return cover_form(t, minimize_table(t)[1], "soi")
 
 
 def minimized_noi(t: TruthTable) -> Expr:
     """Minimum-cover NAND of IMPLY chains for a table."""
-    return _emit(t, noi_term, nand=True)
+    return cover_form(t, minimize_table(t)[1], "noi")
 
 
 def cover_text(primes: PrimeImplicantSet, cover: CoverSolution) -> str:

@@ -3,11 +3,17 @@
 Row convention: for a variable order ``(v1, ..., vn)``, row index ``r``
 assigns ``vi`` the bit ``(n-1-i)`` of ``r``, so the first variable is the
 most significant bit.  Row 0 is all zeros, row ``2**n - 1`` all ones.
+
+A table is one int whose bit ``r`` is the function's value on row ``r``.
+Expressions are evaluated once over whole variable columns (the bit-sliced
+tables of ABC's ``Abc_Tt*`` routines): NOT is XOR with the all-ones mask,
+AND and OR are ``&`` and ``|``, and chains fold as ``evaluate`` does.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterable
 
 from .errors import CapacityError, EvaluationError
 from .expr import (
@@ -26,49 +32,117 @@ MAX_TABLE_VARS = 24
 
 Assignment = dict[str, int]
 
+_DIGIT_BYTES = bytes.maketrans(b"01", b"\x00\x01")
 
-@dataclass(frozen=True)
+
+@dataclass(frozen=True, init=False)
 class TruthTable:
-    """A complete function table over an explicit variable order."""
+    """A complete function table over an explicit variable order.
+
+    ``mask`` holds row ``r`` in bit ``r``; ``bits`` is the same table as a
+    tuple of 0/1 values, one per row.
+    """
 
     variables: tuple[str, ...]
-    bits: tuple[int, ...]
+    mask: int
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "variables", tuple(self.variables))
-        object.__setattr__(self, "bits", tuple(self.bits))
-        n = len(self.variables)
-        if n > MAX_TABLE_VARS:
-            raise CapacityError(
-                f"semantics: truth tables support at most {MAX_TABLE_VARS} "
-                f"variables, got {n}"
-            )
-        if len(set(self.variables)) != n:
-            raise ValueError("semantics: duplicate variable in table order")
-        if len(self.bits) != 1 << n:
-            raise ValueError(
-                f"semantics: expected {1 << n} rows for {n} variables, "
-                f"got {len(self.bits)}"
-            )
-        if any(b not in (0, 1) for b in self.bits):
+    def __init__(self, variables: Iterable[str], bits: Iterable[int]) -> None:
+        names = _check_order(variables)
+        bits = tuple(bits)
+        _check_row_count(names, len(bits))
+        if not all(b in (0, 1) for b in bits):
             raise ValueError("semantics: table bits must be 0 or 1")
+        digits = "".join("1" if b else "0" for b in reversed(bits))
+        self._set(names, int(digits, 2))
+
+    def _set(self, names: tuple[str, ...], mask: int) -> None:
+        object.__setattr__(self, "variables", names)
+        object.__setattr__(self, "mask", mask)
+
+    @classmethod
+    def from_mask(cls, names: Iterable[str], mask: int) -> "TruthTable":
+        """The table whose row ``r`` is bit ``r`` of ``mask``."""
+        names = _check_order(names)
+        if mask < 0 or mask.bit_length() > 1 << len(names):
+            raise ValueError(
+                f"semantics: mask has bits beyond row {(1 << len(names)) - 1}"
+            )
+        t = cls.__new__(cls)
+        t._set(names, mask)
+        return t
 
     @classmethod
     def from_string(cls, names: tuple[str, ...], bits: str) -> "TruthTable":
-        if set(bits) - {"0", "1"}:
+        if bits.replace("0", "").replace("1", ""):
             raise ValueError("semantics: table string must contain only 0/1")
-        return cls(tuple(names), tuple(int(b) for b in bits))
+        names = _check_order(names)
+        _check_row_count(names, len(bits))
+        return cls.from_mask(names, int(bits[::-1], 2))
+
+    @property
+    def bits(self) -> tuple[int, ...]:
+        return tuple(self.to_string().encode().translate(_DIGIT_BYTES))
 
     def to_string(self) -> str:
-        return "".join(str(b) for b in self.bits)
+        return format(self.mask, f"0{1 << len(self.variables)}b")[::-1]
 
     def row_assignment(self, row: int) -> Assignment:
         return row_assignment(self.variables, row)
 
 
+def _check_order(names: Iterable[str]) -> tuple[str, ...]:
+    names = tuple(names)
+    n = len(names)
+    if n > MAX_TABLE_VARS:
+        raise CapacityError(
+            f"semantics: truth tables support at most {MAX_TABLE_VARS} "
+            f"variables, got {n}"
+        )
+    if len(set(names)) != n:
+        raise ValueError("semantics: duplicate variable in table order")
+    return names
+
+
+def _check_row_count(names: tuple[str, ...], rows: int) -> None:
+    if rows != 1 << len(names):
+        raise ValueError(
+            f"semantics: expected {1 << len(names)} rows for "
+            f"{len(names)} variables, got {rows}"
+        )
+
+
 def row_assignment(names: tuple[str, ...], row: int) -> Assignment:
     n = len(names)
     return {name: (row >> (n - 1 - i)) & 1 for i, name in enumerate(names)}
+
+
+def columns(n: int) -> list[int]:
+    """Row masks of the ``n`` variables in table order (first is the MSB).
+
+    Built by doubling one period of each column: division of the all-ones
+    mask, the other textbook route, is quadratic on CPython's long ints.
+    """
+    size = 1 << n
+    out = []
+    for k in range(n - 1, -1, -1):
+        w = 1 << k
+        col = ((1 << w) - 1) << w
+        span = 2 * w
+        while span < size:
+            col |= col << span
+            span *= 2
+        out.append(col)
+    return out
+
+
+def rows_of(mask: int) -> list[int]:
+    """Indices of the set bits of ``mask``, ascending."""
+    return [r for r, c in enumerate(format(mask, "b")[::-1]) if c == "1"]
+
+
+def lowest_row(mask: int) -> int:
+    """Index of the lowest set bit of a nonzero ``mask``."""
+    return (mask & -mask).bit_length() - 1
 
 
 def evaluate(e: Expr, assignment: Assignment) -> int:
@@ -77,33 +151,55 @@ def evaluate(e: Expr, assignment: Assignment) -> int:
     IAND chains fold left with ``acc AND NOT x``; IMPLY chains fold right
     with ``NOT x OR acc``.
     """
+    return _eval(e, assignment, 1)
+
+
+def _eval(e: Expr, env: dict[str, int], full: int) -> int:
+    """Evaluate over bit-sliced values: ``env`` maps names to masks within
+    ``full``, and the result is the mask of rows where ``e`` is true."""
     match e:
         case Const(v):
-            return v
+            return full if v else 0
         case Var(name):
             try:
-                return assignment[name]
+                return env[name]
             except KeyError:
                 raise EvaluationError(
                     f"semantics: unbound variable {name!r}"
                 ) from None
         case Not(child):
-            return 1 - evaluate(child, assignment)
+            return full ^ _eval(child, env, full)
         case And(kids):
-            return min(evaluate(c, assignment) for c in kids)
+            acc = full
+            for c in kids:
+                acc &= _eval(c, env, full)
+            return acc
         case Or(kids):
-            return max(evaluate(c, assignment) for c in kids)
+            acc = 0
+            for c in kids:
+                acc |= _eval(c, env, full)
+            return acc
         case IandChain(ops):
-            acc = evaluate(ops[0], assignment)
+            acc = _eval(ops[0], env, full)
             for x in ops[1:]:
-                acc = acc & (1 - evaluate(x, assignment))
+                acc &= full ^ _eval(x, env, full)
             return acc
         case ImplyChain(ops):
-            acc = evaluate(ops[-1], assignment)
+            acc = _eval(ops[-1], env, full)
             for x in reversed(ops[:-1]):
-                acc = (1 - evaluate(x, assignment)) | acc
+                acc |= full ^ _eval(x, env, full)
             return acc
     raise EvaluationError(f"semantics: not an expression node: {e!r}")
+
+
+def _table_masks(names: tuple[str, ...], *exprs: Expr) -> list[int]:
+    full = (1 << (1 << len(names))) - 1
+    env = dict(zip(names, columns(len(names))))
+    return [_eval(e, env, full) for e in exprs]
+
+
+def _union_order(e1: Expr, e2: Expr) -> tuple[str, ...]:
+    return tuple(dict.fromkeys(variables(e1) + variables(e2)))
 
 
 def truth_table(e: Expr, names: tuple[str, ...] | None = None) -> TruthTable:
@@ -117,14 +213,8 @@ def truth_table(e: Expr, names: tuple[str, ...] | None = None) -> TruthTable:
             raise EvaluationError(
                 f"semantics: variable order omits {sorted(missing)}"
             )
-    n = len(names)
-    if n > MAX_TABLE_VARS:
-        raise CapacityError(
-            f"semantics: truth tables support at most {MAX_TABLE_VARS} "
-            f"variables, got {n}"
-        )
-    bits = tuple(evaluate(e, row_assignment(names, r)) for r in range(1 << n))
-    return TruthTable(names, bits)
+    names = _check_order(names)
+    return TruthTable.from_mask(names, _table_masks(names, e)[0])
 
 
 @dataclass(frozen=True)
@@ -144,20 +234,37 @@ def equivalent(e1: Expr, e2: Expr) -> Verdict:
     The variable order is first appearance in ``e1`` then ``e2``; the
     counterexample, if any, is the lowest-index differing row.
     """
-    names: dict[str, None] = {}
-    for v in variables(e1) + variables(e2):
-        names.setdefault(v, None)
-    order = tuple(names)
+    order = _union_order(e1, e2)
     if len(order) > MAX_TABLE_VARS:
         raise CapacityError(
             f"semantics: equivalence supports at most {MAX_TABLE_VARS} "
             f"variables, got {len(order)}"
         )
-    for r in range(1 << len(order)):
-        a = row_assignment(order, r)
-        if evaluate(e1, a) != evaluate(e2, a):
-            return Verdict(False, a)
-    return Verdict(True)
+    m1, m2 = _table_masks(order, e1, e2)
+    diff = m1 ^ m2
+    if not diff:
+        return Verdict(True)
+    return Verdict(False, row_assignment(order, lowest_row(diff)))
+
+
+def check_oracle(result: Expr, want: Expr | TruthTable, what: str) -> None:
+    """Raise ``AssertionError`` unless ``result`` computes ``want``.
+
+    ``want`` is a table (``result`` is tabulated over its variable order)
+    or an expression (both are compared over their unioned variables).
+    The check runs at every optimisation level, ``python -O`` included, for
+    every function up to ``MAX_TABLE_VARS`` variables; beyond the table cap
+    there is nothing to compare against and it returns without checking.
+    """
+    if isinstance(want, TruthTable):
+        ok = _table_masks(want.variables, result)[0] == want.mask
+    else:
+        ok = (
+            len(_union_order(result, want)) > MAX_TABLE_VARS
+            or equivalent(result, want).equal
+        )
+    if not ok:
+        raise AssertionError(f"{what}: result does not match its truth table")
 
 
 def classical_dual_tt(t: TruthTable) -> TruthTable:
@@ -165,9 +272,7 @@ def classical_dual_tt(t: TruthTable) -> TruthTable:
 
     ``dual(f)(a1..an) = NOT f(NOT a1, ..., NOT an)``.  An involution.
     """
-    n = len(t.variables)
-    top = (1 << n) - 1
-    return TruthTable(t.variables, tuple(1 - t.bits[top ^ r] for r in range(top + 1)))
+    return TruthTable.from_mask(t.variables, _complement_rows(t))
 
 
 def demorgan_dual_tt(t: TruthTable) -> TruthTable:
@@ -178,16 +283,26 @@ def demorgan_dual_tt(t: TruthTable) -> TruthTable:
     operand list, and back.
     """
     n = len(t.variables)
-    top = (1 << n) - 1
-    return TruthTable(
-        t.variables,
-        tuple(1 - t.bits[_reverse_bits(top ^ r, n)] for r in range(top + 1)),
-    )
+    mask = _complement_rows(t)
+    cols = columns(n)
+    # swap variable i with variable n-1-i: move each row whose bit for i
+    # is set and whose bit for n-1-i is clear onto its mirror row, and back
+    for i in range(n // 2):
+        j = n - 1 - i
+        shift = (1 << (n - 1 - i)) - (1 << i)
+        low = cols[j] & ~cols[i]
+        high = low << shift
+        mask = (
+            (mask & ~(low | high))
+            | ((mask & low) << shift)
+            | ((mask & high) >> shift)
+        )
+    return TruthTable.from_mask(t.variables, mask)
 
 
-def _reverse_bits(x: int, n: int) -> int:
-    out = 0
-    for _ in range(n):
-        out = (out << 1) | (x & 1)
-        x >>= 1
-    return out
+def _complement_rows(t: TruthTable) -> int:
+    """Mask of ``NOT f(NOT x)``: row ``r`` takes the complement of row
+    ``2**n - 1 - r``, which reverses the mask's row order."""
+    size = 1 << len(t.variables)
+    reflected = int(format(t.mask, f"0{size}b")[::-1], 2)
+    return ((1 << size) - 1) ^ reflected

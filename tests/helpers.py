@@ -1,14 +1,16 @@
-"""Independent reference semantics used as a test oracle.
+"""Independent per-row references used as test oracles.
 
 Chains are expanded into their defining binary pairings (IAND left, IMPLY
 right) and evaluated with plain Python operators, deliberately avoiding the
-production fold so the two implementations can disagree.
+production fold so the two implementations can disagree.  The table duals,
+the counterexample search and the exact cover search are likewise written
+row by row and set by set, against the production code's bit masks.
 """
 
 from __future__ import annotations
 
 from itertools import product
-from typing import Iterator
+from typing import Iterable, Iterator
 
 from asymlogic.expr import (
     And,
@@ -21,6 +23,7 @@ from asymlogic.expr import (
     Var,
     variables,
 )
+from asymlogic.minimize import CoverSolution, Cube, PrimeImplicantSet
 
 
 def iand2(a: int, b: int) -> int:
@@ -71,3 +74,99 @@ def assignments(names: tuple[str, ...]) -> Iterator[dict[str, int]]:
 def naive_table(e: Expr, names: tuple[str, ...] | None = None) -> tuple[int, ...]:
     order = names if names is not None else variables(e)
     return tuple(naive_eval(e, env) for env in assignments(order))
+
+
+def naive_counterexample(e1: Expr, e2: Expr) -> dict[str, int] | None:
+    """The first assignment, in row order over the unioned variables, on
+    which the two expressions differ."""
+    order = tuple(dict.fromkeys(variables(e1) + variables(e2)))
+    for env in assignments(order):
+        if naive_eval(e1, env) != naive_eval(e2, env):
+            return env
+    return None
+
+
+def naive_classical_dual(bits: tuple[int, ...]) -> tuple[int, ...]:
+    """``NOT f(NOT x)``, one row at a time."""
+    top = len(bits) - 1
+    return tuple(1 - bits[top ^ r] for r in range(top + 1))
+
+
+def naive_demorgan_dual(bits: tuple[int, ...], n: int) -> tuple[int, ...]:
+    """``NOT f`` on the complemented inputs in reversed order, one row at a
+    time."""
+    top = len(bits) - 1
+
+    def reverse(x: int) -> int:
+        return int(format(x, f"0{n}b")[::-1], 2) if n else 0
+
+    return tuple(1 - bits[reverse(top ^ r)] for r in range(top + 1))
+
+
+def reference_minimum_cover(
+    primes: PrimeImplicantSet, onset: Iterable[int]
+) -> CoverSolution:
+    """Exact cover over row sets and per-row ``Cube.covers`` tests: the
+    search ``minimum_cover`` must match cube for cube and trace line for
+    trace line."""
+    ons = sorted(set(onset))
+    cubes = list(primes.cubes)
+    trace: list[str] = []
+    chosen: list[Cube] = []
+
+    uncovered = set(ons)
+    while True:
+        essentials: list[tuple[Cube, int]] = []
+        for r in sorted(uncovered):
+            hits = [q for q in cubes if q.covers(r)]
+            if not hits:
+                raise ValueError(f"minimize: ON row {r} covered by no prime")
+            if len(hits) == 1 and hits[0] not in chosen:
+                if all(q is not hits[0] for q, _ in essentials):
+                    essentials.append((hits[0], r))
+        if not essentials:
+            break
+        for q, r in essentials:
+            chosen.append(q)
+            trace.append(f"essential {q.trits}: sole cover of row {r}")
+            uncovered -= {row for row in uncovered if q.covers(row)}
+
+    if uncovered:
+        rest = [q for q in cubes if q not in chosen]
+        best: list[Cube] | None = None
+        best_key: tuple | None = None
+
+        def search(sel: list[Cube], left: set[int]) -> None:
+            nonlocal best, best_key
+            lits = sum(q.literal_count for q in sel)
+            if best_key is not None and (lits, len(sel)) > best_key[:2]:
+                return
+            if not left:
+                key = (
+                    lits,
+                    len(sel),
+                    tuple(q.sort_key() for q in sorted(sel, key=Cube.sort_key)),
+                )
+                if best_key is None or key < best_key:
+                    best, best_key = list(sel), key
+                return
+            row = min(left)
+            for q in rest:
+                if q in sel or not q.covers(row):
+                    continue
+                sel.append(q)
+                search(sel, {r for r in left if not q.covers(r)})
+                sel.pop()
+
+        search([], set(uncovered))
+        assert best is not None
+        for q in sorted(best, key=Cube.sort_key):
+            chosen.append(q)
+            trace.append(f"selected {q.trits}: completes the cover")
+
+    for q in chosen:
+        if q.literal_count == 0:
+            trace.append("degenerate: all-dash cube, function is constant 1")
+    chosen.sort(key=Cube.sort_key)
+    cost = sum(q.literal_count for q in chosen)
+    return CoverSolution(tuple(chosen), cost, tuple(trace))

@@ -8,6 +8,7 @@ import sys
 
 import pytest
 
+from asymlogic import minimize
 from asymlogic.cli import load_table_file, main
 
 CARRY_BITS = "00010111"
@@ -183,6 +184,26 @@ class TestMinimize:
         assert record["cover"] == ["-11", "1-1", "11-"]
         assert record["cost"] == 6
         assert len(record["trace"]) == 3
+
+    @pytest.mark.parametrize(
+        "extra", [(), ("--cover",), ("--format", "structured")]
+    )
+    def test_one_cover_search_per_command(
+        self, capsys, carry_file, monkeypatch, extra
+    ):
+        calls = []
+        real = minimize.minimum_cover
+
+        def counting(primes, onset):
+            calls.append(primes)
+            return real(primes, onset)
+
+        monkeypatch.setattr(minimize, "minimum_cover", counting)
+        code, _, _ = run(
+            capsys, "minimize", "--form", "noi", "--table-file", carry_file,
+            *extra,
+        )
+        assert code == 0 and len(calls) == 1
 
 
 class TestCompile:

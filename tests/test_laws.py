@@ -288,6 +288,17 @@ class TestDual:
         t = truth_table(e, names)
         assert truth_table(dual(dual(e)), names).bits == t.bits
 
+    def test_oracle_rejects_wrong_dual(self, monkeypatch):
+        import asymlogic.laws as laws
+
+        monkeypatch.setattr(laws, "_dual", lambda e: e)
+        with pytest.raises(AssertionError, match="dual"):
+            dual(parse("A @ B"))
+
+    def test_beyond_table_cap(self):
+        e = Or(tuple(Var(f"x{i}") for i in range(30)))
+        assert dual(e) == And(e.children)
+
 
 class TestDemorganDualExpr:
     def test_chain_swap(self):

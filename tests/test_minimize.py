@@ -2,16 +2,23 @@
 
 from __future__ import annotations
 
+import dataclasses
+import random
+import subprocess
+import sys
+import textwrap
 from itertools import product
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from asymlogic import minimize
 from asymlogic.errors import CapacityError
 from asymlogic.expr import Const, Not, Var, format_expr
 from asymlogic.minimize import (
     Cube,
+    cover_form,
     cover_text,
     minimize_table,
     minimized_noi,
@@ -20,6 +27,8 @@ from asymlogic.minimize import (
     prime_implicants,
 )
 from asymlogic.semantics import TruthTable, truth_table
+
+from .helpers import reference_minimum_cover
 
 CARRY = TruthTable(("A", "B", "C"), (0, 0, 0, 1, 0, 1, 1, 1))
 SUM3 = TruthTable(("A", "B", "C"), (0, 1, 1, 0, 1, 0, 0, 1))
@@ -118,6 +127,110 @@ class TestMinimumCover:
         assert cover.cubes == () and cover.cost == 0
 
 
+def _cube_list_onset(rng: random.Random, n: int) -> list[int]:
+    rows: set[int] = set()
+    for _ in range(rng.randint(2, 6)):
+        care = rng.sample(range(n), rng.randint(1, 4))
+        fixed = {i: rng.randint(0, 1) for i in care}
+        rows |= {
+            r for r in range(1 << n)
+            if all((r >> (n - 1 - i)) & 1 == v for i, v in fixed.items())
+        }
+    return sorted(rows)
+
+
+class TestCoverMatchesReference:
+    """The bit-mask search against the row-set search it replaced: same
+    cubes, same cost, same trace."""
+
+    def test_all_three_variable_functions(self):
+        for value in range(1, 256):
+            ons = [r for r in range(8) if (value >> r) & 1]
+            primes = prime_implicants(ons, (), 3, ("A", "B", "C"))
+            assert minimum_cover(primes, ons) == reference_minimum_cover(
+                primes, ons
+            )
+
+    @pytest.mark.parametrize("n", [5, 6])
+    def test_seeded_tables(self, n):
+        rng = random.Random(n)
+        branched = 0
+        for k in range(40):
+            if k % 2:
+                density = 0.5 if n == 5 else 0.3
+                ons = [r for r in range(1 << n) if rng.random() < density]
+            else:
+                ons = _cube_list_onset(rng, n)
+            primes = prime_implicants(ons, (), n)
+            cover = minimum_cover(primes, ons)
+            assert cover == reference_minimum_cover(primes, ons)
+            branched += any(s.startswith("selected") for s in cover.trace)
+        assert branched  # the branch and bound ran, not only essentials
+
+    def test_uncoverable_row_message(self):
+        primes = prime_implicants([0, 1], (), 3)
+        with pytest.raises(ValueError) as want:
+            reference_minimum_cover(primes, [0, 1, 5, 6])
+        with pytest.raises(ValueError) as got:
+            minimum_cover(primes, [0, 1, 5, 6])
+        assert str(got.value) == str(want.value)
+
+
+class TestOracleAlwaysOn:
+    """A broken cover is caught at every size up to the table cap, with or
+    without ``python -O``."""
+
+    NAMES = tuple("ABCDEFGHIJK")  # 11 variables
+
+    @pytest.fixture()
+    def drop_a_cube(self, monkeypatch):
+        real = minimize.minimum_cover
+
+        def dropping(primes, onset):
+            cover = real(primes, onset)
+            return dataclasses.replace(cover, cubes=cover.cubes[1:])
+
+        monkeypatch.setattr(minimize, "minimum_cover", dropping)
+
+    def table(self) -> TruthTable:
+        # rows 0, 1 and 2047: the cubes 0000000000- and 11111111111
+        return TruthTable.from_mask(self.NAMES, 0b11 | 1 << 2047)
+
+    @pytest.mark.parametrize("emit", [minimized_soi, minimized_noi])
+    def test_dropped_cube_is_an_error(self, drop_a_cube, emit):
+        with pytest.raises(AssertionError, match="minimize"):
+            emit(self.table())
+
+    def test_fires_under_optimize_flag(self, tmp_path):
+        path = tmp_path / "eleven.tbl"
+        path.write_text(
+            " ".join(self.NAMES) + "\n" + self.table().to_string() + "\n"
+        )
+        script = textwrap.dedent(
+            """
+            import dataclasses, sys
+            from asymlogic import minimize
+            from asymlogic.cli import main
+            if __debug__:
+                sys.exit(9)
+            real = minimize.minimum_cover
+            def dropping(primes, onset):
+                cover = real(primes, onset)
+                return dataclasses.replace(cover, cubes=cover.cubes[1:])
+            minimize.minimum_cover = dropping
+            argv = ["minimize", "--form", "noi", "--table-file", sys.argv[1]]
+            sys.exit(main(argv))
+            """
+        )
+        proc = subprocess.run(
+            [sys.executable, "-O", "-c", script, str(path)],
+            capture_output=True,
+            text=True,
+        )
+        assert proc.returncode == 3, proc.stderr
+        assert "internal error: AssertionError" in proc.stderr
+
+
 class TestMinimizedForms:
     def test_carry_noi_terms(self):
         noi = minimized_noi(CARRY)
@@ -159,6 +272,13 @@ class TestMinimizedForms:
         t = TruthTable(("A", "B", "C", "D"), bits)
         assert truth_table(minimized_soi(t), t.variables).bits == bits
         assert truth_table(minimized_noi(t), t.variables).bits == bits
+
+
+class TestCoverForm:
+    def test_matches_minimized_forms(self):
+        _, cover = minimize_table(CARRY)
+        assert cover_form(CARRY, cover, "soi") == minimized_soi(CARRY)
+        assert cover_form(CARRY, cover, "noi") == minimized_noi(CARRY)
 
 
 class TestCoverText:

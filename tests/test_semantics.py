@@ -2,14 +2,18 @@
 
 from __future__ import annotations
 
+import random
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from asymlogic.canon import noi_term, soi_term
 from asymlogic.errors import CapacityError, EvaluationError
 from asymlogic.expr import (
     And,
     Const,
+    Expr,
     IandChain,
     ImplyChain,
     Not,
@@ -18,6 +22,7 @@ from asymlogic.expr import (
     variables,
 )
 from asymlogic.semantics import (
+    MAX_TABLE_VARS,
     TruthTable,
     classical_dual_tt,
     demorgan_dual_tt,
@@ -27,7 +32,14 @@ from asymlogic.semantics import (
     truth_table,
 )
 
-from .helpers import assignments, naive_eval, naive_table
+from .helpers import (
+    assignments,
+    naive_classical_dual,
+    naive_counterexample,
+    naive_demorgan_dual,
+    naive_eval,
+    naive_table,
+)
 from .strategies import expressions
 
 A, B, C = Var("A"), Var("B"), Var("C")
@@ -94,6 +106,39 @@ class TestTruthTable:
         assert t.to_string() == "0110"
         assert t.row_assignment(2) == {"A": 1, "B": 0}
 
+    @pytest.mark.parametrize("n", range(7))
+    def test_mask_bits_and_string_agree(self, n):
+        # bit r of the mask is row r; every constructor and view agrees
+        rng = random.Random(n)
+        names = tuple(f"v{i}" for i in range(n))
+        for _ in range(20):
+            bits = tuple(rng.randint(0, 1) for _ in range(1 << n))
+            text = "".join(map(str, bits))
+            t = TruthTable(names, bits)
+            assert t == TruthTable.from_string(names, text)
+            assert t.mask == sum(b << r for r, b in enumerate(bits))
+            assert t == TruthTable.from_mask(names, t.mask)
+            assert t.bits == bits and t.to_string() == text
+            assert TruthTable(names, t.bits) == t
+
+    def test_constructor_validation(self):
+        with pytest.raises(ValueError):
+            TruthTable.from_string(("A",), "011")  # wrong length
+        with pytest.raises(ValueError):
+            TruthTable.from_string(("A",), "0x")
+        with pytest.raises(ValueError):
+            TruthTable.from_mask(("A",), 0b100)  # a row past the table
+        with pytest.raises(ValueError):
+            TruthTable.from_mask(("A", "A"), 0)
+        with pytest.raises(CapacityError):
+            TruthTable.from_mask(tuple(f"v{i}" for i in range(25)), 0)
+        with pytest.raises(ValueError):
+            TruthTable(("A",), ("0", "1"))
+        with pytest.raises(ValueError):
+            TruthTable(("A",), (0, 256))
+        # any value equal to 0 or 1 is a bit, as before the int storage
+        assert TruthTable(("A",), (0.0, True)) == TruthTable(("A",), (0, 1))
+
     @given(expressions())
     def test_table_matches_naive_reference(self, e):
         names = variables(e)
@@ -120,6 +165,76 @@ class TestEquivalence:
 
     def test_asymmetric_commutation_equivalence(self):
         assert equivalent(IandChain((A, B)), IandChain((Not(B), Not(A))))
+
+    @given(expressions(), expressions())
+    def test_counterexample_is_lowest_differing_row(self, e1, e2):
+        v = equivalent(e1, e2)
+        want = naive_counterexample(e1, e2)
+        assert v.equal == (want is None)
+        if want is not None:
+            assert list(v.counterexample.items()) == list(want.items())
+
+
+def _random_tables(seed: int):
+    rng = random.Random(seed)
+    for n in range(7):
+        names = tuple(f"v{i}" for i in range(n))
+        for _ in range(12):
+            yield n, TruthTable(
+                names, tuple(rng.randint(0, 1) for _ in range(1 << n))
+            )
+
+
+def test_duals_match_per_row_definitions():
+    for n, t in _random_tables(7):
+        assert classical_dual_tt(t).bits == naive_classical_dual(t.bits)
+        assert demorgan_dual_tt(t).bits == naive_demorgan_dual(t.bits, n)
+
+
+class TestTableCap:
+    """Tabulation and equivalence at the 24-variable cap, in well under a
+    second each."""
+
+    NAMES = tuple(f"x{i}" for i in range(MAX_TABLE_VARS))
+
+    def cubes(self) -> list[tuple[Expr, ...]]:
+        # eight cubes told apart by x0..x2, so pairwise disjoint, with
+        # three more literals each; together they use all 24 variables
+        x = [Var(name) for name in self.NAMES]
+        out = []
+        for j in range(8):
+            lits = [
+                x[i] if (j >> (2 - i)) & 1 else Not(x[i]) for i in range(3)
+            ]
+            lits += [x[3 + 2 * j], Not(x[4 + 2 * j]), x[19 + j % 5]]
+            out.append(tuple(lits))
+        return out
+
+    def test_soi_noi_and_planted_row(self):
+        soi = Or(tuple(soi_term(c) for c in self.cubes()))
+        noi = Not(And(tuple(noi_term(c) for c in self.cubes())))
+        order = variables(soi)
+        assert sorted(order) == sorted(self.NAMES)
+
+        t = truth_table(soi, self.NAMES)
+        assert t.mask.bit_count() == 8 << (MAX_TABLE_VARS - 6)
+        rng = random.Random(24)
+        rows = [rng.randrange(1 << 24) for _ in range(64)]
+        for r in [0, (1 << 24) - 1, *rows]:
+            env = row_assignment(self.NAMES, r)
+            assert (t.mask >> r) & 1 == naive_eval(soi, env)
+
+        assert equivalent(soi, noi)
+        assert equivalent(noi, soi)
+
+        planted = {name: rng.randint(0, 1) for name in order}
+        minterm = And(
+            tuple(Var(n) if v else Not(Var(n)) for n, v in planted.items())
+        )
+        flipped = Or((And((soi, Not(minterm))), And((Not(soi), minterm))))
+        v = equivalent(soi, flipped)
+        assert not v.equal
+        assert list(v.counterexample.items()) == list(planted.items())
 
 
 class TestClassicalDual:
