@@ -6,14 +6,24 @@ of sums) and ION (IMPLY of NANDs), which chain semantics restrict to
 functions with exactly one ON row / one OFF row respectively; outside that
 domain they return an ``Unsupported`` value rather than raising.
 
-Term encodings, for a minterm with literals ``l1 .. lk`` in table order:
+Two-level forms.  SOI and NOI are two spellings of one sum of products,
+held as a tuple of products, each a tuple of literals (``()`` is 0, a form
+holding the empty product is 1).  ``soi_products`` / ``noi_products`` read
+an expression into that form and ``soi_form`` / ``noi_form`` write it back;
+a product ``l1 .. lk`` is written
 
-* SOI term: ``IandChain(l1, !l2, ..., !lk)``: first literal as written,
-  the rest complemented, because the chain evaluates ``l1 AND NOT(!l2)...``.
-* NOI term: ``ImplyChain(l1, ..., l_{k-1}, !lk)``: only the last literal
-  complemented, so the term's negation is exactly the minterm product.
+* as an SOI term ``IandChain(l1, !l2, ..., !lk)``: the head as written, the
+  rest complemented, because the chain evaluates ``l1 AND NOT(!l2)...``;
+* as a NOI term ``ImplyChain(l1, ..., l_{k-1}, !lk)``: only the last
+  literal complemented, so the term's negation is exactly the product.
 
-Terms are ordered by ascending minterm index.
+A one-literal product is the bare literal (SOI) or its complement (NOI).
+By the conversion theorem ``NOT(x1 @ ... @ xk) = !xk -> ... -> !x1``,
+converting between the forms reverses each product.  Readers fold constant
+operands with the chain identity laws: a literal that is 1 drops out, a 0
+drops its product, and the empty product makes the whole form 1.
+
+Canonical terms are ordered by ascending minterm index.
 """
 
 from __future__ import annotations
@@ -42,25 +52,22 @@ class Unsupported:
     reason: str
 
 
-Literal = Expr  # a Var or a Not(Var)
+Product = tuple[Expr, ...]  # literals: each a Var or a Not(Var)
 
 
-def _complement(lit: Expr) -> Expr:
-    match lit:
-        case Var():
-            return Not(lit)
-        case Not(Var() as v):
-            return v
-    raise ShapeError(f"canon: expected a literal, got {type(lit).__name__}")
+def complement(x: Expr) -> Expr:
+    """The complement of a literal, or of a constant while folding."""
+    t = type(x)
+    if t is Var:
+        return Not(x)
+    if t is Not and type(x.child) is Var:
+        return x.child
+    if t is Const:
+        return Const(1 - x.value)
+    raise ShapeError(f"canon: expected a literal, got {t.__name__}")
 
 
-def _is_literal(e: Expr) -> bool:
-    return isinstance(e, Var) or (
-        isinstance(e, Not) and isinstance(e.child, Var)
-    )
-
-
-def _minterm_literals(names: tuple[str, ...], row: int) -> tuple[Expr, ...]:
+def _minterm_literals(names: tuple[str, ...], row: int) -> Product:
     n = len(names)
     return tuple(
         Var(name) if (row >> (n - 1 - i)) & 1 else Not(Var(name))
@@ -68,97 +75,91 @@ def _minterm_literals(names: tuple[str, ...], row: int) -> tuple[Expr, ...]:
     )
 
 
-def soi_term(literals: tuple[Expr, ...]) -> Expr:
+def soi_term(literals: Product) -> Expr:
     """IAND chain equal to the product of the given literals."""
     if not literals:
         return Const(1)
     if len(literals) == 1:
         return literals[0]
-    return IandChain(
-        (literals[0], *(_complement(x) for x in literals[1:]))
-    )
+    return IandChain((literals[0], *map(complement, literals[1:])))
 
 
-def noi_term(literals: tuple[Expr, ...]) -> Expr:
+def noi_term(literals: Product) -> Expr:
     """IMPLY chain whose negation is the product of the given literals."""
     if not literals:
         return Const(0)
     if len(literals) == 1:
-        return _complement(literals[0])
-    return ImplyChain((*literals[:-1], _complement(literals[-1])))
+        return complement(literals[0])
+    return ImplyChain((*literals[:-1], complement(literals[-1])))
 
 
-def _require_vars(t: TruthTable, what: str) -> None:
-    if not t.variables:
-        raise ShapeError(f"canon: {what} needs a table with >= 1 variable")
+def soi_form(products: tuple[Product, ...]) -> Expr:
+    """OR of IAND chains for a sum of products."""
+    if not products:
+        return Const(0)
+    terms = tuple(map(soi_term, products))
+    return terms[0] if len(terms) == 1 else Or(terms)
 
 
-def soi_from_tt(t: TruthTable) -> Expr:
-    """Canonical OR-of-IAND-chains for a truth table."""
-    _require_vars(t, "soi_from_tt")
-    terms = [
-        soi_term(_minterm_literals(t.variables, r)) for r in rows_of(t.mask)
-    ]
-    result: Expr
-    if not terms:
-        result = Const(0)
-    elif len(terms) == 1:
-        result = terms[0]
-    else:
-        result = Or(tuple(terms))
-    check_oracle(result, t, "canon")
-    return result
+def noi_form(products: tuple[Product, ...]) -> Expr:
+    """NAND of IMPLY chains for a sum of products."""
+    if not products:
+        return Const(0)
+    terms = tuple(map(noi_term, products))
+    return normalize_not(Not(terms[0])) if len(terms) == 1 else Not(And(terms))
 
 
-def noi_from_tt(t: TruthTable) -> Expr:
-    """Canonical NAND-of-IMPLY-chains for a truth table."""
-    _require_vars(t, "noi_from_tt")
-    terms = [
-        noi_term(_minterm_literals(t.variables, r)) for r in rows_of(t.mask)
-    ]
-    result: Expr
-    if not terms:
-        result = Const(0)
-    elif len(terms) == 1:
-        result = normalize_not(Not(terms[0]))
-    else:
-        result = Not(And(tuple(terms)))
-    check_oracle(result, t, "canon")
-    return result
+def _fold(literals: tuple[Expr, ...]) -> Product | None:
+    """A product's literals with each constant 1 dropped, or None if a
+    constant 0 makes it 0; ShapeError for an operand that is no literal."""
+    kept = []
+    zero = False
+    for x in literals:
+        t = type(x)
+        if t is Var or (t is Not and type(x.child) is Var):
+            kept.append(x)
+        elif t is Const:
+            zero = zero or not x.value
+        else:
+            raise ShapeError(
+                f"canon: chain operands must be literals, got {t.__name__}"
+            )
+    return None if zero else tuple(kept)
 
 
-def _soi_terms(e: Expr) -> tuple[Expr, ...]:
+def soi_products(e: Expr) -> tuple[Product, ...]:
+    """Read an SOI expression (an OR of IAND chains of literals, a chain, a
+    literal or a constant) as a sum of products.
+
+    Reading stops at the first term that folds to 1.
+    """
+    e = normalize_not(e)
+    products: list[Product] = []
+    for term in e.children if type(e) is Or else (e,):
+        if type(term) is IandChain:
+            ops = term.operands
+            p = _fold((ops[0], *map(complement, ops[1:])))
+        else:
+            p = _fold((term,))
+        if p == ():
+            return ((),)
+        if p is not None:
+            products.append(p)
+    return tuple(products)
+
+
+def noi_products(e: Expr) -> tuple[Product, ...]:
+    """Read a NOI expression (a negated AND of IMPLY chains of literals, a
+    negated chain, a literal or a constant) as a sum of products.
+
+    Reading stops at the first term that folds to 1.
+    """
+    e = normalize_not(e)
     match e:
-        case Const():
-            return (e,)
-        case Or(kids):
-            terms = kids
-        case _:
-            terms = (e,)
-    for term in terms:
-        match term:
-            case IandChain(ops):
-                if not all(_is_literal(x) for x in ops):
-                    raise ShapeError(
-                        "canon: SOI terms must be IAND chains of literals"
-                    )
-            case _ if _is_literal(term):
-                pass
-            case _:
-                raise ShapeError(
-                    "canon: not an SOI expression (OR of IAND chains "
-                    f"or literals): offending term {type(term).__name__}"
-                )
-    return terms
-
-
-def _noi_terms(e: Expr) -> tuple[Expr, ...]:
-    match e:
-        case Const():
-            return (e,)
-        case _ if _is_literal(e):
-            # a one-minterm NOI over one variable normalizes to a literal
-            return (_complement(e),)
+        case Const(value):
+            return ((),) if value else ()
+        case Var():
+            return ((e,),)
         case Not(And(kids)):
             terms = kids
         case Not(child):
@@ -168,60 +169,56 @@ def _noi_terms(e: Expr) -> tuple[Expr, ...]:
                 "canon: not a NOI expression (negated AND of IMPLY chains "
                 f"or literals): got {type(e).__name__}"
             )
+    products: list[Product] = []
     for term in terms:
-        match term:
-            case ImplyChain(ops):
-                if not all(_is_literal(x) for x in ops):
-                    raise ShapeError(
-                        "canon: NOI terms must be IMPLY chains of literals"
-                    )
-            case _ if _is_literal(term):
-                pass
-            case _:
-                raise ShapeError(
-                    "canon: NOI terms must be IMPLY chains or literals, "
-                    f"got {type(term).__name__}"
-                )
-    return terms
+        ops = term.operands if type(term) is ImplyChain else (term,)
+        p = _fold((*ops[:-1], complement(ops[-1])))
+        if p == ():
+            return ((),)
+        if p is not None:
+            products.append(p)
+    return tuple(products)
+
+
+def _require_vars(t: TruthTable, what: str) -> None:
+    if not t.variables:
+        raise ShapeError(f"canon: {what} needs a table with >= 1 variable")
+
+
+def _minterms(t: TruthTable) -> tuple[Product, ...]:
+    return tuple(_minterm_literals(t.variables, r) for r in rows_of(t.mask))
+
+
+def soi_from_tt(t: TruthTable) -> Expr:
+    """Canonical OR-of-IAND-chains for a truth table."""
+    _require_vars(t, "soi_from_tt")
+    result = soi_form(_minterms(t))
+    check_oracle(result, t, "canon")
+    return result
+
+
+def noi_from_tt(t: TruthTable) -> Expr:
+    """Canonical NAND-of-IMPLY-chains for a truth table."""
+    _require_vars(t, "noi_from_tt")
+    result = noi_form(_minterms(t))
+    check_oracle(result, t, "canon")
+    return result
+
+
+def _reversed(products: tuple[Product, ...]) -> tuple[Product, ...]:
+    return tuple(p[::-1] for p in products)
 
 
 def soi_to_noi(e: Expr) -> Expr:
     """Term-by-term conversion: NOT(IandChain(x1..xk)) = ImplyChain(!xk..!x1)."""
-    terms = _soi_terms(normalize_not(e))
-    if len(terms) == 1 and isinstance(terms[0], Const):
-        return terms[0]
-    converted = []
-    for term in terms:
-        match term:
-            case IandChain(ops):
-                converted.append(
-                    ImplyChain(tuple(_complement(x) for x in reversed(ops)))
-                )
-            case _:
-                converted.append(_complement(term))
-    if len(converted) == 1:
-        result = normalize_not(Not(converted[0]))
-    else:
-        result = Not(And(tuple(converted)))
+    result = noi_form(_reversed(soi_products(e)))
     check_oracle(result, e, "canon")
     return result
 
 
 def noi_to_soi(e: Expr) -> Expr:
     """Term-by-term conversion: NOT(ImplyChain(y1..yk)) = IandChain(!yk..!y1)."""
-    terms = _noi_terms(normalize_not(e))
-    if len(terms) == 1 and isinstance(terms[0], Const):
-        return terms[0]
-    converted = []
-    for term in terms:
-        match term:
-            case ImplyChain(ops):
-                converted.append(
-                    IandChain(tuple(_complement(x) for x in reversed(ops)))
-                )
-            case _:
-                converted.append(_complement(term))
-    result = converted[0] if len(converted) == 1 else Or(tuple(converted))
+    result = soi_form(_reversed(noi_products(e)))
     check_oracle(result, e, "canon")
     return result
 

@@ -399,41 +399,16 @@ def _match(pattern: Expr, subject: Expr, binding: dict[str, Expr]) -> bool:
             if isinstance(inner, Var):
                 return _bind(inner.name, normalize_not(Not(subject)), binding)
             return False
-        case And(pk):
-            return (
-                isinstance(subject, And)
-                and len(subject.children) == len(pk)
-                and all(
-                    _match(p, s, binding)
-                    for p, s in zip(pk, subject.children)
-                )
+        case And(pk) | Or(pk) | IandChain(pk) | ImplyChain(pk):
+            if type(subject) is not type(pattern):
+                return False
+            sk = (
+                subject.children
+                if type(subject) in (And, Or)
+                else subject.operands
             )
-        case Or(pk):
-            return (
-                isinstance(subject, Or)
-                and len(subject.children) == len(pk)
-                and all(
-                    _match(p, s, binding)
-                    for p, s in zip(pk, subject.children)
-                )
-            )
-        case IandChain(pk):
-            return (
-                isinstance(subject, IandChain)
-                and len(subject.operands) == len(pk)
-                and all(
-                    _match(p, s, binding)
-                    for p, s in zip(pk, subject.operands)
-                )
-            )
-        case ImplyChain(pk):
-            return (
-                isinstance(subject, ImplyChain)
-                and len(subject.operands) == len(pk)
-                and all(
-                    _match(p, s, binding)
-                    for p, s in zip(pk, subject.operands)
-                )
+            return len(sk) == len(pk) and all(
+                _match(p, s, binding) for p, s in zip(pk, sk)
             )
     return False
 

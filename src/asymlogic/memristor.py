@@ -25,8 +25,9 @@ import heapq
 from dataclasses import dataclass
 from typing import Iterable, Union
 
-from .errors import CapacityError, EvaluationError, ShapeError
-from .expr import And, Const, Expr, ImplyChain, Not, Var, normalize_not, variables
+from .canon import complement, noi_products
+from .errors import CapacityError, EvaluationError
+from .expr import Expr, Var, variables
 
 MAX_COMPILE_VARS = 16
 
@@ -141,50 +142,13 @@ def compile_nand(in1: str, in2: str, work: int = 2) -> ImplyProgram:
     )
 
 
-def _noi_terms(e: Expr) -> tuple[Expr, ...]:
-    """Terms of a NOI body; each is an IMPLY chain of literals or a literal."""
-    match e:
-        case Not(And(kids)):
-            terms = kids
-        case Not(child):
-            terms = (child,)
-        case _:
-            raise ShapeError(
-                "memristor: compile_noi expects a NOI expression "
-                f"(negated AND of IMPLY chains), got {type(e).__name__}"
-            )
-    for term in terms:
-        match term:
-            case ImplyChain(ops):
-                for x in ops:
-                    if not _is_literal(x):
-                        raise ShapeError(
-                            "memristor: NOI chain operands must be literals"
-                        )
-            case _ if _is_literal(term):
-                pass
-            case _:
-                raise ShapeError(
-                    "memristor: NOI terms must be IMPLY chains or literals, "
-                    f"got {type(term).__name__}"
-                )
-    return terms
-
-
-def _is_literal(e: Expr) -> bool:
-    return isinstance(e, Var) or (
-        isinstance(e, Not) and isinstance(e.child, Var)
-    )
-
-
 def compile_noi(e: Expr, *, peephole: bool = True) -> ImplyProgram:
     """Compile a NOI expression (or a degenerate form) to a step schedule.
 
-    Accepted shapes: ``Const``, a literal, ``Not(term)``, and
-    ``Not(And(terms))`` where each term is an IMPLY chain over literals or
-    a bare literal.  Capacity is capped at 16 input variables.
+    The expression is read as a sum of products (``canon.noi_products``):
+    a NOI, a negated chain, a literal or a constant, with constant chain
+    operands folded.  Capacity is capped at 16 input variables.
     """
-    e = normalize_not(e)
     names = variables(e)
     if len(names) > MAX_COMPILE_VARS:
         raise CapacityError(
@@ -195,15 +159,19 @@ def compile_noi(e: Expr, *, peephole: bool = True) -> ImplyProgram:
     bindings = tuple((name, i) for i, name in enumerate(names))
     src_of = {name: i for i, name in enumerate(names)}
 
-    match e:
-        case Const(0):
-            return ImplyProgram(1, (), 0, (Reset(0),))
-        case Const(1):
-            return ImplyProgram(2, (), 1, (Reset(0), Reset(1), Imply(0, 1)))
-        case Var(name):
-            return ImplyProgram(1, bindings, src_of[name], ())
-
-    terms = _noi_terms(e)
+    products = noi_products(e)
+    match products:
+        case ():
+            return ImplyProgram(nin + 1, bindings, nin, (Reset(nin),))
+        case ((),):
+            return ImplyProgram(
+                nin + 2,
+                bindings,
+                nin + 1,
+                (Reset(nin), Reset(nin + 1), Imply(nin, nin + 1)),
+            )
+        case ((Var(name),),):
+            return ImplyProgram(nin, bindings, src_of[name], ())
 
     steps: list[Step] = []
     counter = nin
@@ -215,27 +183,24 @@ def compile_noi(e: Expr, *, peephole: bool = True) -> ImplyProgram:
 
     def literal_source(lit: Expr) -> int:
         """Register holding the literal's value; negations are materialized."""
-        match lit:
-            case Var(name):
-                return src_of[name]
-            case Not(Var(name)):
-                f = fresh()
-                steps.append(Reset(f))
-                steps.append(Imply(src_of[name], f))
-                return f
-        raise ShapeError("memristor: expected a literal")
+        if type(lit) is Var:
+            return src_of[lit.name]
+        f = fresh()
+        steps.append(Reset(f))
+        steps.append(Imply(src_of[lit.child.name], f))
+        return f
 
     out = fresh()
     steps.append(Reset(out))
-    for term in terms:
-        ops = term.operands if isinstance(term, ImplyChain) else (term,)
+    for p in products:
+        # the term is the IMPLY chain p1 -> ... -> p(k-1) -> !pk
         w = fresh()
         steps.append(Reset(w))
         # prefix operands contribute NOT x each: one IMPLY per operand
-        for x in ops[:-1]:
+        for x in p[:-1]:
             steps.append(Imply(literal_source(x), w))
         # the last operand contributes x itself: invert twice
-        last = literal_source(ops[-1])
+        last = literal_source(complement(p[-1]))
         n = fresh()
         steps.append(Reset(n))
         steps.append(Imply(last, n))

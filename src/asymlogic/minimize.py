@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from typing import Iterable
 
 from .errors import CapacityError
-from .expr import Const, Expr, Not, Or, Var, normalize_not, And
+from .expr import Expr, Not, Var
 from .semantics import (
     TruthTable,
     check_oracle,
@@ -24,7 +24,7 @@ from .semantics import (
     lowest_row,
     rows_of,
 )
-from .canon import noi_term, soi_term
+from .canon import noi_form, soi_form
 
 MAX_MINIMIZE_VARS = 12
 
@@ -263,20 +263,8 @@ def minimize_table(t: TruthTable) -> tuple[PrimeImplicantSet, CoverSolution]:
 def cover_form(t: TruthTable, cover: CoverSolution, form: str) -> Expr:
     """A cover of ``t``'s ON-set as ``form`` "soi" (OR of IAND chains) or
     "noi" (NAND of IMPLY chains), checked against ``t`` by the oracle."""
-    if not cover.cubes:
-        return Const(0)
-    if any(q.literal_count == 0 for q in cover.cubes):
-        return Const(1)
-    term_of = noi_term if form == "noi" else soi_term
-    terms = [term_of(q.literals(t.variables)) for q in cover.cubes]
-    result: Expr
-    if form == "noi":
-        if len(terms) == 1:
-            result = normalize_not(Not(terms[0]))
-        else:
-            result = Not(And(tuple(terms)))
-    else:
-        result = terms[0] if len(terms) == 1 else Or(tuple(terms))
+    products = tuple(q.literals(t.variables) for q in cover.cubes)
+    result = noi_form(products) if form == "noi" else soi_form(products)
     check_oracle(result, t, "minimize")
     return result
 

@@ -13,19 +13,18 @@ cells.  Gate inputs are references: ``in:<name>`` reads a primary input,
 complemented chain head or operand cost zero gates), and ``g<i>`` reads an
 earlier gate.  Gates are listed in topological order.
 
-Constant operands fold away symbolically before emission using the chain
-identity laws (x IAND 0 = x, x IAND 1 = 0, 0 IAND x = 0, 1 IAND x = NOT x).
+The expression is read as a sum of products (``canon.soi_products``), which
+folds constant operands before any gate is emitted; a product ``l1 .. lk``
+becomes the cascade ``l1 IAND !l2 ... IAND !lk``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import EvaluationError, ShapeError
-from .expr import Const, Expr, IandChain, Not, Or, Var, normalize_not, variables
-
-_TRUE = "TRUE"
-_FALSE = "FALSE"
+from .canon import soi_products
+from .errors import EvaluationError
+from .expr import Expr, Not, variables
 
 
 @dataclass(frozen=True)
@@ -51,28 +50,11 @@ class Netlist:
     output: str
 
 
-def _is_literal(e: Expr) -> bool:
-    return isinstance(e, Var) or (
-        isinstance(e, Not) and isinstance(e.child, Var)
-    )
-
-
-def _ref(lit: Expr) -> str:
-    match lit:
-        case Var(name):
-            return f"in:{name}"
-        case Not(Var(name)):
-            return f"!in:{name}"
-    raise ShapeError("spindiode: expected a literal")
-
-
-def _complement_ref(lit: Expr) -> str:
-    match lit:
-        case Var(name):
-            return f"!in:{name}"
-        case Not(Var(name)):
-            return f"in:{name}"
-    raise ShapeError("spindiode: expected a literal")
+def _ref(lit: Expr, invert: bool = False) -> str:
+    """The input tap reading a literal, or its complement if ``invert``."""
+    if type(lit) is Not:
+        lit, invert = lit.child, not invert
+    return f"!in:{lit.name}" if invert else f"in:{lit.name}"
 
 
 def compile_soi(e: Expr, inputs: tuple[str, ...] | None = None) -> Netlist:
@@ -83,7 +65,6 @@ def compile_soi(e: Expr, inputs: tuple[str, ...] | None = None) -> Netlist:
     Constant expressions need at least one declared input to realize the
     constant as ``x IAND x`` (0) or ``x OR NOT x`` (1).
     """
-    e = normalize_not(e)
     used = variables(e)
     if inputs is None:
         names = used
@@ -103,71 +84,25 @@ def compile_soi(e: Expr, inputs: tuple[str, ...] | None = None) -> Netlist:
         gates.append(Gate(len(gates), kind, in_a, in_b))
         return gates[-1].ref
 
-    def fold_term(term: Expr) -> str:
-        """A term's reference, or TRUE/FALSE if it folds to a constant."""
-        match term:
-            case Const(value):
-                return _TRUE if value else _FALSE
-            case _ if _is_literal(term):
-                return _ref(term)
-            case IandChain(ops):
-                pass
-            case _:
-                raise ShapeError(
-                    "spindiode: SOI terms must be IAND chains or literals, "
-                    f"got {type(term).__name__}"
-                )
-        for x in ops:
-            if not isinstance(x, Const) and not _is_literal(x):
-                raise ShapeError(
-                    "spindiode: IAND chain operands must be literals"
-                )
-        head = ops[0]
-        if isinstance(head, Const):
-            acc = _TRUE if head.value else _FALSE
-        else:
-            acc = _ref(head)
-        for x in ops[1:]:
-            if isinstance(x, Const):
-                if x.value:  # acc IAND 1 = 0
-                    acc = _FALSE
-                continue  # acc IAND 0 = acc
-            if acc == _FALSE:
-                continue  # 0 IAND x = 0
-            if acc == _TRUE:
-                acc = _complement_ref(x)  # 1 IAND x = NOT x
-                continue
-            acc = emit("IAND", acc, _ref(x))
-        return acc
-
-    match e:
-        case Or(kids):
-            terms = kids
-        case _:
-            terms = (e,)
-
-    refs = []
-    for term in terms:
-        r = fold_term(term)
-        if r == _FALSE:
-            continue
-        if r == _TRUE:
-            refs = [_TRUE]
-            break
-        refs.append(r)
-
-    if refs == [_TRUE] or not refs:
+    products = soi_products(e)
+    if products in ((), ((),)):  # constant 0 or 1
         if not names:
             raise ValueError(
                 "spindiode: a constant netlist needs at least one input"
             )
         x = f"in:{names[0]}"
-        gates = []
-        if refs == [_TRUE]:
+        if products:  # x OR NOT x
             out = emit("OR", x, f"!in:{names[0]}")
-        else:
+        else:  # x IAND x
             out = emit("IAND", x, x)
         return Netlist(names, tuple(gates), out)
+
+    refs = []
+    for p in products:
+        acc = _ref(p[0])
+        for x in p[1:]:
+            acc = emit("IAND", acc, _ref(x, True))
+        refs.append(acc)
 
     while len(refs) > 1:  # balanced OR tree by adjacent pairing
         nxt = [

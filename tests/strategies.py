@@ -72,3 +72,23 @@ noi_exprs = st.one_of(
     _noi_term.map(Not),
     st.lists(_noi_term, min_size=2, max_size=4).map(tuple).map(And).map(Not),
 )
+
+# the same shapes with constants allowed wherever a literal may stand; the
+# two-level readers fold them with the chain identity laws
+_operand_st = st.one_of(literals_st, constants_st)
+_chain_ops = st.lists(_operand_st, min_size=2, max_size=4).map(tuple)
+
+_const_soi_term = st.one_of(_operand_st, _chain_ops.map(IandChain))
+soi_exprs_with_constants = st.one_of(
+    _const_soi_term,
+    st.lists(_const_soi_term, min_size=2, max_size=4).map(tuple).map(Or),
+)
+
+_const_noi_term = st.one_of(_operand_st, _chain_ops.map(ImplyChain))
+noi_exprs_with_constants = st.one_of(
+    _const_noi_term.map(Not),
+    st.lists(_const_noi_term, min_size=2, max_size=4)
+    .map(tuple)
+    .map(And)
+    .map(Not),
+)

@@ -11,9 +11,13 @@ from asymlogic.canon import (
     Unsupported,
     ion_from_tt,
     ios_from_tt,
+    noi_form,
     noi_from_tt,
+    noi_products,
     noi_to_soi,
+    soi_form,
     soi_from_tt,
+    soi_products,
     soi_to_noi,
 )
 from asymlogic.errors import ShapeError
@@ -27,12 +31,19 @@ from asymlogic.expr import (
     Var,
     variables,
 )
+from asymlogic.parser import parse
 from asymlogic.semantics import TruthTable, equivalent, truth_table
 
-from .strategies import soi_exprs
+from .strategies import (
+    noi_exprs,
+    noi_exprs_with_constants,
+    soi_exprs,
+    soi_exprs_with_constants,
+)
 
 A, B, C = Var("A"), Var("B"), Var("C")
 NAMES3 = ("A", "B", "C")
+NAMES4 = ("A", "B", "C", "D")
 
 
 def all_tables(names):
@@ -160,6 +171,66 @@ class TestConversions:
             noi_to_soi(Or((A, B)))
         with pytest.raises(ShapeError):
             noi_to_soi(Not(And((IandChain((A, B)), C))))
+
+
+class TestProducts:
+    def test_soi_products(self):
+        assert soi_products(Or((IandChain((A, B, Not(C))), Not(A)))) == (
+            (A, Not(B), C),
+            (Not(A),),
+        )
+
+    def test_noi_products(self):
+        noi = Not(And((ImplyChain((A, B, C)), Not(A))))
+        assert noi_products(noi) == ((A, B, Not(C)), (A,))
+        assert noi_products(A) == ((A,),)
+        assert noi_products(Not(A)) == ((Not(A),),)
+
+    def test_constants(self):
+        for read in (soi_products, noi_products):
+            assert read(Const(0)) == ()
+            assert read(Const(1)) == ((),)
+
+    def test_constant_operands_fold(self):
+        # a 1 literal drops out, a 0 literal drops its product
+        assert soi_products(parse("A @ B @ 1 | C")) == ((C,),)
+        assert soi_products(parse("1 @ A @ 0")) == ((Not(A),),)
+        assert noi_products(parse("!((A -> 1) & (1 -> B))")) == ((Not(B),),)
+        assert noi_products(parse("!((A -> 0) & B)")) == ((A,), (Not(B),))
+
+    def test_reading_stops_at_a_true_term(self):
+        assert soi_products(parse("A | 1 @ 0 | B")) == ((),)
+        assert noi_products(parse("!(A & 0 & B)")) == ((),)
+
+    def test_writers_invert_readers(self):
+        soi = Or((IandChain((A, Not(B))), C))
+        assert soi_form(soi_products(soi)) == soi
+        noi = Not(And((ImplyChain((A, B)), C)))
+        assert noi_form(noi_products(noi)) == noi
+
+    @given(soi_exprs)
+    def test_conversion_reverses_each_product(self, soi):
+        noi = soi_to_noi(soi)
+        assert noi_products(noi) == tuple(p[::-1] for p in soi_products(soi))
+
+    @given(noi_exprs)
+    def test_noi_conversion_reverses_each_product(self, noi):
+        soi = noi_to_soi(noi)
+        assert soi_products(soi) == tuple(p[::-1] for p in noi_products(noi))
+
+
+class TestConstantOperands:
+    @given(soi_exprs_with_constants)
+    def test_soi_to_noi_keeps_the_table(self, soi):
+        noi = soi_to_noi(soi)
+        assert truth_table(noi, NAMES4).bits == truth_table(soi, NAMES4).bits
+        assert noi_products(noi) == tuple(p[::-1] for p in soi_products(soi))
+
+    @given(noi_exprs_with_constants)
+    def test_noi_to_soi_keeps_the_table(self, noi):
+        soi = noi_to_soi(noi)
+        assert truth_table(soi, NAMES4).bits == truth_table(noi, NAMES4).bits
+        assert soi_products(soi) == tuple(p[::-1] for p in noi_products(noi))
 
 
 class TestConjunctiveForms:

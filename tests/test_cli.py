@@ -367,3 +367,20 @@ def test_head_pipe_does_not_crash():
     )
     proc = subprocess.run([sys.executable, "-c", script])
     assert proc.returncode == 0
+
+
+def test_parser_is_built_once(monkeypatch, capsys):
+    from asymlogic import cli
+
+    build, built = cli.build_parser, []
+
+    def counting_build_parser():
+        built.append(1)
+        return build()
+
+    monkeypatch.setattr(cli, "_parser", None)
+    monkeypatch.setattr(cli, "build_parser", counting_build_parser)
+    assert main(["table", "A @ B"]) == 0
+    assert main(["table", "A -> B"]) == 0
+    assert len(built) == 1
+    assert capsys.readouterr().out == "A B\n0010\nA B\n1101\n"

@@ -33,7 +33,7 @@ from asymlogic.minimize import minimized_noi
 from asymlogic.semantics import TruthTable, evaluate
 
 from .helpers import assignments
-from .strategies import noi_exprs
+from .strategies import noi_exprs, noi_exprs_with_constants
 
 GOLDEN = Path(__file__).parent / "golden"
 CARRY = TruthTable(("A", "B", "C"), (0, 0, 0, 1, 0, 1, 1, 1))
@@ -206,6 +206,25 @@ class TestCompileNoi:
                     if before == 1 and after == 0:
                         assert isinstance(step, Reset) and step.target == reg
                 prev = state
+
+    @settings(max_examples=60, deadline=None)
+    @given(noi_exprs_with_constants)
+    def test_constant_operands_fold(self, e):
+        prog = compile_noi(e)
+        assert {name for name, _ in prog.bindings} == set(variables(e))
+        for env in assignments(variables(e)):
+            assert simulate(prog, env).output == evaluate(e, env)
+
+    def test_folded_constant_keeps_its_inputs(self):
+        # A -> 1 is 1, so the NAND is 0; A stays bound and unread
+        a, b = Var("A"), Var("B")
+        prog = compile_noi(Not(ImplyChain((a, Const(1)))))
+        assert prog.bindings == (("A", 0),)
+        assert prog.steps == (Reset(1),) and prog.output == 1
+        # 1 -> !B is !B, so the NAND is B: a passthrough of input B
+        prog = compile_noi(Not(And((ImplyChain((a, Const(1))),
+                                    ImplyChain((Const(1), Not(b)))))))
+        assert prog.steps == () and prog.output == 1
 
     def test_full_three_variable_sweep(self):
         names = ("A", "B", "C")

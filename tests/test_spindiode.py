@@ -19,6 +19,7 @@ from asymlogic.expr import (
     variables,
 )
 from asymlogic.minimize import minimized_soi
+from asymlogic.parser import parse
 from asymlogic.semantics import TruthTable, evaluate
 from asymlogic.spindiode import (
     Gate,
@@ -30,7 +31,7 @@ from asymlogic.spindiode import (
 )
 
 from .helpers import assignments
-from .strategies import soi_exprs
+from .strategies import soi_exprs, soi_exprs_with_constants
 
 GOLDEN = Path(__file__).parent / "golden"
 CARRY = TruthTable(("A", "B", "C"), (0, 0, 0, 1, 0, 1, 1, 1))
@@ -134,6 +135,20 @@ class TestConstantFolding:
         e = Or((IandChain((A, Const(1))), IandChain((B, C))))
         net = compile_soi(e)
         assert netlist_stats(net) == {"gates": 1, "depth": 1, "iands": 1, "ors": 0}
+
+    def test_folded_term_emits_no_gates(self):
+        # the term A @ B @ 1 is 0: it folds away before any gate is emitted
+        net = compile_soi(parse("A @ B @ 1 | C"))
+        assert net.gates == ()
+        assert net.output == "in:C"
+        assert netlist_stats(net)["gates"] == 0
+
+    @settings(max_examples=60, deadline=None)
+    @given(soi_exprs_with_constants)
+    def test_constant_operands_fold(self, e):
+        net = compile_soi(e, inputs=("A", "B", "C", "D"))
+        for env in assignments(net.inputs):
+            assert simulate_netlist(net, env) == evaluate(e, env)
 
     def test_or_with_true_term_is_constant(self):
         e = Or((IandChain((A, B)), Const(1)))
