@@ -45,6 +45,7 @@ from .errors import (
 )
 from .expr import Expr, format_expr, variables
 from .laws import (
+    RuleReport,
     catalog,
     classical_rules,
     demonstrations,
@@ -52,7 +53,13 @@ from .laws import (
     dual,
     verify_rule,
 )
-from .memristor import compile_noi, program_text, simulate, step_count
+from .memristor import (
+    compile_noi,
+    program_text,
+    simulate,
+    step_count,
+    step_text,
+)
 from .minimize import (
     cover_form,
     cover_text,
@@ -64,6 +71,7 @@ from .parser import parse
 from .semantics import TruthTable, equivalent, truth_table
 from .spindiode import (
     compile_soi,
+    gate_text,
     netlist_stats,
     netlist_text,
     simulate_netlist,
@@ -135,7 +143,6 @@ def _cmd_table(args: argparse.Namespace) -> int:
 
 
 def _cmd_laws(args: argparse.Namespace) -> int:
-    refuted = 0
     reports = [verify_rule(rule) for rule in catalog() + classical_rules()]
     demo_reports = [(rule, verify_rule(rule)) for rule in demonstrations()]
     if args.format == "structured":
@@ -148,30 +155,24 @@ def _cmd_laws(args: argparse.Namespace) -> int:
             _print_record(record)
     else:
         for report in reports:
-            line = (
-                f"{report.status:7} {report.name} "
-                f"[{report.citation}] rows={report.rows}"
-            )
-            if report.counterexample is not None:
-                line += " counterexample: " + _fmt_assignment(
-                    report.counterexample
-                )
-            print(line)
+            print(_report_line(report))
         print("demonstrations:")
         for demo, report in demo_reports:
-            line = (
-                f"{report.status:7} (expected {demo.expect}) "
-                f"{report.name} [{report.citation}] rows={report.rows}"
-            )
-            if report.counterexample is not None:
-                line += " counterexample: " + _fmt_assignment(
-                    report.counterexample
-                )
-            print(line)
+            print(_report_line(report, f"(expected {demo.expect}) "))
         proven = sum(1 for r in reports if r.status == "Proven")
         print(f"{proven}/{len(reports)} catalog rules proven")
     refuted = sum(1 for r in reports if r.status == "Refuted")
     return 1 if refuted else 0
+
+
+def _report_line(report: RuleReport, note: str = "") -> str:
+    line = (
+        f"{report.status:7} {note}{report.name} "
+        f"[{report.citation}] rows={report.rows}"
+    )
+    if report.counterexample is not None:
+        line += " counterexample: " + _fmt_assignment(report.counterexample)
+    return line
 
 
 def _fmt_assignment(assignment: dict[str, int]) -> str:
@@ -256,9 +257,7 @@ def _cmd_compile(args: argparse.Namespace) -> int:
                     "registers": program.registers,
                     "inputs": [[n, r] for n, r in program.bindings],
                     "output": program.output,
-                    "steps": program_text(program).splitlines()[
-                        len(program.bindings) + 2 :
-                    ],
+                    "steps": [step_text(s) for s in program.steps],
                     "counts": step_count(program),
                 }
             )
@@ -270,7 +269,7 @@ def _cmd_compile(args: argparse.Namespace) -> int:
             _print_record(
                 {
                     "inputs": list(netlist.inputs),
-                    "gates": netlist_text(netlist).splitlines()[1:-1],
+                    "gates": [gate_text(g) for g in netlist.gates],
                     "output": netlist.output,
                     "stats": netlist_stats(netlist),
                 }
@@ -337,16 +336,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 
 def _cmd_dual(args: argparse.Namespace) -> int:
-    result = dual(_source_expr(args))
-    if args.format == "structured":
-        _print_record({"expr": format_expr(result)})
-    else:
-        print(format_expr(result))
-    return 0
-
-
-def _cmd_dmdual(args: argparse.Namespace) -> int:
-    result = demorgan_dual_expr(_source_expr(args))
+    result = args.dual(_source_expr(args))
     if args.format == "structured":
         _print_record({"expr": format_expr(result)})
     else:
@@ -416,12 +406,12 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("dual", help="classical dual of an expression")
     p.add_argument("expr", help="expression text")
     _add_format(p)
-    p.set_defaults(func=_cmd_dual)
+    p.set_defaults(func=_cmd_dual, dual=dual)
 
     p = sub.add_parser("dmdual", help="De Morgan dual of a chain")
     p.add_argument("expr", help="expression text")
     _add_format(p)
-    p.set_defaults(func=_cmd_dmdual)
+    p.set_defaults(func=_cmd_dual, dual=demorgan_dual_expr)
 
     return parser
 

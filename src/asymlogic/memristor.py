@@ -10,10 +10,12 @@ primitives:
 A NOI expression ``NOT(T1 AND ... AND Tm)`` maps onto this directly: the
 output register accumulates ``NOT T1 OR ... OR NOT Tm`` by one IMPLY per
 term, and each term register accumulates its IMPLY chain the same way.
-The compiler emits that schedule naively over virtual registers, runs an
-optional double-inversion peephole to a fixpoint, then assigns physical
-registers by linear scan (inputs pinned first, scratch registers reused
-after their last read).
+A term ``NOT(l1 AND ... AND lk)`` takes one IMPLY per literal into its
+work register; a negative literal is first inverted into a scratch
+register, and a term that is a lone negative literal ``!y`` IMPLYs ``y``
+straight into the output.  The compiler emits this schedule over virtual
+registers in one pass, then assigns physical registers by linear scan
+(inputs pinned first, scratch registers reused after their last read).
 
 Input registers are never written; programs are replayable from any input
 assignment.
@@ -23,11 +25,11 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
-from typing import Iterable, Union
+from typing import Union
 
-from .canon import complement, noi_products
+from .canon import noi_products
 from .errors import CapacityError, EvaluationError
-from .expr import Expr, Var, variables
+from .expr import Expr, Not, Var, variables
 
 MAX_COMPILE_VARS = 16
 
@@ -148,6 +150,12 @@ def compile_noi(e: Expr, *, peephole: bool = True) -> ImplyProgram:
     The expression is read as a sum of products (``canon.noi_products``):
     a NOI, a negated chain, a literal or a constant, with constant chain
     operands folded.  Capacity is capped at 16 input variables.
+
+    With ``peephole=False`` the schedule keeps the double inversions of the
+    textbook lowering: a positive last operand ``x`` of a term is inverted
+    twice into scratch registers before it is IMPLY'd into the work
+    register, and a lone ``!y`` term gets its own work register.  The
+    result computes the same function in more steps.
     """
     names = variables(e)
     if len(names) > MAX_COMPILE_VARS:
@@ -181,104 +189,49 @@ def compile_noi(e: Expr, *, peephole: bool = True) -> ImplyProgram:
         counter += 1
         return counter - 1
 
+    def invert(reg: int) -> int:
+        """A fresh scratch register holding ``NOT reg``."""
+        f = fresh()
+        steps.append(Reset(f))
+        steps.append(Imply(reg, f))
+        return f
+
     def literal_source(lit: Expr) -> int:
         """Register holding the literal's value; negations are materialized."""
         if type(lit) is Var:
             return src_of[lit.name]
-        f = fresh()
-        steps.append(Reset(f))
-        steps.append(Imply(src_of[lit.child.name], f))
-        return f
+        return invert(src_of[lit.child.name])
 
     out = fresh()
     steps.append(Reset(out))
     for p in products:
-        # the term is the IMPLY chain p1 -> ... -> p(k-1) -> !pk
+        # the term is the IMPLY chain p1 -> ... -> p(k-1) -> !pk, that is
+        # NOT p1 OR ... OR NOT pk: one IMPLY per literal
+        if peephole and len(p) == 1 and type(p[0]) is Not:
+            # the work register would hold NOT (NOT y), which is y
+            steps.append(Imply(src_of[p[0].child.name], out))
+            continue
         w = fresh()
         steps.append(Reset(w))
-        # prefix operands contribute NOT x each: one IMPLY per operand
         for x in p[:-1]:
             steps.append(Imply(literal_source(x), w))
-        # the last operand contributes x itself: invert twice
-        last = literal_source(complement(p[-1]))
-        n = fresh()
-        steps.append(Reset(n))
-        steps.append(Imply(last, n))
-        steps.append(Imply(n, w))
+        last = literal_source(p[-1])
+        if not peephole and type(p[-1]) is Var:
+            last = invert(invert(last))
+        steps.append(Imply(last, w))
         steps.append(Imply(w, out))
 
-    inputs = set(range(nin))
-    if peephole:
-        steps = _eliminate_double_inversions(steps, inputs, out)
     phys_steps, nregs, phys_out = _allocate(steps, nin, out)
     return ImplyProgram(nregs, bindings, phys_out, tuple(phys_steps))
-
-
-def _eliminate_double_inversions(
-    steps: list[Step], inputs: set[int], output: int
-) -> list[Step]:
-    """Collapse ``a = NOT b; u = NOT a; ... IMPLY u, t`` into ``IMPLY b, t``.
-
-    Applies only when ``a`` and ``u`` are scratch registers each written
-    exactly by a RESET/IMPLY pair, each read exactly once, and ``b`` is not
-    rewritten inside the window; repeats to a fixpoint.
-    """
-    while True:
-        writes: dict[int, list[int]] = {}
-        reads: dict[int, list[int]] = {}
-        for idx, s in enumerate(steps):
-            if isinstance(s, Reset):
-                writes.setdefault(s.target, []).append(idx)
-            else:
-                writes.setdefault(s.set, []).append(idx)
-                reads.setdefault(s.cond, []).append(idx)
-
-        def is_def_pair(reg: int) -> bool:
-            w = writes.get(reg, [])
-            return (
-                len(w) == 2
-                and isinstance(steps[w[0]], Reset)
-                and isinstance(steps[w[1]], Imply)
-            )
-
-        applied = False
-        for u in sorted(writes, key=lambda r: writes[r][0]):
-            if u == output or u in inputs or not is_def_pair(u):
-                continue
-            if len(reads.get(u, [])) != 1:
-                continue
-            a = steps[writes[u][1]].cond
-            if a == output or a in inputs or not is_def_pair(a):
-                continue
-            if reads.get(a, []) != [writes[u][1]]:
-                continue
-            b = steps[writes[a][1]].cond
-            use = reads[u][0]
-            window = range(writes[a][1] + 1, use)
-            if any(i in window for i in writes.get(b, [])):
-                continue
-            dead = {writes[a][0], writes[a][1], writes[u][0], writes[u][1]}
-            new_steps: list[Step] = []
-            for idx, s in enumerate(steps):
-                if idx in dead:
-                    continue
-                if idx == use:
-                    new_steps.append(Imply(b, s.set))
-                else:
-                    new_steps.append(s)
-            steps = new_steps
-            applied = True
-            break
-        if not applied:
-            return steps
 
 
 def _allocate(
     steps: list[Step], nin: int, output: int
 ) -> tuple[list[Step], int, int]:
     """Linear-scan physical assignment: inputs pinned at 0..nin-1, scratch
-    registers take the smallest free index at their RESET and are recycled
-    after their last use; the output register is never recycled."""
+    registers take the smallest free index at their first RESET and are
+    recycled after their last use; the output register, which the schedule
+    resets first, is never recycled."""
     last: dict[int, int] = {}
     for idx, s in enumerate(steps):
         regs = (s.target,) if isinstance(s, Reset) else (s.cond, s.set)
@@ -288,7 +241,6 @@ def _allocate(
     phys: dict[int, int] = {v: v for v in range(nin)}
     free: list[int] = []
     next_new = nin
-    high = nin - 1
     out_steps: list[Step] = []
     for idx, s in enumerate(steps):
         if isinstance(s, Reset):
@@ -298,7 +250,6 @@ def _allocate(
                 else:
                     phys[s.target] = next_new
                     next_new += 1
-            high = max(high, phys[s.target])
             out_steps.append(Reset(phys[s.target]))
             touched = (s.target,)
         else:
@@ -308,15 +259,14 @@ def _allocate(
             if v >= nin and v != output and last[v] == idx:
                 heapq.heappush(free, phys[v])
                 del phys[v]
-    if output not in phys:  # zero-step or input-passthrough programs
-        if output < nin:
-            phys[output] = output
-        else:
-            phys[output] = next_new
-            next_new += 1
-            high = max(high, phys[output])
-    high = max(high, phys[output])
-    return out_steps, high + 1, phys[output]
+    return out_steps, next_new, phys[output]
+
+
+def step_text(step: Step) -> str:
+    """One step as an interchange line, e.g. ``IMPLY r0 r2``."""
+    if isinstance(step, Reset):
+        return f"RESET r{step.target}"
+    return f"IMPLY r{step.cond} r{step.set}"
 
 
 def program_text(program: ImplyProgram) -> str:
@@ -324,9 +274,5 @@ def program_text(program: ImplyProgram) -> str:
     lines = [f"registers {program.registers}"]
     lines.extend(f"input {name} r{reg}" for name, reg in program.bindings)
     lines.append(f"output r{program.output}")
-    for s in program.steps:
-        if isinstance(s, Reset):
-            lines.append(f"RESET r{s.target}")
-        else:
-            lines.append(f"IMPLY r{s.cond} r{s.set}")
+    lines.extend(map(step_text, program.steps))
     return "\n".join(lines) + "\n"

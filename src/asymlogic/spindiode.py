@@ -154,11 +154,14 @@ def netlist_stats(netlist: Netlist) -> dict[str, int]:
     }
 
 
+def gate_text(g: Gate) -> str:
+    """One gate as an interchange line: ``g<i> = <KIND> <a> <b>``."""
+    return f"{g.ref} = {g.kind} {g.in_a} {g.in_b}"
+
+
 def netlist_text(netlist: Netlist) -> str:
     """Interchange text: inputs header, one gate per line, output footer."""
     lines = ["inputs " + " ".join(netlist.inputs)]
-    lines.extend(
-        f"{g.ref} = {g.kind} {g.in_a} {g.in_b}" for g in netlist.gates
-    )
+    lines.extend(map(gate_text, netlist.gates))
     lines.append(f"output {netlist.output}")
     return "\n".join(lines) + "\n"

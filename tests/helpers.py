@@ -4,7 +4,10 @@ Chains are expanded into their defining binary pairings (IAND left, IMPLY
 right) and evaluated with plain Python operators, deliberately avoiding the
 production fold so the two implementations can disagree.  The table duals,
 the counterexample search and the exact cover search are likewise written
-row by row and set by set, against the production code's bit masks.
+row by row and set by set, against the production code's bit masks.  The
+NOI compiler's reference emits the textbook schedule with every double
+inversion and removes them afterwards by a def/use rewrite run to a
+fixpoint, where the production compiler emits the final schedule directly.
 """
 
 from __future__ import annotations
@@ -22,6 +25,14 @@ from asymlogic.expr import (
     Or,
     Var,
     variables,
+)
+from asymlogic.canon import complement, noi_products
+from asymlogic.memristor import (
+    Imply,
+    ImplyProgram,
+    Reset,
+    Step,
+    _allocate,
 )
 from asymlogic.minimize import CoverSolution, Cube, PrimeImplicantSet
 
@@ -170,3 +181,123 @@ def reference_minimum_cover(
     chosen.sort(key=Cube.sort_key)
     cost = sum(q.literal_count for q in chosen)
     return CoverSolution(tuple(chosen), cost, tuple(trace))
+
+
+def reference_compile_noi(e: Expr, *, peephole: bool = True) -> ImplyProgram:
+    """``compile_noi`` by naive emission, then (with ``peephole``) the
+    fixpoint double-inversion rewrite, then the production allocator: the
+    program ``compile_noi`` must match step for step."""
+    names = variables(e)
+    nin = len(names)
+    bindings = tuple((name, i) for i, name in enumerate(names))
+    src_of = {name: i for i, name in enumerate(names)}
+
+    products = noi_products(e)
+    match products:
+        case ():
+            return ImplyProgram(nin + 1, bindings, nin, (Reset(nin),))
+        case ((),):
+            return ImplyProgram(
+                nin + 2,
+                bindings,
+                nin + 1,
+                (Reset(nin), Reset(nin + 1), Imply(nin, nin + 1)),
+            )
+        case ((Var(name),),):
+            return ImplyProgram(nin, bindings, src_of[name], ())
+
+    steps: list[Step] = []
+    counter = nin
+
+    def fresh() -> int:
+        nonlocal counter
+        counter += 1
+        return counter - 1
+
+    def literal_source(lit: Expr) -> int:
+        if type(lit) is Var:
+            return src_of[lit.name]
+        f = fresh()
+        steps.append(Reset(f))
+        steps.append(Imply(src_of[lit.child.name], f))
+        return f
+
+    out = fresh()
+    steps.append(Reset(out))
+    for p in products:
+        w = fresh()
+        steps.append(Reset(w))
+        for x in p[:-1]:
+            steps.append(Imply(literal_source(x), w))
+        last = literal_source(complement(p[-1]))
+        n = fresh()
+        steps.append(Reset(n))
+        steps.append(Imply(last, n))
+        steps.append(Imply(n, w))
+        steps.append(Imply(w, out))
+
+    if peephole:
+        steps = reference_eliminate_double_inversions(
+            steps, set(range(nin)), out
+        )
+    phys_steps, nregs, phys_out = _allocate(steps, nin, out)
+    return ImplyProgram(nregs, bindings, phys_out, tuple(phys_steps))
+
+
+def reference_eliminate_double_inversions(
+    steps: list[Step], inputs: set[int], output: int
+) -> list[Step]:
+    """Collapse ``a = NOT b; u = NOT a; ... IMPLY u, t`` into ``IMPLY b, t``.
+
+    Applies only when ``a`` and ``u`` are scratch registers each written
+    exactly by a RESET/IMPLY pair, each read exactly once, and ``b`` is not
+    rewritten inside the window; repeats to a fixpoint.
+    """
+    while True:
+        writes: dict[int, list[int]] = {}
+        reads: dict[int, list[int]] = {}
+        for idx, s in enumerate(steps):
+            if isinstance(s, Reset):
+                writes.setdefault(s.target, []).append(idx)
+            else:
+                writes.setdefault(s.set, []).append(idx)
+                reads.setdefault(s.cond, []).append(idx)
+
+        def is_def_pair(reg: int) -> bool:
+            w = writes.get(reg, [])
+            return (
+                len(w) == 2
+                and isinstance(steps[w[0]], Reset)
+                and isinstance(steps[w[1]], Imply)
+            )
+
+        applied = False
+        for u in sorted(writes, key=lambda r: writes[r][0]):
+            if u == output or u in inputs or not is_def_pair(u):
+                continue
+            if len(reads.get(u, [])) != 1:
+                continue
+            a = steps[writes[u][1]].cond
+            if a == output or a in inputs or not is_def_pair(a):
+                continue
+            if reads.get(a, []) != [writes[u][1]]:
+                continue
+            b = steps[writes[a][1]].cond
+            use = reads[u][0]
+            window = range(writes[a][1] + 1, use)
+            if any(i in window for i in writes.get(b, [])):
+                continue
+            dead = {writes[a][0], writes[a][1], writes[u][0], writes[u][1]}
+            new_steps: list[Step] = []
+            for idx, s in enumerate(steps):
+                if idx in dead:
+                    continue
+                if idx == use:
+                    new_steps.append(Imply(b, s.set))
+                else:
+                    new_steps.append(s)
+            steps = new_steps
+            applied = True
+            break
+        if not applied:
+            return steps

@@ -2,11 +2,13 @@
 
 from __future__ import annotations
 
+import random
 from itertools import product
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from asymlogic.canon import noi_from_tt
 from asymlogic.errors import CapacityError, EvaluationError, ShapeError
@@ -32,7 +34,7 @@ from asymlogic.memristor import (
 from asymlogic.minimize import minimized_noi
 from asymlogic.semantics import TruthTable, evaluate
 
-from .helpers import assignments
+from .helpers import assignments, reference_compile_noi
 from .strategies import noi_exprs, noi_exprs_with_constants
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -234,6 +236,66 @@ class TestCompileNoi:
             for row, want in enumerate(bits):
                 env = t.row_assignment(row)
                 assert simulate(prog, env).output == want
+
+
+def _parity(names: tuple[str, ...]) -> TruthTable:
+    return TruthTable.from_mask(
+        names,
+        sum(1 << r for r in range(1 << len(names)) if bin(r).count("1") % 2),
+    )
+
+
+def _cube_table(names: tuple[str, ...], rng: random.Random) -> TruthTable:
+    """The OR of a few random cubes of 1-4 literals (cheap to minimize at
+    7-8 variables, unlike a uniformly random table)."""
+    n = len(names)
+    mask = 0
+    for _ in range(rng.randint(1, n)):
+        fixed = {v: rng.randint(0, 1)
+                 for v in rng.sample(range(n), rng.randint(1, min(4, n)))}
+        for r in range(1 << n):
+            if all((r >> (n - 1 - v)) & 1 == b for v, b in fixed.items()):
+                mask |= 1 << r
+    return TruthTable.from_mask(names, mask)
+
+
+class TestMatchesFixpointReference:
+    """``compile_noi`` emits in one pass the program that the naive
+    schedule, rewritten to a fixpoint and allocated, converges to."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.one_of(noi_exprs, noi_exprs_with_constants), st.booleans())
+    def test_noi_exprs(self, e, peephole):
+        assert compile_noi(e, peephole=peephole) == reference_compile_noi(
+            e, peephole=peephole
+        )
+
+    @pytest.mark.parametrize("peephole", [True, False])
+    @pytest.mark.parametrize("n", range(2, 9))
+    def test_parity_and_minimized_tables(self, n, peephole):
+        names = tuple(f"x{i}" for i in range(n))
+        rng = random.Random(n)
+        tables = [_parity(names)] + [_cube_table(names, rng) for _ in range(4)]
+        if n <= 6:
+            tables += [TruthTable.from_mask(names, rng.getrandbits(1 << n))
+                       for _ in range(4)]
+        for t in tables:
+            for e in (minimized_noi(t), noi_from_tt(t)):
+                assert compile_noi(e, peephole=peephole) == (
+                    reference_compile_noi(e, peephole=peephole)
+                )
+
+    def test_naive_schedule_keeps_the_double_inversion(self):
+        # !(A -> !B) is A AND B: the naive schedule inverts B twice
+        e = Not(ImplyChain((Var("A"), Not(Var("B")))))
+        assert compile_noi(e).steps == (
+            Reset(2), Reset(3), Imply(0, 3), Imply(1, 3), Imply(3, 2),
+        )
+        assert compile_noi(e, peephole=False).steps == (
+            Reset(2), Reset(3), Imply(0, 3),
+            Reset(4), Imply(1, 4), Reset(5), Imply(4, 5), Imply(5, 3),
+            Imply(3, 2),
+        )
 
 
 class TestSimulate:
