@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import cache
 
 from .errors import NoMatchError, ShapeError
 from .expr import (
@@ -24,6 +25,7 @@ from .expr import (
     Or,
     Path,
     Var,
+    children,
     format_expr,
     iand_chain,
     imply_chain,
@@ -480,36 +482,110 @@ def simplify(
     Each round applies the single rule application that most reduces the
     literal count (ties: fewer operators, then rule name, then leftmost
     position) and stops when nothing reduces it or the budget runs out.
+    A match is scored from its binding (``_literal_delta``); only a match
+    that can still win is built and has its operators counted.
     """
     if budget < 0:
         raise ValueError("laws: simplify budget must be >= 0")
-    if rules is None:
-        rules = catalog() + classical_rules()
+    index = _default_index() if rules is None else _index(rules)
+    anywhere = index[_ANYWHERE]
     current = normalize_not(e)
     steps: list[SimplifyStep] = []
     for _ in range(budget):
         base = literal_count(current)
         best: tuple[tuple, Rule, Path, Expr] | None = None
+        most = base - 1  # a contender has at most this many literals
         for path, node in iter_subexpressions(current):
-            for rule in rules:
+            for rule, const, weights in index.get(_shape(node), anywhere):
                 binding = match_pattern(rule.lhs, node)
                 if binding is None:
+                    continue
+                lits = base + const
+                for name, w in weights:
+                    lits += w * literal_count(binding[name])
+                if lits > most:
                     continue
                 candidate = normalize_not(
                     replace_at(current, path, substitute(rule.rhs, binding))
                 )
-                lits = literal_count(candidate)
-                if lits >= base:
-                    continue
                 key = (lits, operator_count(candidate), rule.name, path)
                 if best is None or key < best[0]:
                     best = (key, rule, path, candidate)
+                    most = lits
         if best is None:
             break
         _, rule, path, current = best
         steps.append(SimplifyStep(rule.name, path, current))
     check_oracle(current, e, "simplify")
     return SimplifyResult(current, tuple(steps))
+
+
+def _literal_delta(rule: Rule) -> tuple[int, tuple[tuple[str, int], ...]]:
+    """What one application of ``rule`` adds to the literal count, as a
+    constant and a weight per metavariable (zero weights left out).
+
+    Both count leaves of ``rhs`` minus leaves of ``lhs``: the constant
+    counts ``Const`` leaves, a weight counts one metavariable.  The added
+    literals under a binding ``b`` are ``const + sum(w * literal_count(
+    b[m]))``, exactly: a binding has the literal count of the subtree it
+    matched (also the complement binding of ``!A``), n-ary patterns match
+    only at their own arity, and neither chain flattening nor
+    ``normalize_not`` changes the number of leaves.
+    """
+    const = 0
+    weights: dict[str, int] = {}
+    for sign, side in ((1, rule.rhs), (-1, rule.lhs)):
+        for _, node in iter_subexpressions(side):
+            if isinstance(node, Var):
+                weights[node.name] = weights.get(node.name, 0) + sign
+            elif isinstance(node, Const):
+                const += sign
+    return const, tuple((m, w) for m, w in weights.items() if w)
+
+
+def _can_reduce(const: int, weights: tuple[tuple[str, int], ...]) -> bool:
+    """Whether some binding makes the rule cut literals.  Every binding has
+    at least one literal, so with no negative weight the delta is at least
+    ``const + sum(weights)``."""
+    if any(w < 0 for _, w in weights):
+        return True
+    return const + sum(w for _, w in weights) < 0
+
+
+def _shape(e: Expr) -> tuple[type, int]:
+    return type(e), len(children(e))
+
+
+# a bare-metavariable lhs has this shape, and it matches every node
+_ANYWHERE = (Var, 0)
+
+# (rule, constant, weights) as ``_literal_delta`` gives them
+_Scored = tuple[Rule, int, tuple[tuple[str, int], ...]]
+_Index = dict[tuple[type, int], tuple[_Scored, ...]]
+
+
+def _index(rules: tuple[Rule, ...]) -> _Index:
+    """The rules that can cut literals, by the root type and arity of their
+    ``lhs``; each entry also holds the bare-metavariable rules, and all
+    keep the given rule order."""
+    kept = []
+    for rule in rules:
+        const, weights = _literal_delta(rule)
+        if _can_reduce(const, weights):
+            kept.append((rule, const, weights))
+    shapes = {_shape(s[0].lhs) for s in kept} | {_ANYWHERE}
+    return {
+        shape: tuple(
+            s for s in kept if _shape(s[0].lhs) in (shape, _ANYWHERE)
+        )
+        for shape in shapes
+    }
+
+
+@cache
+def _default_index() -> _Index:
+    """The default rules' index, built on the first call, not at import."""
+    return _index(catalog() + classical_rules())
 
 
 # --- duality ---------------------------------------------------------------

@@ -27,6 +27,10 @@ from .semantics import (
 from .canon import noi_form, soi_form
 
 MAX_MINIMIZE_VARS = 12
+# Branch-and-bound nodes one cover search may visit.  The synth benchmark's
+# hardest covers take about 10**4; uniformly random 7-variable tables pass
+# 10**6 within seconds and would otherwise run for minutes.
+MAX_COVER_NODES = 1_000_000
 
 
 @dataclass(frozen=True)
@@ -178,7 +182,8 @@ def minimum_cover(
     Objective: least total literal count, then fewest cubes, then the
     lexicographically least tuple of cube encodings.  Essential primes
     (sole cover of some row) are taken first and recorded in the trace.
-    Row sets are int masks, bit ``r`` for row ``r``.
+    Row sets are int masks, bit ``r`` for row ``r``.  A search that would
+    visit more than ``MAX_COVER_NODES`` nodes raises ``CapacityError``.
     """
     cubes = list(primes.cubes)
     masks = _row_masks(cubes, len(primes.variables))
@@ -216,9 +221,16 @@ def minimum_cover(
         sel: list[tuple[int, int, tuple[int, str], Cube]] = []
         best: list[Cube] | None = None
         best_key: tuple | None = None
+        nodes = 0
 
         def search(lits: int, left: int) -> None:
-            nonlocal best, best_key
+            nonlocal best, best_key, nodes
+            nodes += 1
+            if nodes > MAX_COVER_NODES:
+                raise CapacityError(
+                    "minimize: the cover search passed its budget of "
+                    f"{MAX_COVER_NODES} nodes"
+                )
             if best_key is not None and (lits, len(sel)) > best_key[:2]:
                 return
             if not left:

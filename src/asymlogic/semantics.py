@@ -7,7 +7,9 @@ most significant bit.  Row 0 is all zeros, row ``2**n - 1`` all ones.
 A table is one int whose bit ``r`` is the function's value on row ``r``.
 Expressions are evaluated once over whole variable columns (the bit-sliced
 tables of ABC's ``Abc_Tt*`` routines): NOT is XOR with the all-ones mask,
-AND and OR are ``&`` and ``|``, and chains fold as ``evaluate`` does.
+AND and OR are ``&`` and ``|``, and a chain takes one complement, as
+``x1 & NOT (x2 | ... | xn)`` for IAND and ``NOT (x1 & ... & x(n-1)) | xn``
+for IMPLY.
 """
 
 from __future__ import annotations
@@ -181,14 +183,16 @@ def _eval(e: Expr, env: dict[str, int], full: int) -> int:
             return acc
         case IandChain(ops):
             acc = _eval(ops[0], env, full)
+            rest = 0
             for x in ops[1:]:
-                acc &= full ^ _eval(x, env, full)
-            return acc
+                rest |= _eval(x, env, full)
+            return acc & (full ^ rest)
         case ImplyChain(ops):
             acc = _eval(ops[-1], env, full)
+            rest = full
             for x in reversed(ops[:-1]):
-                acc |= full ^ _eval(x, env, full)
-            return acc
+                rest &= _eval(x, env, full)
+            return acc | (full ^ rest)
     raise EvaluationError(f"semantics: not an expression node: {e!r}")
 
 

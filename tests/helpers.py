@@ -8,6 +8,9 @@ row by row and set by set, against the production code's bit masks.  The
 NOI compiler's reference emits the textbook schedule with every double
 inversion and removes them afterwards by a def/use rewrite run to a
 fixpoint, where the production compiler emits the final schedule directly.
+The simplifier's reference builds, normalizes and recounts the whole tree
+for every match of every rule, where the production search scores a match
+from its binding and builds only the ones that can win.
 """
 
 from __future__ import annotations
@@ -23,10 +26,25 @@ from asymlogic.expr import (
     ImplyChain,
     Not,
     Or,
+    Path,
     Var,
+    iter_subexpressions,
+    literal_count,
+    normalize_not,
+    operator_count,
+    replace_at,
     variables,
 )
 from asymlogic.canon import complement, noi_products
+from asymlogic.laws import (
+    Rule,
+    SimplifyResult,
+    SimplifyStep,
+    catalog,
+    classical_rules,
+    match_pattern,
+    substitute,
+)
 from asymlogic.memristor import (
     Imply,
     ImplyProgram,
@@ -301,3 +319,38 @@ def reference_eliminate_double_inversions(
             break
         if not applied:
             return steps
+
+
+def reference_simplify(
+    e: Expr, rules: tuple[Rule, ...] | None = None, budget: int = 64
+) -> SimplifyResult:
+    """``simplify`` by rebuilding the whole tree for every match of every
+    rule and keeping the least ``(literals, operators, rule name, path)``
+    among those that cut literals: the result ``simplify`` must match step
+    for step."""
+    if rules is None:
+        rules = catalog() + classical_rules()
+    current = normalize_not(e)
+    steps: list[SimplifyStep] = []
+    for _ in range(budget):
+        base = literal_count(current)
+        best: tuple[tuple, Rule, Path, Expr] | None = None
+        for path, node in iter_subexpressions(current):
+            for rule in rules:
+                binding = match_pattern(rule.lhs, node)
+                if binding is None:
+                    continue
+                candidate = normalize_not(
+                    replace_at(current, path, substitute(rule.rhs, binding))
+                )
+                lits = literal_count(candidate)
+                if lits >= base:
+                    continue
+                key = (lits, operator_count(candidate), rule.name, path)
+                if best is None or key < best[0]:
+                    best = (key, rule, path, candidate)
+        if best is None:
+            break
+        _, rule, path, current = best
+        steps.append(SimplifyStep(rule.name, path, current))
+    return SimplifyResult(current, tuple(steps))

@@ -3,27 +3,33 @@
 from __future__ import annotations
 
 import json
+import random
 import time
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from asymlogic.errors import NoMatchError, ShapeError
 from asymlogic.expr import (
     And,
     Const,
+    Expr,
     IandChain,
     ImplyChain,
     Not,
     Or,
     Var,
     format_expr,
+    iter_subexpressions,
     literal_count,
+    normalize_not,
     variables,
 )
 from asymlogic.laws import (
     Rule,
+    _can_reduce,
+    _literal_delta,
     catalog,
     classical_rules,
     demonstrations,
@@ -44,8 +50,12 @@ from asymlogic.semantics import (
     truth_table,
 )
 
-from .helpers import assignments, naive_eval
-from .strategies import expressions
+from .helpers import assignments, naive_eval, reference_simplify
+from .strategies import (
+    expressions,
+    noi_exprs_with_constants,
+    soi_exprs_with_constants,
+)
 
 A, B, C = Var("A"), Var("B"), Var("C")
 
@@ -254,6 +264,145 @@ class TestSimplify:
     def test_never_increases_literal_count(self, e):
         result = simplify(e, budget=16)
         assert literal_count(result.expression) <= literal_count(e)
+
+
+RULE_SETS = {
+    "default": None,
+    "catalog": catalog(),
+    "classical": classical_rules(),
+    "demonstrations": demonstrations(),
+}
+BUDGETS = (0, 1, 3, 64)
+
+
+def _planted_or(rng: random.Random, n: int, terms: int) -> Expr:
+    """An OR of irreducible binary terms and planted redundancies such as
+    ``x @ x`` or ``x -> 1``, with ``x`` a literal or a binary term."""
+    names = [Var(f"v{i}") for i in range(n)]
+
+    def literal() -> Expr:
+        v = rng.choice(names)
+        return Not(v) if rng.random() < 0.5 else v
+
+    def binary() -> Expr:
+        kind = rng.choice((IandChain, ImplyChain, And))
+        return kind((literal(), literal()))
+
+    planted = (
+        lambda x: IandChain((x, x)),
+        lambda x: IandChain((x, Const(0))),
+        lambda x: IandChain((Const(1), x)),
+        lambda x: ImplyChain((x, Const(1))),
+        lambda x: And((x, Const(1))),
+        lambda x: Or((x, Const(0))),
+        lambda x: ImplyChain((x, x)),
+        lambda x: ImplyChain((x, Const(0))),
+        lambda x: And((x, x)),
+        lambda x: IandChain((x, Not(x))),
+    )
+    kids = []
+    for j in range(terms):
+        if j % 2:
+            kids.append(binary())
+        else:
+            x = binary() if j % 4 else literal()
+            kids.append(normalize_not(rng.choice(planted)(x)))
+    rng.shuffle(kids)
+    return Or(tuple(kids))
+
+
+class TestSimplifyMatchesReference:
+    """The binding-scored search against the whole-tree rebuild it
+    replaced: same expression, same steps."""
+
+    @pytest.mark.parametrize("rules", RULE_SETS.values(), ids=RULE_SETS)
+    @settings(deadline=None)
+    @given(
+        st.one_of(
+            expressions(),
+            soi_exprs_with_constants,
+            noi_exprs_with_constants,
+        )
+    )
+    def test_generated_expressions(self, rules, e):
+        for budget in BUDGETS:
+            assert simplify(e, rules, budget) == reference_simplify(
+                e, rules, budget
+            )
+
+    @given(expressions(max_leaves=6))
+    def test_bare_metavariable_lhs(self, x):
+        # such an lhs matches every node; this rule holds only on
+        # tautologies, so it is applied to x | !x
+        rules = (Rule("collapse", "tautologies", A, Const(1)),)
+        rules += classical_rules()
+        e = Or((x, Not(x)))
+        for budget in (1, 64):
+            assert simplify(e, rules, budget) == reference_simplify(
+                e, rules, budget
+            )
+
+    @pytest.mark.parametrize("n", [8, 12, 16])
+    def test_planted_redundancy(self, n):
+        rng = random.Random(n)
+        for terms in (4, 5, 6):
+            e = _planted_or(rng, n, terms)
+            for budget in (3, 64):
+                result = simplify(e, budget=budget)
+                assert result == reference_simplify(e, budget=budget)
+            assert result.steps  # the planted terms were found
+
+
+class TestStaticFilter:
+    RULES = catalog() + classical_rules()
+
+    def test_drops_the_rules_that_cannot_cut_literals(self):
+        dropped = [
+            r for r in self.RULES if not _can_reduce(*_literal_delta(r))
+        ]
+        assert len(self.RULES) == 105 and len(dropped) == 71
+        names = {r.name for r in dropped}
+        assert "asymmetric-commutation-iand" in names
+        assert "non-inverting-assoc-imply" in names
+        assert "identity-iand-rev" in names
+        assert "identity-iand" not in names
+
+    @settings(max_examples=50)
+    @given(st.lists(expressions(max_leaves=6), min_size=3, max_size=3))
+    def test_delta_from_binding(self, values):
+        binding = dict(zip("ABC", values))
+        for rule in self.RULES:
+            const, weights = _literal_delta(rule)
+            got = const + sum(
+                w * literal_count(binding[m]) for m, w in weights
+            )
+            want = literal_count(substitute(rule.rhs, binding))
+            want -= literal_count(substitute(rule.lhs, binding))
+            assert got == want, rule.name
+
+    @settings(max_examples=50, deadline=None)
+    @given(
+        st.lists(expressions(max_leaves=6), min_size=3, max_size=3),
+        expressions(),
+    )
+    def test_rewrites_add_the_delta(self, values, e):
+        # what simplify relies on: the delta is exact under every match,
+        # complement bindings included, and a dropped rule never cuts
+        nodes = [node for _, node in iter_subexpressions(e)]
+        for rule in self.RULES:
+            const, weights = _literal_delta(rule)
+            own = substitute(rule.lhs, dict(zip("ABC", values)))
+            for subject in [normalize_not(own), *nodes]:
+                binding = match_pattern(rule.lhs, subject)
+                if binding is None:
+                    continue
+                delta = literal_count(rewrite_once(subject, rule, ()))
+                delta -= literal_count(subject)
+                assert delta == const + sum(
+                    w * literal_count(binding[m]) for m, w in weights
+                ), rule.name
+                if not _can_reduce(const, weights):
+                    assert delta >= 0, rule.name
 
 
 class TestDual:

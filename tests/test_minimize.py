@@ -14,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from asymlogic import minimize
+from asymlogic.cli import main
 from asymlogic.errors import CapacityError
 from asymlogic.expr import Const, Not, Var, format_expr
 from asymlogic.minimize import (
@@ -125,6 +126,38 @@ class TestMinimumCover:
         t = TruthTable(("A", "B"), (0, 0, 0, 0))
         primes, cover = minimize_table(t)
         assert cover.cubes == () and cover.cost == 0
+
+
+# not-all-equal over five variables: a cyclic core with no essential prime,
+# and the hardest cover of the synth benchmark on seeds 1-10 (11 577 nodes)
+NAE5 = TruthTable.from_mask(tuple("ABCDE"), (1 << 32) - 1 - 1 - (1 << 31))
+
+
+class TestCoverBudget:
+    def test_hardest_benchmark_cover_is_far_inside_the_budget(self):
+        _, cover = minimize_table(NAE5)
+        assert len(cover.cubes) == 5 and cover.cost == 10
+        assert minimize.MAX_COVER_NODES >= 10 * 11_577
+
+    def test_exhausted_budget_raises(self, monkeypatch):
+        monkeypatch.setattr(minimize, "MAX_COVER_NODES", 11_576)
+        with pytest.raises(CapacityError, match="budget of 11576 nodes"):
+            minimize_table(NAE5)
+        monkeypatch.setattr(minimize, "MAX_COVER_NODES", 11_577)
+        minimize_table(NAE5)
+
+    def test_random_seven_variable_table_fails_cleanly(self, tmp_path, capsys):
+        # a uniformly random 7-variable table whose cover search ran for
+        # about a minute unbudgeted; it now stops a few seconds in
+        bits = (
+            "0011001100111000100001011111101000101111111010101001100110101001"
+            "1100011100100000111001110111101101111101101001111110001111101011"
+        )
+        path = tmp_path / "random7.txt"
+        path.write_text(f"a b c d e f g\n{bits}\n")
+        argv = ["minimize", "--form", "noi", "--table-file", str(path)]
+        assert main(argv) == 2
+        assert "cover search passed its budget" in capsys.readouterr().err
 
 
 def _cube_list_onset(rng: random.Random, n: int) -> list[int]:

@@ -146,6 +146,25 @@ class TestTruthTable:
             names = ("A",)
         assert truth_table(e, names).bits == naive_table(e, names)
 
+    def test_long_and_nested_chains_match_naive_reference(self):
+        # each chain folds with one complement; the reference pairs operands
+        rng = random.Random(5)
+        names = ("A", "B", "C", "D", "E", "F")
+
+        def operand(depth: int) -> Expr:
+            if depth and rng.random() < 0.3:
+                return chain(depth - 1)
+            leaf = rng.choice((*map(Var, names), Const(0), Const(1)))
+            return Not(leaf) if rng.random() < 0.3 else leaf
+
+        def chain(depth: int) -> Expr:
+            ops = tuple(operand(depth) for _ in range(rng.randint(2, 12)))
+            return rng.choice((IandChain, ImplyChain))(ops)
+
+        for _ in range(60):
+            e = chain(3)
+            assert truth_table(e, names).bits == naive_table(e, names)
+
 
 class TestEquivalence:
     def test_verdict_truthiness(self):
