@@ -25,6 +25,7 @@ import argparse
 import json
 import os
 import sys
+from typing import Callable
 
 from .canon import (
     Unsupported,
@@ -101,15 +102,6 @@ def _add_source(p: argparse.ArgumentParser) -> None:
     )
 
 
-def _add_format(p: argparse.ArgumentParser) -> None:
-    p.add_argument(
-        "--format",
-        choices=("text", "structured"),
-        default="text",
-        help="structured prints one JSON record per line",
-    )
-
-
 def _source_table(args: argparse.Namespace) -> TruthTable:
     if (args.expr is None) == (args.table_file is None):
         raise ValueError("provide exactly one of: an expression, --table-file")
@@ -128,41 +120,41 @@ def _source_expr(args: argparse.Namespace) -> Expr:
     return parse(args.expr)
 
 
-def _print_record(record: dict) -> None:
-    print(json.dumps(record, sort_keys=True))
+# What a subcommand hands ``main``: its exit code, then its JSON records and
+# its text.  ``main`` calls only the builder of the form it prints.
+_Output = tuple[int, Callable[[], list[dict]], Callable[[], str]]
 
 
-def _cmd_table(args: argparse.Namespace) -> int:
+def _cmd_table(args: argparse.Namespace) -> _Output:
     t = _source_table(args)
-    if args.format == "structured":
-        _print_record({"variables": list(t.variables), "table": t.to_string()})
-    else:
-        print(" ".join(t.variables))
-        print(t.to_string())
-    return 0
+    names, bits = list(t.variables), t.to_string()
+    return (
+        0,
+        lambda: [{"variables": names, "table": bits}],
+        lambda: f"{' '.join(names)}\n{bits}\n",
+    )
 
 
-def _cmd_laws(args: argparse.Namespace) -> int:
+def _cmd_laws(args: argparse.Namespace) -> _Output:
     reports = [verify_rule(rule) for rule in catalog() + classical_rules()]
-    demo_reports = [(rule, verify_rule(rule)) for rule in demonstrations()]
-    if args.format == "structured":
-        for report in reports:
-            _print_record(report.record())
-        for demo, report in demo_reports:
-            record = report.record()
-            record["kind"] = "demonstration"
-            record["expected"] = demo.expect
-            _print_record(record)
-    else:
-        for report in reports:
-            print(_report_line(report))
-        print("demonstrations:")
-        for demo, report in demo_reports:
-            print(_report_line(report, f"(expected {demo.expect}) "))
+    demos = [(rule.expect, verify_rule(rule)) for rule in demonstrations()]
+
+    def records() -> list[dict]:
+        return [r.record() for r in reports] + [
+            {**r.record(), "kind": "demonstration", "expected": expect}
+            for expect, r in demos
+        ]
+
+    def text() -> str:
+        lines = [_report_line(r) for r in reports]
+        lines.append("demonstrations:")
+        lines += [_report_line(r, f"(expected {e}) ") for e, r in demos]
         proven = sum(1 for r in reports if r.status == "Proven")
-        print(f"{proven}/{len(reports)} catalog rules proven")
-    refuted = sum(1 for r in reports if r.status == "Refuted")
-    return 1 if refuted else 0
+        lines.append(f"{proven}/{len(reports)} catalog rules proven")
+        return "".join(line + "\n" for line in lines)
+
+    refuted = any(r.status == "Refuted" for r in reports)
+    return (1 if refuted else 0), records, text
 
 
 def _report_line(report: RuleReport, note: str = "") -> str:
@@ -179,7 +171,7 @@ def _fmt_assignment(assignment: dict[str, int]) -> str:
     return " ".join(f"{k}={v}" for k, v in assignment.items())
 
 
-def _cmd_canon(args: argparse.Namespace) -> int:
+def _cmd_canon(args: argparse.Namespace) -> _Output:
     t = _source_table(args)
     form = {
         "soi": soi_from_tt,
@@ -188,51 +180,46 @@ def _cmd_canon(args: argparse.Namespace) -> int:
         "ion": ion_from_tt,
     }[args.form](t)
     if isinstance(form, Unsupported):
-        if args.format == "structured":
-            _print_record(
-                {"form": args.form, "status": "unsupported",
-                 "reason": form.reason}
-            )
-        else:
-            print(f"unsupported: {form.reason}")
-        return 0
-    if args.format == "structured":
-        _print_record(
-            {"form": args.form, "status": "ok", "expr": format_expr(form)}
+        return (
+            0,
+            lambda: [{"form": args.form, "status": "unsupported",
+                      "reason": form.reason}],
+            lambda: f"unsupported: {form.reason}\n",
         )
-    else:
-        print(format_expr(form))
-    return 0
+    expr = format_expr(form)
+    return (
+        0,
+        lambda: [{"form": args.form, "status": "ok", "expr": expr}],
+        lambda: expr + "\n",
+    )
 
 
-def _cmd_convert(args: argparse.Namespace) -> int:
+_CONVERT = {"noi": soi_to_noi, "soi": noi_to_soi}
+
+
+def _cmd_expr(args: argparse.Namespace) -> _Output:
+    """convert, dual and dmdual: one expression in, one expression out."""
     e = _source_expr(args)
-    result = soi_to_noi(e) if args.to == "noi" else noi_to_soi(e)
-    if args.format == "structured":
-        _print_record({"expr": format_expr(result)})
-    else:
-        print(format_expr(result))
-    return 0
+    transform = args.transform or _CONVERT[args.to]
+    expr = format_expr(transform(e))
+    return 0, lambda: [{"expr": expr}], lambda: expr + "\n"
 
 
-def _cmd_minimize(args: argparse.Namespace) -> int:
+def _cmd_minimize(args: argparse.Namespace) -> _Output:
     t = _source_table(args)
     primes, cover = minimize_table(t)
-    expr = cover_form(t, cover, args.form)
-    if args.format == "structured":
-        record = {
-            "expr": format_expr(expr),
+    expr = format_expr(cover_form(t, cover, args.form))
+    return (
+        0,
+        lambda: [{
+            "expr": expr,
             "variables": list(t.variables),
             "cover": [q.trits for q in cover.cubes],
             "cost": cover.cost,
             "trace": list(cover.trace),
-        }
-        _print_record(record)
-    else:
-        print(format_expr(expr))
-        if args.cover:
-            sys.stdout.write(cover_text(primes, cover))
-    return 0
+        }],
+        lambda: f"{expr}\n{cover_text(primes, cover) if args.cover else ''}",
+    )
 
 
 def _build_memristor(args: argparse.Namespace):
@@ -248,35 +235,31 @@ def _build_spindiode(args: argparse.Namespace):
     return compile_soi(_source_expr(args))
 
 
-def _cmd_compile(args: argparse.Namespace) -> int:
+def _cmd_compile(args: argparse.Namespace) -> _Output:
     if args.target == "memristor":
         program = _build_memristor(args)
-        if args.format == "structured":
-            _print_record(
-                {
-                    "registers": program.registers,
-                    "inputs": [[n, r] for n, r in program.bindings],
-                    "output": program.output,
-                    "steps": [step_text(s) for s in program.steps],
-                    "counts": step_count(program),
-                }
-            )
-        else:
-            sys.stdout.write(program_text(program))
-    else:
-        netlist = _build_spindiode(args)
-        if args.format == "structured":
-            _print_record(
-                {
-                    "inputs": list(netlist.inputs),
-                    "gates": [gate_text(g) for g in netlist.gates],
-                    "output": netlist.output,
-                    "stats": netlist_stats(netlist),
-                }
-            )
-        else:
-            sys.stdout.write(netlist_text(netlist))
-    return 0
+        return (
+            0,
+            lambda: [{
+                "registers": program.registers,
+                "inputs": [[n, r] for n, r in program.bindings],
+                "output": program.output,
+                "steps": [step_text(s) for s in program.steps],
+                "counts": step_count(program),
+            }],
+            lambda: program_text(program),
+        )
+    netlist = _build_spindiode(args)
+    return (
+        0,
+        lambda: [{
+            "inputs": list(netlist.inputs),
+            "gates": [gate_text(g) for g in netlist.gates],
+            "output": netlist.output,
+            "stats": netlist_stats(netlist),
+        }],
+        lambda: netlist_text(netlist),
+    )
 
 
 def _bits_assignment(names: tuple[str, ...], bits: str) -> dict[str, int]:
@@ -288,60 +271,43 @@ def _bits_assignment(names: tuple[str, ...], bits: str) -> dict[str, int]:
     return {name: int(c) for name, c in zip(names, bits)}
 
 
-def _cmd_simulate(args: argparse.Namespace) -> int:
+def _cmd_simulate(args: argparse.Namespace) -> _Output:
     if args.target == "memristor":
         program = _build_memristor(args)
         names = tuple(n for n, _ in program.bindings)
         result = simulate(program, _bits_assignment(names, args.inputs))
-        if args.format == "structured":
-            _print_record(
-                {
-                    "output": result.output,
-                    "state": list(result.state),
-                    "trace": [list(s) for s in result.trace],
-                }
-            )
-        else:
-            print(f"output {result.output}")
-    else:
-        netlist = _build_spindiode(args)
-        bit = simulate_netlist(
-            netlist, _bits_assignment(netlist.inputs, args.inputs)
+        return (
+            0,
+            lambda: [{
+                "output": result.output,
+                "state": list(result.state),
+                "trace": [list(s) for s in result.trace],
+            }],
+            lambda: f"output {result.output}\n",
         )
-        if args.format == "structured":
-            _print_record({"output": bit})
-        else:
-            print(f"output {bit}")
-    return 0
+    netlist = _build_spindiode(args)
+    bit = simulate_netlist(
+        netlist, _bits_assignment(netlist.inputs, args.inputs)
+    )
+    return 0, lambda: [{"output": bit}], lambda: f"output {bit}\n"
 
 
-def _cmd_verify(args: argparse.Namespace) -> int:
+def _cmd_verify(args: argparse.Namespace) -> _Output:
     verdict = equivalent(parse(args.expr1), parse(args.expr2))
-    if args.format == "structured":
-        record: dict = {
-            "status": "equivalent" if verdict.equal else "inequivalent"
-        }
-        if verdict.counterexample is not None:
-            record["counterexample"] = verdict.counterexample
-        _print_record(record)
-    else:
+    status = "equivalent" if verdict.equal else "inequivalent"
+    cex = verdict.counterexample
+
+    def text() -> str:
         if verdict.equal:
-            print("equivalent")
-        else:
-            print("inequivalent")
-            print(
-                "counterexample: " + _fmt_assignment(verdict.counterexample)
-            )
-    return 0 if verdict.equal else 1
+            return status + "\n"
+        return f"{status}\ncounterexample: {_fmt_assignment(cex)}\n"
 
-
-def _cmd_dual(args: argparse.Namespace) -> int:
-    result = args.dual(_source_expr(args))
-    if args.format == "structured":
-        _print_record({"expr": format_expr(result)})
-    else:
-        print(format_expr(result))
-    return 0
+    return (
+        0 if verdict.equal else 1,
+        lambda: [{"status": status}
+                 | ({} if cex is None else {"counterexample": cex})],
+        text,
+    )
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -353,39 +319,33 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("table", help="print a truth table")
     _add_source(p)
-    _add_format(p)
     p.set_defaults(func=_cmd_table)
 
     p = sub.add_parser("laws", help="verify the algebraic law catalog")
-    _add_format(p)
     p.set_defaults(func=_cmd_laws)
 
     p = sub.add_parser("canon", help="canonical form of a function")
     p.add_argument("--form", choices=("soi", "noi", "ios", "ion"),
                    required=True)
     _add_source(p)
-    _add_format(p)
     p.set_defaults(func=_cmd_canon)
 
     p = sub.add_parser("convert", help="convert between SOI and NOI forms")
     p.add_argument("--to", choices=("noi", "soi"), required=True)
     p.add_argument("expr", help="expression in the other form")
-    _add_format(p)
-    p.set_defaults(func=_cmd_convert)
+    p.set_defaults(func=_cmd_expr, transform=None)
 
     p = sub.add_parser("minimize", help="minimum two-level form")
     p.add_argument("--form", choices=("soi", "noi"), required=True)
     p.add_argument("--cover", action="store_true",
                    help="also print the chosen cubes")
     _add_source(p)
-    _add_format(p)
     p.set_defaults(func=_cmd_minimize)
 
     p = sub.add_parser("compile", help="compile to a hardware schedule")
     p.add_argument("--target", choices=("memristor", "spindiode"),
                    required=True)
     _add_source(p)
-    _add_format(p)
     p.set_defaults(func=_cmd_compile)
 
     p = sub.add_parser("simulate", help="compile and run on given inputs")
@@ -394,25 +354,28 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--inputs", required=True,
                    help="one bit per input, in binding order")
     _add_source(p)
-    _add_format(p)
     p.set_defaults(func=_cmd_simulate)
 
     p = sub.add_parser("verify", help="check two expressions for equivalence")
     p.add_argument("expr1")
     p.add_argument("expr2")
-    _add_format(p)
     p.set_defaults(func=_cmd_verify)
 
     p = sub.add_parser("dual", help="classical dual of an expression")
     p.add_argument("expr", help="expression text")
-    _add_format(p)
-    p.set_defaults(func=_cmd_dual, dual=dual)
+    p.set_defaults(func=_cmd_expr, transform=dual)
 
     p = sub.add_parser("dmdual", help="De Morgan dual of a chain")
     p.add_argument("expr", help="expression text")
-    _add_format(p)
-    p.set_defaults(func=_cmd_dual, dual=demorgan_dual_expr)
+    p.set_defaults(func=_cmd_expr, transform=demorgan_dual_expr)
 
+    for p in sub.choices.values():  # main prints either form for each
+        p.add_argument(
+            "--format",
+            choices=("text", "structured"),
+            default="text",
+            help="structured prints one JSON record per line",
+        )
     return parser
 
 
@@ -428,7 +391,13 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as ex:
         return ex.code if isinstance(ex.code, int) else 2
     try:
-        return args.func(args)
+        code, records, text = args.func(args)
+        if args.format == "structured":
+            lines = (json.dumps(r, sort_keys=True) + "\n" for r in records())
+            sys.stdout.write("".join(lines))
+        else:
+            sys.stdout.write(text())
+        return code
     except BrokenPipeError:  # e.g. piped into head; not an input error
         return 0
     except (

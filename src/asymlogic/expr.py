@@ -118,18 +118,6 @@ TRUE = Const(1)
 FALSE = Const(0)
 
 
-def not_(child: Expr) -> Not:
-    return Not(child)
-
-
-def and_(*children: Expr) -> And:
-    return And(tuple(children))
-
-
-def or_(*children: Expr) -> Or:
-    return Or(tuple(children))
-
-
 def iand_chain(operands: Sequence[Expr]) -> IandChain:
     """Build an IAND chain, flattening a nested chain in first position only.
 

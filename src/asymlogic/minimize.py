@@ -13,7 +13,7 @@ complemented, '-' absent), so "1-1" over (A, B, C) is the product A AND C.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, Iterator
 
 from .errors import CapacityError
 from .expr import Expr, Not, Var
@@ -212,41 +212,12 @@ def minimum_cover(
         uncovered &= ~masks[i]
 
     if uncovered:
-        # (rows, literals, sort key, cube), in prime order: the branch order
-        rest = [
-            (m, q.literal_count, q.sort_key(), q)
-            for q, m in zip(cubes, masks)
-            if q not in chosen
-        ]
-        sel: list[tuple[int, int, tuple[int, str], Cube]] = []
-        best: list[Cube] | None = None
-        best_key: tuple | None = None
-        nodes = 0
-
-        def search(lits: int, left: int) -> None:
-            nonlocal best, best_key, nodes
-            nodes += 1
-            if nodes > MAX_COVER_NODES:
-                raise CapacityError(
-                    "minimize: the cover search passed its budget of "
-                    f"{MAX_COVER_NODES} nodes"
-                )
-            if best_key is not None and (lits, len(sel)) > best_key[:2]:
-                return
-            if not left:
-                key = (lits, len(sel), tuple(sorted(c[2] for c in sel)))
-                if best_key is None or key < best_key:
-                    best, best_key = [c[3] for c in sel], key
-                return
-            row = left & -left
-            for c in rest:
-                if c[0] & row:
-                    sel.append(c)
-                    search(lits + c[1], left & ~c[0])
-                    sel.pop()
-
-        search(0, uncovered)
-        assert best is not None
+        taken = {i for _, i in essentials}
+        best = _branch_and_bound(
+            [(m, q) for i, (q, m) in enumerate(zip(cubes, masks))
+             if i not in taken],
+            uncovered,
+        )
         for q in sorted(best, key=Cube.sort_key):
             chosen.append(q)
             trace.append(f"selected {q.trits}: completes the cover")
@@ -257,6 +228,63 @@ def minimum_cover(
     chosen.sort(key=Cube.sort_key)
     cost = sum(q.literal_count for q in chosen)
     return CoverSolution(tuple(chosen), cost, tuple(trace))
+
+
+def _branch_and_bound(
+    rest: list[tuple[int, Cube]], uncovered: int
+) -> list[Cube]:
+    """Least-cost cubes of ``rest`` (row mask, cube) covering ``uncovered``.
+
+    Depth first, with an explicit stack so that the depth (one level per
+    selected cube) is not bounded by the interpreter's recursion limit.
+    Each node branches on its lowest uncovered row, trying the cubes that
+    cover it in prime order.  A node is pruned when its (literals, cubes)
+    already exceeds the best cover's; ties on both go to the least tuple
+    of cube sort keys.
+    """
+    # (rows, literals, sort key, cube) per cube, listed under each
+    # uncovered row it covers, in prime order
+    by_row: dict[int, list[tuple[int, int, tuple[int, str], Cube]]] = {}
+    for m, q in rest:
+        c = (m, q.literal_count, q.sort_key(), q)
+        rows = m & uncovered
+        while rows:
+            by_row.setdefault(lowest_row(rows), []).append(c)
+            rows &= rows - 1
+    sel: list[tuple[int, int, tuple[int, str], Cube]] = []
+    best: list[Cube] = []
+    best_key: tuple | None = None
+    # open nodes, root first: (literals, uncovered rows, untried branches)
+    frames: list[tuple[int, int, Iterator]] = []
+    lits, left, nodes = 0, uncovered, 0
+    while True:
+        nodes += 1
+        if nodes > MAX_COVER_NODES:
+            raise CapacityError(
+                "minimize: the cover search passed its budget of "
+                f"{MAX_COVER_NODES} nodes"
+            )
+        if best_key is None or (lits, len(sel)) <= best_key[:2]:
+            if not left:
+                key = (lits, len(sel), tuple(sorted(c[2] for c in sel)))
+                if best_key is None or key < best_key:
+                    best, best_key = [c[3] for c in sel], key
+            else:
+                frames.append((lits, left, iter(by_row[lowest_row(left)])))
+        # step into the next untried branch of the deepest open node
+        while frames:
+            f_lits, f_left, branches = frames[-1]
+            if len(sel) == len(frames):  # back from one of its branches
+                sel.pop()
+            c = next(branches, None)
+            if c is None:
+                frames.pop()
+                continue
+            sel.append(c)
+            lits, left = f_lits + c[1], f_left & ~c[0]
+            break
+        else:
+            return best
 
 
 def minimize_table(t: TruthTable) -> tuple[PrimeImplicantSet, CoverSolution]:

@@ -5,6 +5,7 @@ from __future__ import annotations
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -12,6 +13,8 @@ from asymlogic import minimize
 from asymlogic.cli import load_table_file, main
 
 CARRY_BITS = "00010111"
+GOLDEN_CLI = Path(__file__).parent / "golden" / "cli"
+GOLDEN_CASES = json.loads((GOLDEN_CLI / "cases.json").read_text())
 
 
 @pytest.fixture()
@@ -384,3 +387,19 @@ def test_parser_is_built_once(monkeypatch, capsys):
     assert main(["table", "A -> B"]) == 0
     assert len(built) == 1
     assert capsys.readouterr().out == "A B\n0010\nA B\n1101\n"
+
+
+@pytest.mark.parametrize(
+    "case", GOLDEN_CASES, ids=[c["stdout"][:-4] for c in GOLDEN_CASES]
+)
+def test_golden_output(capsys, case):
+    # every subcommand in both formats: stdout bytes and exit code pinned;
+    # a --table-file argument names a file next to the goldens
+    argv = case["argv"]
+    argv = [
+        str(GOLDEN_CLI / a) if i and argv[i - 1] == "--table-file" else a
+        for i, a in enumerate(argv)
+    ]
+    code, out, _ = run(capsys, *argv)
+    assert code == case["exit"]
+    assert out == (GOLDEN_CLI / case["stdout"]).read_text()

@@ -159,6 +159,20 @@ class TestCoverBudget:
         assert main(argv) == 2
         assert "cover search passed its budget" in capsys.readouterr().err
 
+    def test_random_twelve_variable_table_fails_cleanly(
+        self, tmp_path, capsys
+    ):
+        # at the minimization cap the search selects hundreds of cubes on
+        # one path; it must run out of budget, not out of stack
+        rng = random.Random(12)
+        bits = "".join(rng.choice("01") for _ in range(1 << 12))
+        names = " ".join(f"x{i}" for i in range(12))
+        path = tmp_path / "random12.txt"
+        path.write_text(f"{names}\n{bits}\n")
+        argv = ["minimize", "--form", "noi", "--table-file", str(path)]
+        assert main(argv) == 2
+        assert "cover search passed its budget" in capsys.readouterr().err
+
 
 def _cube_list_onset(rng: random.Random, n: int) -> list[int]:
     rows: set[int] = set()
