@@ -1,8 +1,10 @@
 """Walk a one-bit full adder through the whole toolchain.
 
 Builds the carry and sum truth tables, derives canonical and reduced
-two-level forms, compiles each output for both hardware targets, and
-replays every input row against the original tables.
+two-level forms, and compiles each output for both hardware targets.  The
+minimizer and both compilers check their result against its input on every
+row, so a wrong form, schedule or netlist stops the walk with an
+``AssertionError``.
 
 Run from the repository root:
 
@@ -27,10 +29,7 @@ from asymlogic import (
     netlist_text,
     noi_from_tt,
     program_text,
-    simulate,
-    simulate_netlist,
     step_count,
-    truth_table,
 )
 
 VARIABLES = ("A", "B", "C")
@@ -64,28 +63,11 @@ def parse_args(argv: list[str] | None = None) -> DemoConfig:
     return DemoConfig(outputs=outputs, show_canonical=not args.skip_canonical)
 
 
-def replay_program(program, table: TruthTable) -> int:
-    mismatches = 0
-    for row, want in enumerate(table.bits):
-        got = simulate(program, table.row_assignment(row)).output
-        mismatches += got != want
-    return mismatches
-
-
-def replay_netlist(netlist, table: TruthTable) -> int:
-    mismatches = 0
-    for row, want in enumerate(table.bits):
-        got = simulate_netlist(netlist, table.row_assignment(row))
-        mismatches += got != want
-    return mismatches
-
-
 def heading(text: str) -> None:
     print(f"\n=== {text} ===")
 
 
-def walk(name: str, table: TruthTable, config: DemoConfig) -> int:
-    mismatches = 0
+def walk(name: str, table: TruthTable, config: DemoConfig) -> None:
     heading(f"{name}: truth table")
     print(" ".join(table.variables))
     print(table.to_string())
@@ -96,38 +78,30 @@ def walk(name: str, table: TruthTable, config: DemoConfig) -> int:
     print(f"canonical NOI: {format_expr(noi_from_tt(table))}")
     print(f"reduced NOI:   {format_expr(reduced_noi)}")
     print(f"reduced SOI:   {format_expr(reduced_soi)}")
-    for label, expr in (("NOI", reduced_noi), ("SOI", reduced_soi)):
-        if truth_table(expr, table.variables).bits != table.bits:
-            print(f"!! reduced {label} disagrees with the table")
-            mismatches += 1
 
     heading(f"{name}: stateful-implication schedule (reduced)")
     program = compile_noi(reduced_noi)
     sys.stdout.write(program_text(program))
     print(f"counts: {step_count(program)}")
-    mismatches += replay_program(program, table)
     if config.show_canonical:
         canonical = compile_noi(noi_from_tt(table))
         total = step_count(canonical)["total"]
         reduced_total = step_count(program)["total"]
         print(f"canonical schedule: {total} steps (reduced: {reduced_total})")
-        mismatches += replay_program(canonical, table)
 
     heading(f"{name}: gate netlist (reduced)")
     netlist = compile_soi(reduced_soi, inputs=table.variables)
     sys.stdout.write(netlist_text(netlist))
     print(f"stats: {netlist_stats(netlist)}")
-    mismatches += replay_netlist(netlist, table)
 
-    verdict = "all rows match" if mismatches == 0 else f"{mismatches} MISMATCHES"
-    print(f"\n{name}: replay against the table: {verdict}")
-    return mismatches
+    print(f"\n{name}: every form, schedule and netlist matches the table")
 
 
 def main(argv: list[str] | None = None) -> int:
     config = parse_args(argv)
-    mismatches = sum(walk(n, TABLES[n], config) for n in config.outputs)
-    return 1 if mismatches else 0
+    for n in config.outputs:
+        walk(n, TABLES[n], config)
+    return 0
 
 
 if __name__ == "__main__":

@@ -17,8 +17,12 @@ straight into the output.  The compiler emits this schedule over virtual
 registers in one pass, then assigns physical registers by linear scan
 (inputs pinned first, scratch registers reused after their last read).
 
-Input registers are never written; programs are replayable from any input
-assignment.
+Input registers are never written, so a program replays from any input
+assignment.  One loop replays it: each register holds a mask of rows
+(``semantics.columns``), ``RESET r`` clears ``r`` and ``IMPLY p, q`` sets
+``q`` to ``(full ^ p) | q``.  ``compile_noi`` runs it once over all rows
+and checks the output mask against its input expression; ``simulate`` and
+``step_semantics`` run it over the single row ``full = 1``.
 """
 
 from __future__ import annotations
@@ -30,6 +34,7 @@ from typing import Union
 from .canon import noi_products
 from .errors import CapacityError, EvaluationError
 from .expr import Expr, Not, Var, variables
+from .semantics import TruthTable, check_oracle, columns
 
 MAX_COMPILE_VARS = 16
 
@@ -89,13 +94,9 @@ class SimulationResult:
 
 def step_semantics(state: tuple[int, ...], step: Step) -> tuple[int, ...]:
     """One machine step applied to an immutable register state."""
-    out = list(state)
-    match step:
-        case Reset(target):
-            out[target] = 0
-        case Imply(cond, set=target):
-            out[target] = (1 - state[cond]) | state[target]
-    return tuple(out)
+    regs = list(state)
+    _replay((step,), regs, 1)
+    return tuple(regs)
 
 
 def simulate(
@@ -104,22 +105,47 @@ def simulate(
     """Replay a program from an input assignment.
 
     Bound registers start at their input value, every other register at 0;
-    the trace holds the full state after each step.
+    the trace holds the full state after each step.  This is the one-row
+    case of the replay ``compile_noi`` runs over every row at once.
     """
-    state = [0] * program.registers
+    regs = [0] * program.registers
     for name, reg in program.bindings:
         if name not in inputs:
             raise EvaluationError(f"memristor: unbound input {name!r}")
         bit = inputs[name]
         if bit not in (0, 1):
             raise EvaluationError(f"memristor: input {name!r} must be 0 or 1")
-        state[reg] = bit
-    cur = tuple(state)
-    trace = []
-    for step in program.steps:
-        cur = step_semantics(cur, step)
-        trace.append(cur)
-    return SimulationResult(cur[program.output], cur, tuple(trace))
+        regs[reg] = bit
+    trace: list[tuple[int, ...]] = []
+    _replay(program.steps, regs, 1, trace)
+    return SimulationResult(regs[program.output], tuple(regs), tuple(trace))
+
+
+def _replay(
+    steps: tuple[Step, ...], regs: list[int], full: int,
+    trace: list[tuple[int, ...]] | None = None,
+) -> None:
+    """Run ``steps`` in place over registers that hold row masks within
+    ``full``, appending the register file after each step to ``trace``."""
+    for s in steps:
+        if type(s) is Reset:
+            regs[s.target] = 0
+        else:
+            regs[s.set] |= full ^ regs[s.cond]
+        if trace is not None:
+            trace.append(tuple(regs))
+
+
+def _table(program: ImplyProgram) -> TruthTable:
+    """The program's output over every row of its bound inputs."""
+    n = len(program.bindings)
+    regs = [0] * program.registers
+    for (_, reg), col in zip(program.bindings, columns(n)):
+        regs[reg] = col
+    _replay(program.steps, regs, (1 << (1 << n)) - 1)
+    return TruthTable.from_mask(
+        (name for name, _ in program.bindings), regs[program.output]
+    )
 
 
 def step_count(program: ImplyProgram) -> dict[str, int]:
@@ -156,7 +182,17 @@ def compile_noi(e: Expr, *, peephole: bool = True) -> ImplyProgram:
     twice into scratch registers before it is IMPLY'd into the work
     register, and a lone ``!y`` term gets its own work register.  The
     result computes the same function in more steps.
+
+    The program is replayed over every input row and checked against
+    ``e`` (``semantics.check_oracle``): a wrong schedule raises
+    ``AssertionError``.
     """
+    program = _lower(e, peephole)
+    check_oracle(e, _table(program), "memristor")
+    return program
+
+
+def _lower(e: Expr, peephole: bool) -> ImplyProgram:
     names = variables(e)
     if len(names) > MAX_COMPILE_VARS:
         raise CapacityError(

@@ -158,41 +158,46 @@ def evaluate(e: Expr, assignment: Assignment) -> int:
 
 def _eval(e: Expr, env: dict[str, int], full: int) -> int:
     """Evaluate over bit-sliced values: ``env`` maps names to masks within
-    ``full``, and the result is the mask of rows where ``e`` is true."""
-    match e:
-        case Const(v):
-            return full if v else 0
-        case Var(name):
-            try:
-                return env[name]
-            except KeyError:
-                raise EvaluationError(
-                    f"semantics: unbound variable {name!r}"
-                ) from None
-        case Not(child):
-            return full ^ _eval(child, env, full)
-        case And(kids):
-            acc = full
-            for c in kids:
-                acc &= _eval(c, env, full)
-            return acc
-        case Or(kids):
-            acc = 0
-            for c in kids:
-                acc |= _eval(c, env, full)
-            return acc
-        case IandChain(ops):
-            acc = _eval(ops[0], env, full)
-            rest = 0
-            for x in ops[1:]:
-                rest |= _eval(x, env, full)
-            return acc & (full ^ rest)
-        case ImplyChain(ops):
-            acc = _eval(ops[-1], env, full)
-            rest = full
-            for x in reversed(ops[:-1]):
-                rest &= _eval(x, env, full)
-            return acc | (full ^ rest)
+    ``full``, and the result is the mask of rows where ``e`` is true.
+
+    Dispatches on the exact node type, leaves and chains first: they are
+    the nodes of every two-level form the oracle checks."""
+    t = type(e)
+    if t is Var:
+        try:
+            return env[e.name]
+        except KeyError:
+            raise EvaluationError(
+                f"semantics: unbound variable {e.name!r}"
+            ) from None
+    if t is Not:
+        return full ^ _eval(e.child, env, full)
+    if t is IandChain:
+        ops = e.operands
+        acc = _eval(ops[0], env, full)
+        rest = 0
+        for x in ops[1:]:
+            rest |= _eval(x, env, full)
+        return acc & (full ^ rest)
+    if t is ImplyChain:
+        ops = e.operands
+        acc = _eval(ops[-1], env, full)
+        rest = full
+        for x in reversed(ops[:-1]):
+            rest &= _eval(x, env, full)
+        return acc | (full ^ rest)
+    if t is And:
+        acc = full
+        for c in e.children:
+            acc &= _eval(c, env, full)
+        return acc
+    if t is Or:
+        acc = 0
+        for c in e.children:
+            acc |= _eval(c, env, full)
+        return acc
+    if t is Const:
+        return full if e.value else 0
     raise EvaluationError(f"semantics: not an expression node: {e!r}")
 
 

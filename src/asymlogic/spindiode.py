@@ -16,6 +16,14 @@ earlier gate.  Gates are listed in topological order.
 The expression is read as a sum of products (``canon.soi_products``), which
 folds constant operands before any gate is emitted; a product ``l1 .. lk``
 becomes the cascade ``l1 IAND !l2 ... IAND !lk``.
+
+One loop replays a netlist: each value is a mask of rows
+(``semantics.columns``), a tap ``!in:x`` reads ``full ^ x``, ``OR`` is
+``a | b`` and ``IAND`` is ``a & (full ^ b)``.  ``compile_soi`` runs it once
+over all rows and checks the output mask against its input expression;
+``simulate_netlist`` runs it over the single row ``full = 1``.  A
+``Netlist`` checks its references when it is built, so the loop reads
+only values that exist.
 """
 
 from __future__ import annotations
@@ -25,6 +33,7 @@ from dataclasses import dataclass
 from .canon import soi_products
 from .errors import EvaluationError
 from .expr import Expr, Not, variables
+from .semantics import MAX_TABLE_VARS, TruthTable, check_oracle, columns
 
 
 @dataclass(frozen=True)
@@ -49,6 +58,61 @@ class Netlist:
     gates: tuple[Gate, ...]
     output: str
 
+    def __post_init__(self) -> None:
+        """Check every reference, then resolve each to a value slot once.
+
+        Input ``i`` reads slot ``i`` and its complement slot ``n + i``.  A
+        gate writes the slot of a gate value past its last read, if there
+        is one, so a replay over all rows holds only values still to be
+        read.
+        """
+        n = len(self.inputs)
+        base = 2 * n  # gate k is value base + k
+        slot = {f"in:{x}": i for i, x in enumerate(self.inputs)}
+        slot.update((f"!in:{x}", n + i) for i, x in enumerate(self.inputs))
+        ops = []
+        for k, g in enumerate(self.gates):
+            if g.gid != k:
+                raise ValueError(
+                    f"spindiode: gate {k} is numbered g{g.gid}; "
+                    f"gates must be g0, g1, ... in order"
+                )
+            a, b = slot.get(g.in_a), slot.get(g.in_b)
+            if a is None or b is None:
+                bad = g.in_a if a is None else g.in_b
+                raise ValueError(
+                    f"spindiode: g{k} reads {bad!r}, which is neither a "
+                    f"declared input tap nor an earlier gate"
+                )
+            ops.append((g.kind == "OR", a, b))
+            slot[f"g{k}"] = base + k
+        out = slot.get(self.output)
+        if out is None:
+            raise ValueError(
+                f"spindiode: output {self.output!r} is neither a declared "
+                f"input tap nor a gate"
+            )
+        last = [len(ops)] * (base + len(ops))  # each value's last reader
+        for k, (_, a, b) in enumerate(ops):
+            last[a] = last[b] = k
+        last[out] = len(ops)
+        where = list(range(base))  # the slot of each value
+        free: list[int] = []
+        size = base
+        plan = []
+        for k, (is_or, a, b) in enumerate(ops):
+            if a >= base and last[a] == k:
+                free.append(where[a])
+            if b >= base and b != a and last[b] == k:
+                free.append(where[b])
+            if free:
+                where.append(free.pop())
+            else:
+                where.append(size)
+                size += 1
+            plan.append((is_or, where[a], where[b], where[-1]))
+        object.__setattr__(self, "_plan", (size, tuple(plan), where[out]))
+
 
 def _ref(lit: Expr, invert: bool = False) -> str:
     """The input tap reading a literal, or its complement if ``invert``."""
@@ -64,6 +128,10 @@ def compile_soi(e: Expr, inputs: tuple[str, ...] | None = None) -> Netlist:
     variables); by default the expression's first-appearance order is used.
     Constant expressions need at least one declared input to realize the
     constant as ``x IAND x`` (0) or ``x OR NOT x`` (1).
+
+    Up to ``MAX_TABLE_VARS`` inputs, the netlist is replayed over every
+    input row and checked against ``e`` (``semantics.check_oracle``): a
+    wrong netlist raises ``AssertionError``.
     """
     used = variables(e)
     if inputs is None:
@@ -95,46 +163,56 @@ def compile_soi(e: Expr, inputs: tuple[str, ...] | None = None) -> Netlist:
             out = emit("OR", x, f"!in:{names[0]}")
         else:  # x IAND x
             out = emit("IAND", x, x)
-        return Netlist(names, tuple(gates), out)
+    else:
+        refs = []
+        for p in products:
+            acc = _ref(p[0])
+            for x in p[1:]:
+                acc = emit("IAND", acc, _ref(x, True))
+            refs.append(acc)
+        while len(refs) > 1:  # balanced OR tree by adjacent pairing
+            nxt = [
+                emit("OR", refs[i], refs[i + 1])
+                for i in range(0, len(refs) - 1, 2)
+            ]
+            if len(refs) % 2:
+                nxt.append(refs[-1])
+            refs = nxt
+        out = refs[0]
 
-    refs = []
-    for p in products:
-        acc = _ref(p[0])
-        for x in p[1:]:
-            acc = emit("IAND", acc, _ref(x, True))
-        refs.append(acc)
-
-    while len(refs) > 1:  # balanced OR tree by adjacent pairing
-        nxt = [
-            emit("OR", refs[i], refs[i + 1])
-            for i in range(0, len(refs) - 1, 2)
-        ]
-        if len(refs) % 2:
-            nxt.append(refs[-1])
-        refs = nxt
-    return Netlist(names, tuple(gates), refs[0])
+    netlist = Netlist(names, tuple(gates), out)
+    n = len(names)
+    if n <= MAX_TABLE_VARS:
+        mask = _replay(netlist, columns(n), (1 << (1 << n)) - 1)
+        check_oracle(e, TruthTable.from_mask(names, mask), "spindiode")
+    return netlist
 
 
-def _ref_value(ref: str, inputs: dict[str, int], vals: dict[str, int]) -> int:
-    if ref.startswith("in:") or ref.startswith("!in:"):
-        name = ref.split(":", 1)[1]
+def simulate_netlist(netlist: Netlist, inputs: dict[str, int]) -> int:
+    """Evaluate the netlist on one assignment of every declared input.
+
+    This is the one-row case of the replay ``compile_soi`` runs over every
+    row at once.
+    """
+    bits = []
+    for name in netlist.inputs:
         if name not in inputs:
             raise EvaluationError(f"spindiode: unbound input {name!r}")
         bit = inputs[name]
         if bit not in (0, 1):
             raise EvaluationError(f"spindiode: input {name!r} must be 0 or 1")
-        return 1 - bit if ref.startswith("!") else bit
-    return vals[ref]
+        bits.append(bit)
+    return _replay(netlist, bits, 1)
 
 
-def simulate_netlist(netlist: Netlist, inputs: dict[str, int]) -> int:
-    """Evaluate the netlist (gates are already in topological order)."""
-    vals: dict[str, int] = {}
-    for g in netlist.gates:
-        a = _ref_value(g.in_a, inputs, vals)
-        b = _ref_value(g.in_b, inputs, vals)
-        vals[g.ref] = (a | b) if g.kind == "OR" else (a & (1 - b))
-    return _ref_value(netlist.output, inputs, vals)
+def _replay(netlist: Netlist, cols: list[int], full: int) -> int:
+    """The output's row mask within ``full``, given each input's mask."""
+    size, plan, out = netlist._plan
+    vals = cols + [full ^ c for c in cols]
+    vals += [0] * (size - len(vals))
+    for is_or, a, b, dst in plan:
+        vals[dst] = vals[a] | vals[b] if is_or else vals[a] & (full ^ vals[b])
+    return vals[out]
 
 
 def netlist_stats(netlist: Netlist) -> dict[str, int]:

@@ -10,7 +10,10 @@ inversion and removes them afterwards by a def/use rewrite run to a
 fixpoint, where the production compiler emits the final schedule directly.
 The simplifier's reference builds, normalizes and recounts the whole tree
 for every match of every rule, where the production search scores a match
-from its binding and builds only the ones that can win.
+from its binding and builds only the ones that can win.  The machine
+simulators' references step one row at a time, copying the register file
+at every step and resolving each netlist reference string on every row,
+where the production simulators run one bit-parallel replay loop.
 """
 
 from __future__ import annotations
@@ -45,14 +48,17 @@ from asymlogic.laws import (
     match_pattern,
     substitute,
 )
+from asymlogic.errors import EvaluationError
 from asymlogic.memristor import (
     Imply,
     ImplyProgram,
     Reset,
+    SimulationResult,
     Step,
     _allocate,
 )
 from asymlogic.minimize import CoverSolution, Cube, PrimeImplicantSet
+from asymlogic.spindiode import Netlist
 
 
 def iand2(a: int, b: int) -> int:
@@ -354,3 +360,64 @@ def reference_simplify(
         _, rule, path, current = best
         steps.append(SimplifyStep(rule.name, path, current))
     return SimplifyResult(current, tuple(steps))
+
+
+def reference_step_semantics(
+    state: tuple[int, ...], step: Step
+) -> tuple[int, ...]:
+    """One machine step applied to an immutable register state."""
+    out = list(state)
+    match step:
+        case Reset(target):
+            out[target] = 0
+        case Imply(cond, set=target):
+            out[target] = (1 - state[cond]) | state[target]
+    return tuple(out)
+
+
+def reference_simulate(
+    program: ImplyProgram, inputs: dict[str, int]
+) -> SimulationResult:
+    """Replay a program from an input assignment, one copied state per
+    step: the result ``simulate`` must match in output, state and trace."""
+    state = [0] * program.registers
+    for name, reg in program.bindings:
+        if name not in inputs:
+            raise EvaluationError(f"memristor: unbound input {name!r}")
+        bit = inputs[name]
+        if bit not in (0, 1):
+            raise EvaluationError(f"memristor: input {name!r} must be 0 or 1")
+        state[reg] = bit
+    cur = tuple(state)
+    trace = []
+    for step in program.steps:
+        cur = reference_step_semantics(cur, step)
+        trace.append(cur)
+    return SimulationResult(cur[program.output], cur, tuple(trace))
+
+
+def reference_ref_value(
+    ref: str, inputs: dict[str, int], vals: dict[str, int]
+) -> int:
+    if ref.startswith("in:") or ref.startswith("!in:"):
+        name = ref.split(":", 1)[1]
+        if name not in inputs:
+            raise EvaluationError(f"spindiode: unbound input {name!r}")
+        bit = inputs[name]
+        if bit not in (0, 1):
+            raise EvaluationError(f"spindiode: input {name!r} must be 0 or 1")
+        return 1 - bit if ref.startswith("!") else bit
+    return vals[ref]
+
+
+def reference_simulate_netlist(
+    netlist: Netlist, inputs: dict[str, int]
+) -> int:
+    """Evaluate the netlist gate by gate, resolving every reference string
+    on every row: the value ``simulate_netlist`` must match."""
+    vals: dict[str, int] = {}
+    for g in netlist.gates:
+        a = reference_ref_value(g.in_a, inputs, vals)
+        b = reference_ref_value(g.in_b, inputs, vals)
+        vals[g.ref] = (a | b) if g.kind == "OR" else (a & (1 - b))
+    return reference_ref_value(netlist.output, inputs, vals)

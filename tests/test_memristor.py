@@ -3,6 +3,9 @@
 from __future__ import annotations
 
 import random
+import subprocess
+import sys
+import textwrap
 from itertools import product
 from pathlib import Path
 
@@ -10,7 +13,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from asymlogic import memristor
 from asymlogic.canon import noi_from_tt
+from asymlogic.cli import main
 from asymlogic.errors import CapacityError, EvaluationError, ShapeError
 from asymlogic.expr import (
     And,
@@ -34,11 +39,32 @@ from asymlogic.memristor import (
 from asymlogic.minimize import minimized_noi
 from asymlogic.semantics import TruthTable, evaluate
 
-from .helpers import assignments, reference_compile_noi
+from .helpers import (
+    assignments,
+    reference_compile_noi,
+    reference_simulate,
+    reference_step_semantics,
+)
 from .strategies import noi_exprs, noi_exprs_with_constants
 
 GOLDEN = Path(__file__).parent / "golden"
 CARRY = TruthTable(("A", "B", "C"), (0, 0, 0, 1, 0, 1, 1, 1))
+SUM = TruthTable(("A", "B", "C"), (0, 1, 1, 0, 1, 0, 0, 1))
+
+# hand-written programs over five registers, two of them bound inputs
+_steps = st.one_of(
+    st.integers(2, 4).map(Reset),
+    st.tuples(st.integers(0, 4), st.integers(2, 4))
+    .filter(lambda cs: cs[0] != cs[1])
+    .map(lambda cs: Imply(*cs)),
+)
+_programs = st.builds(
+    lambda out, steps: ImplyProgram(
+        5, (("p", 0), ("q", 1)), out, tuple(steps)
+    ),
+    st.integers(0, 4),
+    st.lists(_steps, max_size=12),
+)
 
 
 class TestStepSemantics:
@@ -312,3 +338,96 @@ class TestSimulate:
     def test_non_bit_input(self):
         with pytest.raises(EvaluationError):
             simulate(compile_nand("p", "q"), {"p": 2, "q": 0})
+
+
+class TestMatchesStepwiseReference:
+    """``simulate`` and ``step_semantics`` are the one-row case of the
+    bit-parallel replay; they return what the copy-per-step reference
+    returns, output, state and trace alike."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.one_of(noi_exprs, noi_exprs_with_constants), st.booleans())
+    def test_compiled_programs_on_every_row(self, e, peephole):
+        prog = compile_noi(e, peephole=peephole)
+        for env in assignments(variables(e)):
+            assert simulate(prog, env) == reference_simulate(prog, env)
+
+    @settings(max_examples=150, deadline=None)
+    @given(_programs)
+    def test_hand_written_programs_on_every_row(self, prog):
+        for env in assignments(("p", "q")):
+            assert simulate(prog, env) == reference_simulate(prog, env)
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.tuples(*[st.integers(0, 1)] * 5), _steps)
+    def test_step_semantics(self, state, step):
+        assert step_semantics(state, step) == reference_step_semantics(
+            state, step
+        )
+
+
+def _drop_last(steps: list, nin: int) -> list:
+    return steps[:-1]
+
+
+def _retarget(steps: list, nin: int) -> list:
+    """Move the first IMPLY that reads an input onto the next input."""
+    i = next(i for i, s in enumerate(steps)
+             if isinstance(s, Imply) and s.cond < nin)
+    wrong = Imply((steps[i].cond + 1) % nin, steps[i].set)
+    return steps[:i] + [wrong] + steps[i + 1:]
+
+
+class TestOracleCatchesWrongSchedules:
+    """``compile_noi`` replays its program over every row and checks it
+    against its input: a schedule that loses or misroutes one step is an
+    ``AssertionError`` (CLI exit 3), with or without ``python -O``."""
+
+    @pytest.fixture(params=[_drop_last, _retarget])
+    def mutate(self, request, monkeypatch):
+        real = memristor._allocate
+
+        def wrong(steps, nin, output):
+            phys, nregs, out = real(steps, nin, output)
+            return request.param(phys, nin), nregs, out
+
+        monkeypatch.setattr(memristor, "_allocate", wrong)
+
+    @pytest.mark.parametrize("form", [minimized_noi, noi_from_tt])
+    @pytest.mark.parametrize("table", [CARRY, SUM], ids=["carry", "sum"])
+    def test_compile_raises(self, mutate, form, table):
+        e = form(table)
+        with pytest.raises(AssertionError, match="memristor"):
+            compile_noi(e)
+
+    def test_cli_exits_3(self, mutate, tmp_path, capsys):
+        path = tmp_path / "carry.tbl"
+        path.write_text("A B C\n00010111\n")
+        argv = ["compile", "--target", "memristor", "--table-file", str(path)]
+        assert main(argv) == 3
+        assert "internal error: AssertionError" in capsys.readouterr().err
+
+    def test_fires_under_optimize_flag(self):
+        script = textwrap.dedent(
+            """
+            import sys
+            from asymlogic import memristor
+            from asymlogic.cli import main
+            if __debug__:
+                sys.exit(9)
+            real = memristor._allocate
+            def dropping(steps, nin, output):
+                phys, nregs, out = real(steps, nin, output)
+                return phys[:-1], nregs, out
+            memristor._allocate = dropping
+            sys.exit(main(["compile", "--target", "memristor",
+                           "!((A -> !B) & (A -> !C) & (B -> !C))"]))
+            """
+        )
+        proc = subprocess.run(
+            [sys.executable, "-O", "-c", script],
+            capture_output=True,
+            text=True,
+        )
+        assert proc.returncode == 3, proc.stderr
+        assert "internal error: AssertionError" in proc.stderr

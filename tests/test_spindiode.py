@@ -1,14 +1,21 @@
-"""Two-input gate netlists: synthesis, folding, stats, and simulation."""
+"""Gate netlists: synthesis, folding, validation, stats, and simulation."""
 
 from __future__ import annotations
 
+import dataclasses
+import subprocess
+import sys
+import textwrap
 from itertools import product
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from asymlogic import spindiode
 from asymlogic.canon import soi_from_tt
+from asymlogic.cli import main
 from asymlogic.errors import EvaluationError, ShapeError
 from asymlogic.expr import (
     Const,
@@ -30,7 +37,7 @@ from asymlogic.spindiode import (
     simulate_netlist,
 )
 
-from .helpers import assignments
+from .helpers import assignments, reference_simulate_netlist
 from .strategies import soi_exprs, soi_exprs_with_constants
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -183,6 +190,12 @@ class TestInputHandling:
         with pytest.raises(EvaluationError):
             simulate_netlist(compile_soi(A), {"A": 7})
 
+    def test_every_declared_input_must_be_bound(self):
+        # B is declared but no gate reads it; it must still be bound
+        net = compile_soi(A, inputs=("A", "B"))
+        with pytest.raises(EvaluationError, match="'B'"):
+            simulate_netlist(net, {"A": 1})
+
 
 class TestShapeErrors:
     def test_nested_chain_operand(self):
@@ -229,3 +242,138 @@ class TestExhaustiveSweep:
                 net = compile_soi(build(t), inputs=names)
                 for row, want in enumerate(bits):
                     assert simulate_netlist(net, t.row_assignment(row)) == want
+
+
+class TestNetlistValidation:
+    """A ``Netlist`` checks every reference when it is built."""
+
+    def test_forward_gate_reference(self):
+        with pytest.raises(ValueError, match="^spindiode: g0 reads 'g1'"):
+            Netlist(("A",), (Gate(0, "OR", "g1", "in:A"),), "g0")
+
+    def test_gate_reads_itself(self):
+        with pytest.raises(ValueError, match="^spindiode: g0 reads 'g0'"):
+            Netlist(("A",), (Gate(0, "IAND", "in:A", "g0"),), "g0")
+
+    def test_gate_ids_in_order(self):
+        with pytest.raises(ValueError, match="^spindiode: gate 0 is .* g1"):
+            Netlist(("A",), (Gate(1, "OR", "in:A", "in:A"),), "g1")
+        gates = (Gate(0, "OR", "in:A", "in:A"), Gate(0, "OR", "g0", "in:A"))
+        with pytest.raises(ValueError, match="^spindiode: gate 1 is .* g0"):
+            Netlist(("A",), gates, "g0")
+
+    def test_missing_output_gate(self):
+        with pytest.raises(ValueError, match="^spindiode: output 'g3'"):
+            Netlist(("A",), (Gate(0, "OR", "in:A", "!in:A"),), "g3")
+
+    def test_output_tap_on_undeclared_input(self):
+        with pytest.raises(ValueError, match="^spindiode: output '!in:Z'"):
+            Netlist(("A",), (), "!in:Z")
+
+    @pytest.mark.parametrize("tap", ["in:Z", "!in:Z", "Z", "g01"])
+    def test_unknown_tap(self, tap):
+        gates = (Gate(0, "OR", "in:A", "in:A"), Gate(1, "IAND", "g0", tap))
+        with pytest.raises(ValueError, match=f"^spindiode: g1 reads '{tap}'"):
+            Netlist(("A",), gates, "g1")
+
+
+@st.composite
+def _netlists(draw) -> Netlist:
+    """Valid netlists over three inputs, gate values read any number of
+    times (compiled netlists read each exactly once)."""
+    names = ("A", "B", "C")
+    refs = [f"{s}in:{x}" for x in names for s in ("", "!")]
+    gates = []
+    for k in range(draw(st.integers(0, 8))):
+        a, b = draw(st.sampled_from(refs)), draw(st.sampled_from(refs))
+        gates.append(Gate(k, draw(st.sampled_from(("OR", "IAND"))), a, b))
+        refs.append(f"g{k}")
+    return Netlist(names, tuple(gates), draw(st.sampled_from(refs)))
+
+
+class TestMatchesRowwiseReference:
+    """``simulate_netlist`` is the one-row case of the bit-parallel replay;
+    it returns what the gate-by-gate reference returns."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.one_of(soi_exprs, soi_exprs_with_constants))
+    def test_compiled_netlists_on_every_row(self, e):
+        net = compile_soi(e, inputs=("A", "B", "C", "D"))
+        for env in assignments(net.inputs):
+            assert simulate_netlist(net, env) == reference_simulate_netlist(
+                net, env
+            )
+
+    @settings(max_examples=150, deadline=None)
+    @given(_netlists())
+    def test_hand_written_netlists_on_every_row(self, net):
+        for env in assignments(net.inputs):
+            assert simulate_netlist(net, env) == reference_simulate_netlist(
+                net, env
+            )
+
+
+def _flip_first_tap(netlist_type):
+    """A ``Netlist`` constructor whose first gate reads the complement of
+    the tap it was given."""
+
+    def corrupted(inputs, gates, output):
+        g = gates[0]
+        tap = g.in_b[1:] if g.in_b.startswith("!") else "!" + g.in_b
+        gates = (dataclasses.replace(g, in_b=tap),) + gates[1:]
+        return netlist_type(inputs, gates, output)
+
+    return corrupted
+
+
+class TestOracleCatchesWrongNetlists:
+    """``compile_soi`` replays its netlist over every row and checks it
+    against its input: one corrupted tap is an ``AssertionError`` (CLI
+    exit 3), with or without ``python -O``."""
+
+    @pytest.fixture()
+    def corrupt(self, monkeypatch):
+        monkeypatch.setattr(spindiode, "Netlist", _flip_first_tap(Netlist))
+
+    @pytest.mark.parametrize("form", [minimized_soi, soi_from_tt])
+    def test_compile_raises(self, corrupt, form):
+        with pytest.raises(AssertionError, match="spindiode"):
+            compile_soi(form(CARRY), inputs=CARRY.variables)
+
+    def test_cli_exits_3(self, corrupt, capsys):
+        assert main(["compile", "--target", "spindiode", "A @ B | C"]) == 3
+        assert "internal error: AssertionError" in capsys.readouterr().err
+
+    def test_fires_under_optimize_flag(self):
+        script = textwrap.dedent(
+            """
+            import sys
+            from asymlogic import spindiode
+            from asymlogic.cli import main
+            if __debug__:
+                sys.exit(9)
+            real = spindiode.Netlist
+            def corrupted(inputs, gates, output):
+                g = gates[0]
+                tap = g.in_b[1:] if g.in_b.startswith("!") else "!" + g.in_b
+                head = spindiode.Gate(0, g.kind, g.in_a, tap)
+                return real(inputs, (head,) + gates[1:], output)
+            spindiode.Netlist = corrupted
+            sys.exit(main(["compile", "--target", "spindiode", "A @ B"]))
+            """
+        )
+        proc = subprocess.run(
+            [sys.executable, "-O", "-c", script],
+            capture_output=True,
+            text=True,
+        )
+        assert proc.returncode == 3, proc.stderr
+        assert "internal error: AssertionError" in proc.stderr
+
+    def test_no_check_beyond_the_table_cap(self):
+        # 25 variables: nothing to tabulate, so the netlist is returned as is
+        names = tuple(f"x{i}" for i in range(25))
+        net = compile_soi(IandChain(tuple(map(Var, names))))
+        assert netlist_stats(net)["gates"] == 24
+        env = dict.fromkeys(names, 0) | {"x0": 1}
+        assert simulate_netlist(net, env) == 1
