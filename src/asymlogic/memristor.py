@@ -67,7 +67,20 @@ class ImplyProgram:
     steps: tuple[Step, ...]
 
     def __post_init__(self) -> None:
-        inputs = {reg for _, reg in self.bindings}
+        inputs: set[int] = set()
+        names: set[str] = set()
+        for name, reg in self.bindings:
+            if not 0 <= reg < self.registers:
+                raise ValueError(
+                    f"memristor: input {name!r} bound to register r{reg} "
+                    "out of range"
+                )
+            if reg in inputs:
+                raise ValueError(f"memristor: two inputs bound to r{reg}")
+            if name in names:
+                raise ValueError(f"memristor: input {name!r} bound twice")
+            inputs.add(reg)
+            names.add(name)
         for step in self.steps:
             regs = (
                 (step.target,) if isinstance(step, Reset)

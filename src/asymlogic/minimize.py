@@ -1,13 +1,21 @@
 """Two-level minimization targeting the asymmetric chain forms.
 
-Prime implicants come from iterative cube merging over the ON-set plus
-don't-cares; covers are chosen exactly (essential cubes first, then an
-exhaustive branch over the rest) with the objective ordered by total
-literal count, then cube count, then ascending cube encoding.  The chosen
-cubes are re-emitted as SOI or NOI terms over only their non-dash literals.
+Prime implicants come from one implicant mask per dash set ``D`` (a set of
+row bits), over the table's int mask: bit ``r`` of ``imp[D]`` is set when
+the cube with value ``r`` and dashes ``D`` lies inside ON plus don't-cares.
+``imp[0]`` is that union, and adding the dash ``p`` is one shift-AND,
+``imp[D | p] = imp[D] & (imp[D] >> 2**p)`` over the rows with bit ``p``
+clear.  The primes with dashes ``D`` are the bits of ``imp[D]`` that no
+implicant with one more dash contains.  Covers are chosen exactly
+(essential cubes first, then an exhaustive branch over the rest) with the
+objective ordered by total literal count, then cube count, then ascending
+cube encoding.  The chosen cubes are re-emitted as SOI or NOI terms over
+only their non-dash literals.
 
-Cube notation: one trit per variable in table order ('1' plain, '0'
-complemented, '-' absent), so "1-1" over (A, B, C) is the product A AND C.
+Cubes are ``(value, care)`` ints over the row bits, first variable as the
+MSB.  Their trit view has one character per variable in table order ('1'
+plain, '0' complemented, '-' absent), so "1-1" over (A, B, C) is the
+product A AND C: value 0b101, care 0b101.
 """
 
 from __future__ import annotations
@@ -33,44 +41,89 @@ MAX_MINIMIZE_VARS = 12
 MAX_COVER_NODES = 1_000_000
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False, repr=False)
 class Cube:
-    """A product term: one trit ('0', '1', '-') per variable, MSB first."""
+    """A product term over ``width`` variables, as ints over the row bits.
 
-    trits: str
+    Bit ``i`` of ``care`` is set when the variable of row bit ``i`` (the
+    first variable is the MSB) appears in the product, and bit ``i`` of
+    ``value`` is then its polarity, 1 plain and 0 complemented; ``value``
+    is 0 outside ``care``.  ``Cube("1-0")`` parses the trit view, which
+    ``trits`` gives back: value 0b100, care 0b101, width 3.
+    """
 
-    def __post_init__(self) -> None:
-        if not self.trits or any(c not in "01-" for c in self.trits):
-            raise ValueError(f"minimize: bad cube string {self.trits!r}")
+    value: int
+    care: int
+    width: int
+
+    def __init__(self, trits: str) -> None:
+        if not trits or not set(trits) <= {"0", "1", "-"}:
+            raise ValueError(f"minimize: bad cube string {trits!r}")
+        value = int(trits.replace("-", "0"), 2)
+        care = int(trits.replace("0", "1").replace("-", "0"), 2)
+        self._set(value, care, len(trits))
+
+    def _set(self, value: int, care: int, width: int) -> None:
+        object.__setattr__(self, "value", value)
+        object.__setattr__(self, "care", care)
+        object.__setattr__(self, "width", width)
+
+    @classmethod
+    def _of(cls, value: int, care: int, width: int) -> "Cube":
+        q = cls.__new__(cls)
+        q._set(value, care, width)
+        return q
+
+    def __repr__(self) -> str:
+        return f"Cube(trits={self.trits!r})"
+
+    @property
+    def trits(self) -> str:
+        """One trit per variable in table order: '1', '0' or '-'."""
+        v, c = self.value, self.care
+        return "".join(
+            ("1" if v >> i & 1 else "0") if c >> i & 1 else "-"
+            for i in range(self.width - 1, -1, -1)
+        )
 
     @property
     def literal_count(self) -> int:
-        return sum(1 for c in self.trits if c != "-")
+        return self.care.bit_count()
 
     def covers(self, row: int) -> bool:
-        n = len(self.trits)
-        for i, c in enumerate(self.trits):
-            if c != "-" and ((row >> (n - 1 - i)) & 1) != int(c):
-                return False
-        return True
+        return row & self.care == self.value
 
-    def sort_key(self) -> tuple[int, str]:
-        return (int(self.trits.replace("-", "0"), 2), self.trits)
+    def sort_key(self) -> tuple[int, int]:
+        """Value, then care: the same order as the trit view's
+        ``(int(trits.replace("-", "0"), 2), trits)``, since '-' sorts
+        before '0'."""
+        return (self.value, self.care)
 
     def literals(self, names: tuple[str, ...]) -> tuple[Expr, ...]:
+        self._check_width(len(names))
         out: list[Expr] = []
-        for name, c in zip(names, self.trits):
-            if c == "1":
-                out.append(Var(name))
-            elif c == "0":
-                out.append(Not(Var(name)))
+        for i, name in enumerate(names):
+            bit = 1 << (self.width - 1 - i)
+            if self.care & bit:
+                out.append(Var(name) if self.value & bit else Not(Var(name)))
         return tuple(out)
+
+    def _check_width(self, n: int) -> None:
+        if self.width != n:
+            raise ValueError(
+                f"minimize: cube {self.trits} has {self.width} trits "
+                f"for {n} variables"
+            )
 
 
 @dataclass(frozen=True)
 class PrimeImplicantSet:
     variables: tuple[str, ...]
     cubes: tuple[Cube, ...]
+
+    def __post_init__(self) -> None:
+        for q in self.cubes:
+            q._check_width(len(self.variables))
 
 
 @dataclass(frozen=True)
@@ -80,24 +133,22 @@ class CoverSolution:
     trace: tuple[str, ...]
 
 
-def _check_rows(rows: Iterable[int], n: int, what: str) -> set[int]:
-    out = set()
+def _check_size(n: int) -> None:
+    if n > MAX_MINIMIZE_VARS:
+        raise CapacityError(
+            f"minimize: {n} variables exceeds the cap of {MAX_MINIMIZE_VARS}"
+        )
+    if n < 1:
+        raise ValueError("minimize: need n >= 1")
+
+
+def _row_mask(rows: Iterable[int], n: int, what: str) -> int:
+    mask = 0
     for r in rows:
         if not 0 <= r < (1 << n):
             raise ValueError(f"minimize: {what} row {r} out of range for n={n}")
-        out.add(r)
-    return out
-
-
-def _trits(value: int, care: int, n: int) -> str:
-    chars = []
-    for i in range(n):
-        bit = n - 1 - i
-        if (care >> bit) & 1:
-            chars.append("1" if (value >> bit) & 1 else "0")
-        else:
-            chars.append("-")
-    return "".join(chars)
+        mask |= 1 << r
+    return mask
 
 
 def prime_implicants(
@@ -112,66 +163,69 @@ def prime_implicants(
     12 variables; rows outside ``[0, 2**n)`` or overlapping ON/DC sets raise
     ``ValueError``.
     """
-    if n > MAX_MINIMIZE_VARS:
-        raise CapacityError(
-            f"minimize: {n} variables exceeds the cap of {MAX_MINIMIZE_VARS}"
-        )
-    if n < 1:
-        raise ValueError("minimize: need n >= 1")
-    ons = _check_rows(onset, n, "ON")
-    dcs = _check_rows(dc, n, "DC")
-    if ons & dcs:
+    _check_size(n)
+    on = _row_mask(onset, n, "ON")
+    dcs = _row_mask(dc, n, "DC")
+    if on & dcs:
         raise ValueError(
-            f"minimize: ON and DC sets overlap on rows {sorted(ons & dcs)}"
+            f"minimize: ON and DC sets overlap on rows {rows_of(on & dcs)}"
         )
     names = variables if variables is not None else tuple(
         f"x{i}" for i in range(n)
     )
     if len(names) != n:
         raise ValueError("minimize: variable list does not match n")
+    return _prime_implicants(on, dcs, tuple(names))
 
+
+def _prime_implicants(
+    on: int, dc: int, names: tuple[str, ...]
+) -> PrimeImplicantSet:
+    """``prime_implicants`` over row masks; the caller has checked that
+    ``1 <= len(names) <= MAX_MINIMIZE_VARS``."""
+    n = len(names)
     full = (1 << n) - 1
-    current = {(r, full) for r in ons | dcs}
-    primes: set[tuple[int, int]] = set()
-    while current:
-        merged: set[tuple[int, int]] = set()
-        nxt: set[tuple[int, int]] = set()
-        by_care: dict[int, list[tuple[int, int]]] = {}
-        for cube in current:
-            by_care.setdefault(cube[1], []).append(cube)
-        for care, group in by_care.items():
-            group.sort()
-            for i, a in enumerate(group):
-                for b in group[i + 1 :]:
-                    diff = a[0] ^ b[0]
-                    if diff & (diff - 1) == 0 and diff:
-                        nxt.add((a[0] & ~diff, care & ~diff))
-                        merged.add(a)
-                        merged.add(b)
-        primes |= current - merged
-        current = nxt
+    # clear[p]: the rows whose bit p is 0
+    clear = [~col for col in reversed(columns(n))]
+    # imp[d]: the values of the implicants with dash set d (0 once a
+    # subset's mask is empty, since every superset's is then empty too)
+    imp = [0] * (1 << n)
+    imp[0] = on | dc
+    for d in range(1, 1 << n):
+        low = d & -d
+        m = imp[d ^ low]
+        if m:
+            imp[d] = m & (m >> low) & clear[low.bit_length() - 1]
+    found = []
+    for d, m in enumerate(imp):
+        if not m:
+            continue
+        care = full ^ d
+        rest = care
+        while rest:  # drop the halves of each implicant with one more dash
+            low = rest & -rest
+            up = imp[d | low]
+            m &= ~(up | up << low)
+            rest ^= low
+        while m:
+            found.append((lowest_row(m), care))
+            m &= m - 1
+    found.sort()
+    cubes = [Cube._of(v, c, n) for v, c in found]
+    if dc:  # drop the cubes that cover only don't-cares
+        cubes = [q for q in cubes if _rows(q) & on]
+    return PrimeImplicantSet(names, tuple(cubes))
 
-    cubes = [Cube(_trits(v, c, n)) for v, c in primes]
-    on_rows = sum(1 << r for r in ons)
-    cubes = [q for q, m in zip(cubes, _row_masks(cubes, n)) if m & on_rows]
-    cubes.sort(key=Cube.sort_key)
-    return PrimeImplicantSet(tuple(names), tuple(cubes))
 
-
-def _row_masks(cubes: Iterable[Cube], n: int) -> list[int]:
-    """Each cube's covered rows as a mask: the AND of its literal columns."""
-    cols = columns(n)
-    full = (1 << (1 << n)) - 1
-    out = []
-    for q in cubes:
-        rows = full
-        for c, col in zip(q.trits, cols):
-            if c == "1":
-                rows &= col
-            elif c == "0":
-                rows &= ~col
-        out.append(rows)
-    return out
+def _rows(q: Cube) -> int:
+    """The rows a cube covers as a mask: its value, doubled once per dash."""
+    rows = 1 << q.value
+    dashes = ((1 << q.width) - 1) ^ q.care
+    while dashes:
+        low = dashes & -dashes
+        rows |= rows << low
+        dashes ^= low
+    return rows
 
 
 def minimum_cover(
@@ -186,7 +240,7 @@ def minimum_cover(
     visit more than ``MAX_COVER_NODES`` nodes raises ``CapacityError``.
     """
     cubes = list(primes.cubes)
-    masks = _row_masks(cubes, len(primes.variables))
+    masks = [_rows(q) for q in cubes]
     trace: list[str] = []
     chosen: list[Cube] = []
 
@@ -244,14 +298,14 @@ def _branch_and_bound(
     """
     # (rows, literals, sort key, cube) per cube, listed under each
     # uncovered row it covers, in prime order
-    by_row: dict[int, list[tuple[int, int, tuple[int, str], Cube]]] = {}
+    by_row: dict[int, list[tuple[int, int, tuple[int, int], Cube]]] = {}
     for m, q in rest:
         c = (m, q.literal_count, q.sort_key(), q)
         rows = m & uncovered
         while rows:
             by_row.setdefault(lowest_row(rows), []).append(c)
             rows &= rows - 1
-    sel: list[tuple[int, int, tuple[int, str], Cube]] = []
+    sel: list[tuple[int, int, tuple[int, int], Cube]] = []
     best: list[Cube] = []
     best_key: tuple | None = None
     # open nodes, root first: (literals, uncovered rows, untried branches)
@@ -289,15 +343,14 @@ def _branch_and_bound(
 
 def minimize_table(t: TruthTable) -> tuple[PrimeImplicantSet, CoverSolution]:
     """Prime implicants and a minimum cover for a table's ON-set."""
-    n = len(t.variables)
-    ons = rows_of(t.mask)
-    if not ons:
+    if not t.mask:
         return (
             PrimeImplicantSet(t.variables, ()),
             CoverSolution((), 0, ("empty ON-set: function is constant 0",)),
         )
-    primes = prime_implicants(ons, (), n, t.variables)
-    return primes, minimum_cover(primes, ons)
+    _check_size(len(t.variables))
+    primes = _prime_implicants(t.mask, 0, t.variables)
+    return primes, minimum_cover(primes, rows_of(t.mask))
 
 
 def cover_form(t: TruthTable, cover: CoverSolution, form: str) -> Expr:

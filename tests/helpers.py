@@ -13,7 +13,10 @@ for every match of every rule, where the production search scores a match
 from its binding and builds only the ones that can win.  The machine
 simulators' references step one row at a time, copying the register file
 at every step and resolving each netlist reference string on every row,
-where the production simulators run one bit-parallel replay loop.
+where the production simulators run one bit-parallel replay loop.  The
+prime generator's reference merges cubes pairwise within each care group
+and sorts trit strings, where the production code takes one shift-AND per
+dash set over the table's mask and sorts int cubes.
 """
 
 from __future__ import annotations
@@ -48,7 +51,7 @@ from asymlogic.laws import (
     match_pattern,
     substitute,
 )
-from asymlogic.errors import EvaluationError
+from asymlogic.errors import CapacityError, EvaluationError
 from asymlogic.memristor import (
     Imply,
     ImplyProgram,
@@ -57,7 +60,13 @@ from asymlogic.memristor import (
     Step,
     _allocate,
 )
-from asymlogic.minimize import CoverSolution, Cube, PrimeImplicantSet
+from asymlogic.minimize import (
+    MAX_MINIMIZE_VARS,
+    CoverSolution,
+    Cube,
+    PrimeImplicantSet,
+)
+from asymlogic.semantics import columns
 from asymlogic.spindiode import Netlist
 
 
@@ -180,7 +189,8 @@ def reference_minimum_cover(
                 key = (
                     lits,
                     len(sel),
-                    tuple(q.sort_key() for q in sorted(sel, key=Cube.sort_key)),
+                    tuple(reference_sort_key(q)
+                          for q in sorted(sel, key=reference_sort_key)),
                 )
                 if best_key is None or key < best_key:
                     best, best_key = list(sel), key
@@ -195,16 +205,112 @@ def reference_minimum_cover(
 
         search([], set(uncovered))
         assert best is not None
-        for q in sorted(best, key=Cube.sort_key):
+        for q in sorted(best, key=reference_sort_key):
             chosen.append(q)
             trace.append(f"selected {q.trits}: completes the cover")
 
     for q in chosen:
         if q.literal_count == 0:
             trace.append("degenerate: all-dash cube, function is constant 1")
-    chosen.sort(key=Cube.sort_key)
+    chosen.sort(key=reference_sort_key)
     cost = sum(q.literal_count for q in chosen)
     return CoverSolution(tuple(chosen), cost, tuple(trace))
+
+
+def _check_rows(rows: Iterable[int], n: int, what: str) -> set[int]:
+    out = set()
+    for r in rows:
+        if not 0 <= r < (1 << n):
+            raise ValueError(f"minimize: {what} row {r} out of range for n={n}")
+        out.add(r)
+    return out
+
+
+def _trits(value: int, care: int, n: int) -> str:
+    chars = []
+    for i in range(n):
+        bit = n - 1 - i
+        if (care >> bit) & 1:
+            chars.append("1" if (value >> bit) & 1 else "0")
+        else:
+            chars.append("-")
+    return "".join(chars)
+
+
+def reference_sort_key(q: Cube) -> tuple[int, str]:
+    """The cube order as the trit strings gave it."""
+    return (int(q.trits.replace("-", "0"), 2), q.trits)
+
+
+def reference_prime_implicants(
+    onset: Iterable[int],
+    dc: Iterable[int] = (),
+    n: int = 0,
+    variables: tuple[str, ...] | None = None,
+) -> PrimeImplicantSet:
+    """Quine-McCluskey by pairwise merging within each care group, cubes
+    built from trit strings and sorted by ``reference_sort_key``: the primes
+    ``prime_implicants`` must match cube for cube and in order."""
+    if n > MAX_MINIMIZE_VARS:
+        raise CapacityError(
+            f"minimize: {n} variables exceeds the cap of {MAX_MINIMIZE_VARS}"
+        )
+    if n < 1:
+        raise ValueError("minimize: need n >= 1")
+    ons = _check_rows(onset, n, "ON")
+    dcs = _check_rows(dc, n, "DC")
+    if ons & dcs:
+        raise ValueError(
+            f"minimize: ON and DC sets overlap on rows {sorted(ons & dcs)}"
+        )
+    names = variables if variables is not None else tuple(
+        f"x{i}" for i in range(n)
+    )
+    if len(names) != n:
+        raise ValueError("minimize: variable list does not match n")
+
+    full = (1 << n) - 1
+    current = {(r, full) for r in ons | dcs}
+    primes: set[tuple[int, int]] = set()
+    while current:
+        merged: set[tuple[int, int]] = set()
+        nxt: set[tuple[int, int]] = set()
+        by_care: dict[int, list[tuple[int, int]]] = {}
+        for cube in current:
+            by_care.setdefault(cube[1], []).append(cube)
+        for care, group in by_care.items():
+            group.sort()
+            for i, a in enumerate(group):
+                for b in group[i + 1 :]:
+                    diff = a[0] ^ b[0]
+                    if diff & (diff - 1) == 0 and diff:
+                        nxt.add((a[0] & ~diff, care & ~diff))
+                        merged.add(a)
+                        merged.add(b)
+        primes |= current - merged
+        current = nxt
+
+    cubes = [Cube(_trits(v, c, n)) for v, c in primes]
+    on_rows = sum(1 << r for r in ons)
+    cubes = [q for q, m in zip(cubes, _row_masks(cubes, n)) if m & on_rows]
+    cubes.sort(key=reference_sort_key)
+    return PrimeImplicantSet(tuple(names), tuple(cubes))
+
+
+def _row_masks(cubes: Iterable[Cube], n: int) -> list[int]:
+    """Each cube's covered rows as a mask: the AND of its literal columns."""
+    cols = columns(n)
+    full = (1 << (1 << n)) - 1
+    out = []
+    for q in cubes:
+        rows = full
+        for c, col in zip(q.trits, cols):
+            if c == "1":
+                rows &= col
+            elif c == "0":
+                rows &= ~col
+        out.append(rows)
+    return out
 
 
 def reference_compile_noi(e: Expr, *, peephole: bool = True) -> ImplyProgram:

@@ -98,6 +98,21 @@ class TestProgramValidation:
         with pytest.raises(ValueError):
             ImplyProgram(1, (), 5, ())
 
+    def test_bound_register_out_of_range(self):
+        with pytest.raises(ValueError, match="memristor: input 'p' bound to "
+                           "register r5 out of range"):
+            ImplyProgram(2, (("p", 5),), 1, ())
+
+    def test_two_inputs_on_one_register(self):
+        with pytest.raises(ValueError, match="memristor: two inputs bound "
+                           "to r0"):
+            ImplyProgram(2, (("p", 0), ("q", 0)), 1, ())
+
+    def test_variable_bound_twice(self):
+        with pytest.raises(ValueError, match="memristor: input 'p' bound "
+                           "twice"):
+            ImplyProgram(3, (("p", 0), ("p", 1)), 2, ())
+
 
 class TestNand:
     def test_exact_schedule(self):

@@ -19,6 +19,7 @@ from asymlogic.errors import CapacityError
 from asymlogic.expr import Const, Not, Var, format_expr
 from asymlogic.minimize import (
     Cube,
+    PrimeImplicantSet,
     cover_form,
     cover_text,
     minimize_table,
@@ -27,9 +28,13 @@ from asymlogic.minimize import (
     minimum_cover,
     prime_implicants,
 )
-from asymlogic.semantics import TruthTable, truth_table
+from asymlogic.semantics import TruthTable, columns, truth_table
 
-from .helpers import reference_minimum_cover
+from .helpers import (
+    reference_minimum_cover,
+    reference_prime_implicants,
+    reference_sort_key,
+)
 
 CARRY = TruthTable(("A", "B", "C"), (0, 0, 0, 1, 0, 1, 1, 1))
 SUM3 = TruthTable(("A", "B", "C"), (0, 1, 1, 0, 1, 0, 0, 1))
@@ -59,6 +64,39 @@ class TestCube:
     def test_literals_in_variable_order(self):
         lits = Cube("1-0").literals(("A", "B", "C"))
         assert lits == (Var("A"), Not(Var("C")))
+
+    def test_ints_msb_first(self):
+        q = Cube("1-0")
+        assert (q.value, q.care, q.width) == (0b100, 0b101, 3)
+        assert repr(q) == "Cube(trits='1-0')"
+        assert Cube(trits="1-0") == q and q.sort_key() == (0b100, 0b101)
+
+    def test_round_trip_and_order_over_all_five_variable_cubes(self):
+        cubes = [Cube("".join(t)) for t in product("01-", repeat=5)]
+        assert len(cubes) == 243
+        for q, t in zip(cubes, product("01-", repeat=5)):
+            assert q.trits == "".join(t)
+            assert q.value & ~q.care == 0
+            assert Cube(q.trits) == q
+            assert q.literal_count == 5 - t.count("-")
+            assert [r for r in range(32) if q.covers(r)] == [
+                r for r in range(32)
+                if all(c == "-" or int(c) == (r >> (4 - i)) & 1
+                       for i, c in enumerate(t))
+            ]
+        assert sorted(cubes, key=Cube.sort_key) == sorted(
+            cubes, key=reference_sort_key
+        )
+
+    def test_wrong_width_is_rejected(self):
+        # a narrow cube once "covered" rows of a wider table, and a wide
+        # one rows of a narrower table, by zipping over the mismatch
+        with pytest.raises(ValueError, match="cube 1 has 1 trits for 2"):
+            PrimeImplicantSet(("A", "B"), (Cube("1"),))
+        with pytest.raises(ValueError, match="cube 11 has 2 trits for 1"):
+            PrimeImplicantSet(("A",), (Cube("11"),))
+        with pytest.raises(ValueError, match="cube 1-0 has 3 trits for 2"):
+            Cube("1-0").literals(("A", "B"))
 
 
 class TestPrimeImplicants:
@@ -93,6 +131,120 @@ class TestPrimeImplicants:
             prime_implicants([1], [1], 2)
         with pytest.raises(ValueError):
             prime_implicants([0], (), 2, ("A",))
+
+
+def _threshold(n: int, k: int) -> list[int]:
+    """The rows with at least ``k`` ones among ``n`` variables."""
+    return [r for r in range(1 << n) if r.bit_count() >= k]
+
+
+def _random_cubes(rng: random.Random, n: int, count: int) -> list[int]:
+    """The rows of ``count`` random cubes with 3 to ``n - 3`` literals."""
+    rows: set[int] = set()
+    for _ in range(count):
+        care = rng.sample(range(n), rng.randint(3, n - 3))
+        fixed = {i: rng.randint(0, 1) for i in care}
+        rows |= {
+            r for r in range(1 << n)
+            if all((r >> (n - 1 - i)) & 1 == v for i, v in fixed.items())
+        }
+    return sorted(rows)
+
+
+class TestPrimesMatchReference:
+    """The implicant masks against the pairwise merge they replaced: the
+    same cubes in the same order."""
+
+    @staticmethod
+    def same(ons, dcs, n):
+        got = prime_implicants(ons, dcs, n)
+        want = reference_prime_implicants(ons, dcs, n)
+        assert [q.trits for q in got.cubes] == [q.trits for q in want.cubes]
+        assert got == want
+
+    def test_every_three_variable_on_dc_off_assignment(self):
+        for kinds in product("01-", repeat=8):
+            ons = [r for r, k in enumerate(kinds) if k == "1"]
+            dcs = [r for r, k in enumerate(kinds) if k == "-"]
+            self.same(ons, dcs, 3)
+
+    @pytest.mark.parametrize("n", [4, 5, 6, 7, 8])
+    def test_seeded_tables(self, n):
+        rng = random.Random(100 + n)
+        for k in range(12 if n < 8 else 4):
+            rows = list(range(1 << n))
+            if k % 2:
+                ons = [r for r in rows if rng.random() < 0.5]
+            else:
+                ons = _cube_list_onset(rng, n)
+            dcs = []
+            if k % 4 >= 2:  # some don't-cares among the OFF rows
+                dcs = [r for r in sorted(set(rows) - set(ons))
+                       if rng.random() < 0.25]
+            self.same(ons, dcs, n)
+
+    @pytest.mark.parametrize("k", [2, 5])  # threshold-2 and majority
+    def test_eight_variable_threshold_functions(self, k):
+        self.same(_threshold(8, k), (), 8)
+
+
+TWELVE = tuple(f"x{i}" for i in range(12))
+
+
+class TestTwelveVariableCap:
+    """The advertised minimization cap is reachable."""
+
+    def test_threshold_two(self):
+        t = TruthTable.from_mask(TWELVE, sum(1 << r for r in _threshold(12, 2)))
+        primes, cover = minimize_table(t)
+        assert len(primes.cubes) == len(cover.cubes) == 66
+        assert cover.cost == 132
+        assert all(line.startswith("essential") for line in cover.trace)
+
+    def test_majority(self):
+        t = TruthTable.from_mask(TWELVE, sum(1 << r for r in _threshold(12, 7)))
+        primes, cover = minimize_table(t)
+        assert len(primes.cubes) == len(cover.cubes) == 792
+        assert cover.cost == 792 * 7
+
+    def test_random_cubes_give_exactly_the_primes(self):
+        # checked with masks built here from the variable columns
+        rng = random.Random(24)
+        ons = _random_cubes(rng, 12, 24)
+        dcs = [r for r in range(1 << 12)
+               if r not in set(ons) and rng.random() < 0.05]
+        on = sum(1 << r for r in ons)
+        allowed = on | sum(1 << r for r in dcs)
+        cols = columns(12)
+        top = (1 << (1 << 12)) - 1
+
+        def rows(q: Cube, skip: int = -1) -> int:
+            m = top
+            for i, c in enumerate(q.trits):
+                if c != "-" and i != skip:
+                    m &= cols[i] if c == "1" else top ^ cols[i]
+            return m
+
+        primes = prime_implicants(ons, dcs, 12, TWELVE)
+        assert len(primes.cubes) > 24
+        covered = 0
+        for q in primes.cubes:
+            m = rows(q)
+            assert m & ~allowed == 0  # an implicant
+            assert m & on  # not only don't-cares
+            for i, c in enumerate(q.trits):  # prime: no literal is spare
+                if c != "-":
+                    assert rows(q, skip=i) & ~allowed
+            covered |= m
+        assert on & ~covered == 0
+
+    def test_cli_minimize_exits_zero(self, tmp_path, capsys):
+        t = TruthTable.from_mask(TWELVE, sum(1 << r for r in _threshold(12, 2)))
+        path = tmp_path / "threshold2.txt"
+        path.write_text(" ".join(TWELVE) + "\n" + t.to_string() + "\n")
+        argv = ["minimize", "--form", "soi", "--table-file", str(path)]
+        assert main(argv) == 0
+        assert capsys.readouterr().out.count("|") == 65
 
 
 class TestMinimumCover:
