@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from operator import is_not
 from typing import Iterator, Sequence, Union
 
 from .errors import ArityError
@@ -150,15 +151,15 @@ def imply_chain(operands: Sequence[Expr]) -> ImplyChain:
 
 def children(e: Expr) -> tuple[Expr, ...]:
     """Immediate subexpressions of a node, in positional order."""
-    match e:
-        case Const() | Var():
-            return ()
-        case Not(child):
-            return (child,)
-        case And(kids) | Or(kids):
-            return kids
-        case IandChain(ops) | ImplyChain(ops):
-            return ops
+    t = type(e)
+    if t is Var or t is Const:
+        return ()
+    if t is Not:
+        return (e.child,)
+    if t is IandChain or t is ImplyChain:
+        return e.operands
+    if t is And or t is Or:
+        return e.children
     raise TypeError(f"expr: not an expression node: {e!r}")
 
 
@@ -203,18 +204,23 @@ def normalize_not(e: Expr) -> Expr:
     """Remove double negations and push Not through constants.
 
     No other structure changes; in particular chains and And/Or operand
-    order are untouched.
+    order are untouched.  A subtree with nothing to change is returned as
+    the same object, so a tree already in this form comes back unchanged.
     """
-    if isinstance(e, Not):
-        inner = normalize_not(e.child)
-        if isinstance(inner, Not):
+    t = type(e)
+    if t is Not:
+        child = e.child
+        inner = normalize_not(child)
+        if type(inner) is Not:
             return inner.child
-        if isinstance(inner, Const):
+        if type(inner) is Const:
             return Const(1 - inner.value)
-        return Not(inner)
-    if isinstance(e, (Const, Var)):
+        return e if inner is child else Not(inner)
+    if t is Var or t is Const:
         return e
-    return rebuild(e, tuple(normalize_not(c) for c in children(e)))
+    kids = children(e)
+    new = tuple(map(normalize_not, kids))
+    return rebuild(e, new) if any(map(is_not, new, kids)) else e
 
 
 def iter_subexpressions(e: Expr, _path: Path = ()) -> Iterator[tuple[Path, Expr]]:

@@ -13,9 +13,10 @@ term, and each term register accumulates its IMPLY chain the same way.
 A term ``NOT(l1 AND ... AND lk)`` takes one IMPLY per literal into its
 work register; a negative literal is first inverted into a scratch
 register, and a term that is a lone negative literal ``!y`` IMPLYs ``y``
-straight into the output.  The compiler emits this schedule over virtual
-registers in one pass, then assigns physical registers by linear scan
-(inputs pinned first, scratch registers reused after their last read).
+straight into the output.  The compiler emits this schedule in one pass
+and assigns registers as it emits the steps, not in a second pass: inputs
+are pinned to ``r0 .. r(k-1)``, each RESET takes the smallest free
+register, and a scratch register is free again right after its last read.
 
 Input registers are never written, so a program replays from any input
 assignment.  One loop replays it: each register holds a mask of rows
@@ -27,7 +28,6 @@ and checks the output mask against its input expression; ``simulate`` and
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass
 from typing import Union
 
@@ -83,13 +83,13 @@ class ImplyProgram:
             names.add(name)
         for step in self.steps:
             regs = (
-                (step.target,) if isinstance(step, Reset)
+                (step.target,) if type(step) is Reset
                 else (step.cond, step.set)
             )
             for r in regs:
                 if not 0 <= r < self.registers:
                     raise ValueError(f"memristor: register r{r} out of range")
-            written = step.target if isinstance(step, Reset) else step.set
+            written = regs[-1]
             if written in inputs:
                 raise ValueError(
                     f"memristor: program writes input register r{written}"
@@ -205,6 +205,14 @@ def compile_noi(e: Expr, *, peephole: bool = True) -> ImplyProgram:
     return program
 
 
+# Every step a compiled program can hold, built once: ``_lower`` uses
+# registers 0 .. nin + 3 only, and nin is at most MAX_COMPILE_VARS.
+_REGS = range(MAX_COMPILE_VARS + 4)
+_RESETS = tuple(Reset(r) for r in _REGS)
+_IMPLIES = tuple(tuple(Imply(c, s) if c != s else None for s in _REGS)
+                 for c in _REGS)
+
+
 def _lower(e: Expr, peephole: bool) -> ImplyProgram:
     names = variables(e)
     if len(names) > MAX_COMPILE_VARS:
@@ -230,85 +238,51 @@ def _lower(e: Expr, peephole: bool) -> ImplyProgram:
         case ((Var(name),),):
             return ImplyProgram(nin, bindings, src_of[name], ())
 
-    steps: list[Step] = []
-    counter = nin
+    # Every scratch register is free again at the end of its term, so the
+    # smallest free register a RESET takes is fixed by its role: the
+    # output, the term's work register w, the scratch register f that
+    # inverts a literal, and g, the second inversion of the textbook
+    # lowering.
+    out, w, f, g = nin, nin + 1, nin + 2, nin + 3
+    imply = _IMPLIES
+    # a literal's steps into w: one IMPLY, after inverting a negation into f
+    positive = {name: (imply[r][w],) for name, r in src_of.items()}
+    negative = {
+        name: (_RESETS[f], imply[r][f], imply[f][w])
+        for name, r in src_of.items()
+    }
 
-    def fresh() -> int:
-        nonlocal counter
-        counter += 1
-        return counter - 1
-
-    def invert(reg: int) -> int:
-        """A fresh scratch register holding ``NOT reg``."""
-        f = fresh()
-        steps.append(Reset(f))
-        steps.append(Imply(reg, f))
-        return f
-
-    def literal_source(lit: Expr) -> int:
-        """Register holding the literal's value; negations are materialized."""
-        if type(lit) is Var:
-            return src_of[lit.name]
-        return invert(src_of[lit.child.name])
-
-    out = fresh()
-    steps.append(Reset(out))
+    steps: list[Step] = [_RESETS[out]]
+    top = out  # the highest register used
     for p in products:
         # the term is the IMPLY chain p1 -> ... -> p(k-1) -> !pk, that is
         # NOT p1 OR ... OR NOT pk: one IMPLY per literal
-        if peephole and len(p) == 1 and type(p[0]) is Not:
-            # the work register would hold NOT (NOT y), which is y
-            steps.append(Imply(src_of[p[0].child.name], out))
-            continue
-        w = fresh()
-        steps.append(Reset(w))
-        for x in p[:-1]:
-            steps.append(Imply(literal_source(x), w))
-        last = literal_source(p[-1])
-        if not peephole and type(p[-1]) is Var:
-            last = invert(invert(last))
-        steps.append(Imply(last, w))
-        steps.append(Imply(w, out))
-
-    phys_steps, nregs, phys_out = _allocate(steps, nin, out)
-    return ImplyProgram(nregs, bindings, phys_out, tuple(phys_steps))
-
-
-def _allocate(
-    steps: list[Step], nin: int, output: int
-) -> tuple[list[Step], int, int]:
-    """Linear-scan physical assignment: inputs pinned at 0..nin-1, scratch
-    registers take the smallest free index at their first RESET and are
-    recycled after their last use; the output register, which the schedule
-    resets first, is never recycled."""
-    last: dict[int, int] = {}
-    for idx, s in enumerate(steps):
-        regs = (s.target,) if isinstance(s, Reset) else (s.cond, s.set)
-        for r in regs:
-            last[r] = idx
-
-    phys: dict[int, int] = {v: v for v in range(nin)}
-    free: list[int] = []
-    next_new = nin
-    out_steps: list[Step] = []
-    for idx, s in enumerate(steps):
-        if isinstance(s, Reset):
-            if s.target not in phys:
-                if free:
-                    phys[s.target] = heapq.heappop(free)
-                else:
-                    phys[s.target] = next_new
-                    next_new += 1
-            out_steps.append(Reset(phys[s.target]))
-            touched = (s.target,)
+        last = p[-1]
+        if type(last) is Not:
+            if peephole and len(p) == 1:
+                # the work register would hold NOT (NOT y), which is y
+                steps.append(imply[src_of[last.child.name]][out])
+                continue
+            tail = negative[last.child.name]
+            top = max(top, f)
+        elif peephole:
+            tail = positive[last.name]
+            top = max(top, w)
         else:
-            out_steps.append(Imply(phys[s.cond], phys[s.set]))
-            touched = (s.cond, s.set)
-        for v in touched:
-            if v >= nin and v != output and last[v] == idx:
-                heapq.heappush(free, phys[v])
-                del phys[v]
-    return out_steps, next_new, phys[output]
+            r = src_of[last.name]
+            tail = (_RESETS[f], imply[r][f], _RESETS[g], imply[f][g],
+                    imply[g][w])
+            top = g
+        steps.append(_RESETS[w])
+        for x in p[:-1]:
+            if type(x) is Var:
+                steps += positive[x.name]
+            else:
+                steps += negative[x.child.name]
+                top = max(top, f)
+        steps += tail
+        steps.append(imply[w][out])
+    return ImplyProgram(top + 1, bindings, out, tuple(steps))
 
 
 def step_text(step: Step) -> str:

@@ -6,8 +6,10 @@ production fold so the two implementations can disagree.  The table duals,
 the counterexample search and the exact cover search are likewise written
 row by row and set by set, against the production code's bit masks.  The
 NOI compiler's reference emits the textbook schedule with every double
-inversion and removes them afterwards by a def/use rewrite run to a
-fixpoint, where the production compiler emits the final schedule directly.
+inversion, removes them afterwards by a def/use rewrite run to a fixpoint
+and then assigns physical registers in a separate linear-scan pass, where
+the production compiler emits the final schedule directly and assigns each
+register as it emits the step.
 The simplifier's reference builds, normalizes and recounts the whole tree
 for every match of every rule, where the production search scores a match
 from its binding and builds only the ones that can win.  The machine
@@ -16,15 +18,23 @@ at every step and resolving each netlist reference string on every row,
 where the production simulators run one bit-parallel replay loop.  The
 prime generator's reference merges cubes pairwise within each care group
 and sorts trit strings, where the production code takes one shift-AND per
-dash set over the table's mask and sorts int cubes.
+dash set over the table's mask and sorts int cubes.  The parser's reference
+tokenizes character by character into one token object each, where the
+production parser splits the text with one regex into parallel lists, and
+the ``normalize_not`` reference rebuilds every node, where the production
+code returns unchanged subtrees as they are.
 """
 
 from __future__ import annotations
 
+import heapq
+from dataclasses import dataclass
 from itertools import product
 from typing import Iterable, Iterator
 
 from asymlogic.expr import (
+    FALSE,
+    TRUE,
     And,
     Const,
     Expr,
@@ -34,10 +44,14 @@ from asymlogic.expr import (
     Or,
     Path,
     Var,
+    children,
+    iand_chain,
+    imply_chain,
     iter_subexpressions,
     literal_count,
     normalize_not,
     operator_count,
+    rebuild,
     replace_at,
     variables,
 )
@@ -51,14 +65,13 @@ from asymlogic.laws import (
     match_pattern,
     substitute,
 )
-from asymlogic.errors import CapacityError, EvaluationError
+from asymlogic.errors import CapacityError, EvaluationError, ParseError
 from asymlogic.memristor import (
     Imply,
     ImplyProgram,
     Reset,
     SimulationResult,
     Step,
-    _allocate,
 )
 from asymlogic.minimize import (
     MAX_MINIMIZE_VARS,
@@ -315,8 +328,8 @@ def _row_masks(cubes: Iterable[Cube], n: int) -> list[int]:
 
 def reference_compile_noi(e: Expr, *, peephole: bool = True) -> ImplyProgram:
     """``compile_noi`` by naive emission, then (with ``peephole``) the
-    fixpoint double-inversion rewrite, then the production allocator: the
-    program ``compile_noi`` must match step for step."""
+    fixpoint double-inversion rewrite, then a linear-scan register
+    allocation: the program ``compile_noi`` must match step for step."""
     names = variables(e)
     nin = len(names)
     bindings = tuple((name, i) for i, name in enumerate(names))
@@ -370,8 +383,45 @@ def reference_compile_noi(e: Expr, *, peephole: bool = True) -> ImplyProgram:
         steps = reference_eliminate_double_inversions(
             steps, set(range(nin)), out
         )
-    phys_steps, nregs, phys_out = _allocate(steps, nin, out)
+    phys_steps, nregs, phys_out = reference_allocate(steps, nin, out)
     return ImplyProgram(nregs, bindings, phys_out, tuple(phys_steps))
+
+
+def reference_allocate(
+    steps: list[Step], nin: int, output: int
+) -> tuple[list[Step], int, int]:
+    """Linear-scan physical assignment: inputs pinned at 0..nin-1, scratch
+    registers take the smallest free index at their first RESET and are
+    recycled after their last use; the output register, which the schedule
+    resets first, is never recycled."""
+    last: dict[int, int] = {}
+    for idx, s in enumerate(steps):
+        regs = (s.target,) if isinstance(s, Reset) else (s.cond, s.set)
+        for r in regs:
+            last[r] = idx
+
+    phys: dict[int, int] = {v: v for v in range(nin)}
+    free: list[int] = []
+    next_new = nin
+    out_steps: list[Step] = []
+    for idx, s in enumerate(steps):
+        if isinstance(s, Reset):
+            if s.target not in phys:
+                if free:
+                    phys[s.target] = heapq.heappop(free)
+                else:
+                    phys[s.target] = next_new
+                    next_new += 1
+            out_steps.append(Reset(phys[s.target]))
+            touched = (s.target,)
+        else:
+            out_steps.append(Imply(phys[s.cond], phys[s.set]))
+            touched = (s.cond, s.set)
+        for v in touched:
+            if v >= nin and v != output and last[v] == idx:
+                heapq.heappush(free, phys[v])
+                del phys[v]
+    return out_steps, next_new, phys[output]
 
 
 def reference_eliminate_double_inversions(
@@ -527,3 +577,185 @@ def reference_simulate_netlist(
         b = reference_ref_value(g.in_b, inputs, vals)
         vals[g.ref] = (a | b) if g.kind == "OR" else (a & (1 - b))
     return reference_ref_value(netlist.output, inputs, vals)
+
+
+def reference_normalize_not(e: Expr) -> Expr:
+    """``normalize_not`` that rebuilds every operator node."""
+    if isinstance(e, Not):
+        inner = reference_normalize_not(e.child)
+        if isinstance(inner, Not):
+            return inner.child
+        if isinstance(inner, Const):
+            return Const(1 - inner.value)
+        return Not(inner)
+    if isinstance(e, (Const, Var)):
+        return e
+    return rebuild(e, tuple(reference_normalize_not(c) for c in children(e)))
+
+
+_MIX_HINT = (
+    "cannot mix '@' and '->' at the same nesting level; "
+    "add parentheses, e.g. (A @ B) -> C or A @ (B -> C)"
+)
+
+
+@dataclass(frozen=True)
+class _Token:
+    kind: str
+    text: str
+    position: int
+
+
+_SINGLE = {
+    "!": "NOT",
+    "&": "AND",
+    "@": "IAND",
+    "|": "OR",
+    "(": "LPAREN",
+    ")": "RPAREN",
+    "0": "ZERO",
+    "1": "ONE",
+}
+
+
+def _tokenize(text: str) -> list[_Token]:
+    tokens: list[_Token] = []
+    i = 0
+    n = len(text)
+    while i < n:
+        ch = text[i]
+        if ch.isspace():
+            i += 1
+            continue
+        if ch == "-":
+            if i + 1 < n and text[i + 1] == ">":
+                tokens.append(_Token("IMPLY", "->", i))
+                i += 2
+                continue
+            raise ParseError("expected '->' after '-'", i)
+        if ch in _SINGLE and not (ch in "01" and _ident_tail(text, i)):
+            tokens.append(_Token(_SINGLE[ch], ch, i))
+            i += 1
+            continue
+        if ch.isalpha() or ch == "_" or ch.isdigit():
+            j = i
+            while j < n and (text[j].isalnum() or text[j] == "_"):
+                j += 1
+            word = text[i:j]
+            if word[0].isdigit():
+                raise ParseError(f"name cannot start with a digit: {word!r}", i)
+            tokens.append(_Token("NAME", word, i))
+            i = j
+            continue
+        raise ParseError(f"unexpected character {ch!r}", i)
+    tokens.append(_Token("EOF", "", n))
+    return tokens
+
+
+def _ident_tail(text: str, i: int) -> bool:
+    """True when the digit at ``i`` starts a longer word (an invalid name)."""
+    return i + 1 < len(text) and (text[i + 1].isalnum() or text[i + 1] == "_")
+
+
+class _Parser:
+    def __init__(self, tokens: list[_Token]) -> None:
+        self.tokens = tokens
+        self.index = 0
+
+    @property
+    def head(self) -> _Token:
+        return self.tokens[self.index]
+
+    def advance(self) -> _Token:
+        tok = self.tokens[self.index]
+        self.index += 1
+        return tok
+
+    # Every level returns (expression, naked_iand): the flag records an
+    # '@' consumed inside the current parentheses, and parentheses clear it.
+
+    def parse_imply(self) -> tuple[Expr, bool]:
+        left, left_naked = self.parse_or()
+        if self.head.kind != "IMPLY":
+            return left, left_naked
+        if left_naked:
+            raise ParseError(_MIX_HINT, self.head.position)
+        operands = [left]
+        while self.head.kind == "IMPLY":
+            arrow = self.advance()
+            right, right_naked = self.parse_or()
+            if right_naked:
+                raise ParseError(_MIX_HINT, arrow.position)
+            operands.append(right)
+        return imply_chain(operands), False
+
+    def parse_or(self) -> tuple[Expr, bool]:
+        first, naked = self.parse_iand()
+        operands = [first]
+        while self.head.kind == "OR":
+            self.advance()
+            nxt, nxt_naked = self.parse_iand()
+            naked = naked or nxt_naked
+            operands.append(nxt)
+        if len(operands) == 1:
+            return first, naked
+        return Or(tuple(operands)), naked
+
+    def parse_iand(self) -> tuple[Expr, bool]:
+        first = self.parse_and()
+        operands = [first]
+        while self.head.kind == "IAND":
+            self.advance()
+            operands.append(self.parse_and())
+        if len(operands) == 1:
+            return first, False
+        return iand_chain(operands), True
+
+    def parse_and(self) -> Expr:
+        first = self.parse_not()
+        operands = [first]
+        while self.head.kind == "AND":
+            self.advance()
+            operands.append(self.parse_not())
+        if len(operands) == 1:
+            return first
+        return And(tuple(operands))
+
+    def parse_not(self) -> Expr:
+        if self.head.kind == "NOT":
+            self.advance()
+            return Not(self.parse_not())
+        return self.parse_atom()
+
+    def parse_atom(self) -> Expr:
+        tok = self.advance()
+        match tok.kind:
+            case "ZERO":
+                return FALSE
+            case "ONE":
+                return TRUE
+            case "NAME":
+                return Var(tok.text)
+            case "LPAREN":
+                inner, _ = self.parse_imply()
+                closing = self.advance()
+                if closing.kind != "RPAREN":
+                    raise ParseError("expected ')'", closing.position)
+                return inner
+            case "RPAREN":
+                raise ParseError("unmatched ')'", tok.position)
+            case "EOF":
+                raise ParseError("unexpected end of input", tok.position)
+        raise ParseError(f"unexpected token {tok.text!r}", tok.position)
+
+
+def reference_parse(text: str) -> Expr:
+    """``parse`` by a character-by-character tokenizer and a descent that
+    recurses once per ``!``."""
+    parser = _Parser(_tokenize(text))
+    expr, _ = parser.parse_imply()
+    if parser.head.kind != "EOF":
+        raise ParseError(
+            f"trailing input {parser.head.text!r}", parser.head.position
+        )
+    return expr

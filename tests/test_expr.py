@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import pytest
 from hypothesis import given
+from hypothesis import strategies as st
 
 from asymlogic.expr import (
     And,
@@ -32,7 +33,12 @@ from asymlogic.expr import (
 from asymlogic.errors import ArityError
 from asymlogic.parser import parse
 
-from .strategies import expressions
+from .helpers import reference_normalize_not
+from .strategies import (
+    expressions,
+    noi_exprs_with_constants,
+    soi_exprs_with_constants,
+)
 
 A, B, C, D = Var("A"), Var("B"), Var("C"), Var("D")
 
@@ -109,6 +115,24 @@ class TestNormalization:
         assert normalize_not(Not(Const(0))) == Const(1)
         assert normalize_not(Not(Not(Not(A)))) == Not(A)
         assert normalize_not(Or((Not(Not(A)), B))) == Or((A, B))
+
+    def test_unchanged_subtrees_are_kept(self):
+        kept = IandChain((A, Not(B)))
+        e = Or((Not(Not(C)), kept))
+        out = normalize_not(e)
+        assert out == Or((C, kept)) and out.children[1] is kept
+        normal = Not(And((kept, ImplyChain((Not(A), Const(1))))))
+        assert normalize_not(normal) is normal
+
+    @given(st.one_of(
+        expressions(), soi_exprs_with_constants, noi_exprs_with_constants
+    ))
+    def test_matches_rebuild_always_reference(self, e):
+        normal = reference_normalize_not(e)
+        assert normalize_not(e) == normal
+        # the reference builds a fresh tree with no !! and no negated
+        # constant, which comes back as the same object
+        assert normalize_not(normal) is normal
 
     def test_counts(self):
         e = Or((IandChain((A, Not(B))), C))

@@ -6,6 +6,7 @@ import random
 import subprocess
 import sys
 import textwrap
+from dataclasses import replace
 from itertools import product
 from pathlib import Path
 
@@ -400,13 +401,14 @@ class TestOracleCatchesWrongSchedules:
 
     @pytest.fixture(params=[_drop_last, _retarget])
     def mutate(self, request, monkeypatch):
-        real = memristor._allocate
+        real = memristor._lower
 
-        def wrong(steps, nin, output):
-            phys, nregs, out = real(steps, nin, output)
-            return request.param(phys, nin), nregs, out
+        def wrong(e, peephole):
+            prog = real(e, peephole)
+            steps = request.param(list(prog.steps), len(prog.bindings))
+            return replace(prog, steps=tuple(steps))
 
-        monkeypatch.setattr(memristor, "_allocate", wrong)
+        monkeypatch.setattr(memristor, "_lower", wrong)
 
     @pytest.mark.parametrize("form", [minimized_noi, noi_from_tt])
     @pytest.mark.parametrize("table", [CARRY, SUM], ids=["carry", "sum"])
@@ -430,11 +432,12 @@ class TestOracleCatchesWrongSchedules:
             from asymlogic.cli import main
             if __debug__:
                 sys.exit(9)
-            real = memristor._allocate
-            def dropping(steps, nin, output):
-                phys, nregs, out = real(steps, nin, output)
-                return phys[:-1], nregs, out
-            memristor._allocate = dropping
+            from dataclasses import replace
+            real = memristor._lower
+            def dropping(e, peephole):
+                prog = real(e, peephole)
+                return replace(prog, steps=prog.steps[:-1])
+            memristor._lower = dropping
             sys.exit(main(["compile", "--target", "memristor",
                            "!((A -> !B) & (A -> !C) & (B -> !C))"]))
             """

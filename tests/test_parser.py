@@ -5,7 +5,8 @@ from __future__ import annotations
 import re
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from asymlogic.errors import ParseError
 from asymlogic.expr import (
@@ -20,6 +21,7 @@ from asymlogic.expr import (
 )
 from asymlogic.parser import parse
 
+from .helpers import reference_parse
 from .strategies import expressions
 
 A, B, C, D = Var("A"), Var("B"), Var("C"), Var("D")
@@ -133,3 +135,43 @@ class TestRoundTrip:
 
     def test_whitespace_insensitivity(self):
         assert parse("A@B|!C") == parse(" A  @ B |  ! C ")
+
+
+# Operators, a lone '-', digits next to names, ASCII and Unicode spaces, and
+# Unicode letters, digits and numerics: each hits a different tokenizer path.
+_PIECES = (
+    "!", "!!", "&", "@", "|", "(", ")", "->", "-", ">", "$",
+    "0", "1", "A", "b_2", "_x", " ", "\t", "\u00a0",
+    "\u00e9", "\uff41", "\u00b2", "\u0663", "\u00bd",
+)
+
+
+def _outcome(parser, text):
+    """The tree, or the error's type, message and position."""
+    try:
+        return parser(text)
+    except Exception as exc:  # the error itself is the outcome compared
+        return type(exc), str(exc), getattr(exc, "position", None)
+
+
+class TestMatchesReference:
+    """The regex tokenizer and loop descent against a copy of the
+    character-by-character tokenizer and the descent they replaced."""
+
+    @pytest.mark.parametrize("text", [
+        "0A", "1_", "01", "A - B", "A -", "A\u00a0&\tB", "\u00e9 & A",
+        "\uff41", "A & \u00b2", "\u0663x", "A | \u00bd", "\u00bdA",
+        "A0 @ B", "!!!(A)", "!", ")", "(A", "A ->",
+    ])
+    def test_edge_cases(self, text):
+        assert _outcome(parse, text) == _outcome(reference_parse, text)
+
+    @settings(max_examples=1000)
+    @given(st.lists(st.sampled_from(_PIECES), max_size=16).map("".join))
+    def test_piece_strings(self, text):
+        assert _outcome(parse, text) == _outcome(reference_parse, text)
+
+    @given(expressions())
+    def test_formatted_expressions(self, e):
+        text = format_expr(e)
+        assert parse(text) == reference_parse(text)
