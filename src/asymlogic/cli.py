@@ -223,9 +223,14 @@ def _cmd_minimize(args: argparse.Namespace) -> _Output:
 
 
 def _build_memristor(args: argparse.Namespace):
+    """The program, and the input order that ``--inputs`` reads: the table
+    file's header, or first appearance in the expression, which is also
+    the order of the program's bindings."""
     if args.table_file is not None:
-        return compile_noi(minimized_noi(_source_table(args)))
-    return compile_noi(_source_expr(args))
+        t = _source_table(args)
+        return compile_noi(minimized_noi(t)), t.variables
+    program = compile_noi(_source_expr(args))
+    return program, tuple(n for n, _ in program.bindings)
 
 
 def _build_spindiode(args: argparse.Namespace):
@@ -237,7 +242,7 @@ def _build_spindiode(args: argparse.Namespace):
 
 def _cmd_compile(args: argparse.Namespace) -> _Output:
     if args.target == "memristor":
-        program = _build_memristor(args)
+        program, _ = _build_memristor(args)
         return (
             0,
             lambda: [{
@@ -273,8 +278,7 @@ def _bits_assignment(names: tuple[str, ...], bits: str) -> dict[str, int]:
 
 def _cmd_simulate(args: argparse.Namespace) -> _Output:
     if args.target == "memristor":
-        program = _build_memristor(args)
-        names = tuple(n for n, _ in program.bindings)
+        program, names = _build_memristor(args)
         result = simulate(program, _bits_assignment(names, args.inputs))
         return (
             0,
@@ -352,7 +356,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--target", choices=("memristor", "spindiode"),
                    required=True)
     p.add_argument("--inputs", required=True,
-                   help="one bit per input, in binding order")
+                   help="one bit per input: in the table file's column order, "
+                   "or in first-appearance order for an expression")
     _add_source(p)
     p.set_defaults(func=_cmd_simulate)
 

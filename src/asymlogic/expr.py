@@ -169,19 +169,13 @@ def rebuild(e: Expr, kids: tuple[Expr, ...]) -> Expr:
     Structural edit only: chain constructors' flattening is deliberately
     not applied, so rewrites never silently change pairing.
     """
-    match e:
-        case Const() | Var():
-            return e
-        case Not():
-            return Not(kids[0])
-        case And():
-            return And(kids)
-        case Or():
-            return Or(kids)
-        case IandChain():
-            return IandChain(kids)
-        case ImplyChain():
-            return ImplyChain(kids)
+    t = type(e)
+    if t is Var or t is Const:
+        return e
+    if t is Not:
+        return Not(kids[0])
+    if t is And or t is Or or t is IandChain or t is ImplyChain:
+        return t(kids)
     raise TypeError(f"expr: not an expression node: {e!r}")
 
 
@@ -295,25 +289,23 @@ def format_expr(e: Expr) -> str:
     return _fmt(e, 0)
 
 
+# the operator between the children of each n-ary node but ImplyChain
+_SEPARATOR: dict[type, str] = {Or: " | ", IandChain: " @ ", And: " & "}
+
+
 def _fmt(e: Expr, min_level: int) -> str:
-    level = _LEVEL[type(e)]
-    match e:
-        case Const(v):
-            text = str(v)
-        case Var(name):
-            text = name
-        case Not(child):
-            text = "!" + _fmt(child, 50)
-        case And(kids):
-            text = " & ".join(_fmt(c, 41) for c in kids)
-        case Or(kids):
-            text = " | ".join(_fmt(c, 21) for c in kids)
-        case IandChain(ops):
-            text = " @ ".join(_fmt(c, 31) for c in ops)
-        case ImplyChain(ops):
-            text = " -> ".join(_fmt_imply_operand(c) for c in ops)
-        case _:
-            raise TypeError(f"expr: not an expression node: {e!r}")
+    t = type(e)
+    level = _LEVEL[t]
+    if t is Var:
+        text = e.name
+    elif t is Const:
+        text = str(e.value)
+    elif t is Not:
+        text = "!" + _fmt(e.child, level)
+    elif t is ImplyChain:
+        text = " -> ".join(_fmt_imply_operand(c) for c in e.operands)
+    else:
+        text = _SEPARATOR[t].join(_fmt(c, level + 1) for c in children(e))
     if level < min_level:
         return f"({text})"
     return text

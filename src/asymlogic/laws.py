@@ -12,6 +12,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from functools import cache
+from itertools import repeat
 
 from .errors import NoMatchError, ShapeError
 from .expr import (
@@ -33,6 +34,7 @@ from .expr import (
     literal_count,
     normalize_not,
     operator_count,
+    rebuild,
     replace_at,
     subexpr_at,
     variables,
@@ -390,29 +392,20 @@ def match_pattern(pattern: Expr, subject: Expr) -> dict[str, Expr] | None:
 
 
 def _match(pattern: Expr, subject: Expr, binding: dict[str, Expr]) -> bool:
-    match pattern:
-        case Var(name):
-            return _bind(name, subject, binding)
-        case Const(v):
-            return isinstance(subject, Const) and subject.value == v
-        case Not(inner):
-            if isinstance(subject, Not):
-                return _match(inner, subject.child, binding)
-            if isinstance(inner, Var):
-                return _bind(inner.name, normalize_not(Not(subject)), binding)
-            return False
-        case And(pk) | Or(pk) | IandChain(pk) | ImplyChain(pk):
-            if type(subject) is not type(pattern):
-                return False
-            sk = (
-                subject.children
-                if type(subject) in (And, Or)
-                else subject.operands
-            )
-            return len(sk) == len(pk) and all(
-                _match(p, s, binding) for p, s in zip(pk, sk)
-            )
-    return False
+    t = type(pattern)
+    if t is Var:
+        return _bind(pattern.name, subject, binding)
+    if type(subject) is not t:
+        return (
+            t is Not
+            and type(pattern.child) is Var
+            and _bind(pattern.child.name, normalize_not(Not(subject)), binding)
+        )
+    if t is Const:
+        return subject.value == pattern.value
+    pk = children(pattern)
+    sk = children(subject)
+    return len(pk) == len(sk) and all(map(_match, pk, sk, repeat(binding)))
 
 
 def _bind(name: str, value: Expr, binding: dict[str, Expr]) -> bool:
@@ -424,22 +417,15 @@ def _bind(name: str, value: Expr, binding: dict[str, Expr]) -> bool:
 
 
 def substitute(pattern: Expr, binding: dict[str, Expr]) -> Expr:
-    match pattern:
-        case Var(name):
-            return binding[name]
-        case Const():
-            return pattern
-        case Not(inner):
-            return Not(substitute(inner, binding))
-        case And(kids):
-            return And(tuple(substitute(k, binding) for k in kids))
-        case Or(kids):
-            return Or(tuple(substitute(k, binding) for k in kids))
-        case IandChain(ops):
-            return iand_chain([substitute(k, binding) for k in ops])
-        case ImplyChain(ops):
-            return imply_chain([substitute(k, binding) for k in ops])
-    raise TypeError(f"laws: not a pattern node: {pattern!r}")
+    t = type(pattern)
+    if t is Var:
+        return binding[pattern.name]
+    kids = tuple(substitute(k, binding) for k in children(pattern))
+    if t is IandChain:
+        return iand_chain(kids)
+    if t is ImplyChain:
+        return imply_chain(kids)
+    return rebuild(pattern, kids)
 
 
 def rewrite_once(e: Expr, rule: Rule, position: Path) -> Expr:
@@ -604,26 +590,25 @@ def dual(e: Expr) -> Expr:
 
 
 def _dual(e: Expr) -> Expr:
-    match e:
-        case Const(v):
-            return Const(1 - v)
-        case Var():
-            return e
-        case Not(child):
-            return normalize_not(Not(_dual(child)))
-        case And(kids):
-            return Or(tuple(_dual(k) for k in kids))
-        case Or(kids):
-            return And(tuple(_dual(k) for k in kids))
-        case IandChain(ops):
-            first = _dual(ops[0])
-            rest = (normalize_not(Not(_dual(x))) for x in ops[1:])
-            return Or((first, *rest))
-        case ImplyChain(ops):
-            front = (normalize_not(Not(_dual(x))) for x in ops[:-1])
-            last = _dual(ops[-1])
-            return And((*front, last))
-    raise TypeError(f"laws: not an expression node: {e!r}")
+    t = type(e)
+    if t is Const:
+        return Const(1 - e.value)
+    if t is Var:
+        return e
+    kids = [_dual(k) for k in children(e)]
+    # complement the operands a chain inverts: all but the first of an
+    # IAND chain, all but the last of an IMPLY chain, the child of a Not
+    if t is IandChain:
+        kids[1:] = map(_complement, kids[1:])
+    elif t is ImplyChain:
+        kids[:-1] = map(_complement, kids[:-1])
+    elif t is Not:
+        return _complement(kids[0])
+    return (Or if t is And or t is IandChain else And)(tuple(kids))
+
+
+def _complement(e: Expr) -> Expr:
+    return normalize_not(Not(e))
 
 
 def demorgan_dual_expr(e: Expr) -> Expr:
@@ -633,11 +618,11 @@ def demorgan_dual_expr(e: Expr) -> Expr:
     reversed order, which is exactly the table-level operand-reversing dual
     when the operands are distinct variables.
     """
-    match e:
-        case IandChain(ops):
-            return ImplyChain(ops)
-        case ImplyChain(ops):
-            return IandChain(ops)
+    t = type(e)
+    if t is IandChain:
+        return ImplyChain(e.operands)
+    if t is ImplyChain:
+        return IandChain(e.operands)
     raise ShapeError(
         "laws: demorgan_dual_expr expects an IAND or IMPLY chain, got "
         f"{type(e).__name__}"

@@ -236,17 +236,17 @@ def minimum_cover(
     Objective: least total literal count, then fewest cubes, then the
     lexicographically least tuple of cube encodings.  Essential primes
     (sole cover of some row) are taken first and recorded in the trace.
-    Row sets are int masks, bit ``r`` for row ``r``.  A search that would
-    visit more than ``MAX_COVER_NODES`` nodes raises ``CapacityError``.
+    Row sets are int masks, bit ``r`` for row ``r``.  An ON row outside
+    ``[0, 2**n)`` raises ``ValueError``, as in ``prime_implicants``.  A
+    search that would visit more than ``MAX_COVER_NODES`` nodes raises
+    ``CapacityError``.
     """
     cubes = list(primes.cubes)
     masks = [_rows(q) for q in cubes]
     trace: list[str] = []
     chosen: list[Cube] = []
 
-    uncovered = 0
-    for r in set(onset):
-        uncovered |= 1 << r
+    uncovered = _row_mask(onset, len(primes.variables), "ON")
     once = twice = 0
     for m in masks:
         twice |= once & m

@@ -22,7 +22,12 @@ dash set over the table's mask and sorts int cubes.  The parser's reference
 tokenizes character by character into one token object each, where the
 production parser splits the text with one regex into parallel lists, and
 the ``normalize_not`` reference rebuilds every node, where the production
-code returns unchanged subtrees as they are.
+code returns unchanged subtrees as they are.  The pattern matcher,
+``substitute``, ``rebuild``, ``replace_at``, the structural dual and the
+printer are copies with one class-pattern ``match`` arm per node type,
+where the production walks dispatch through ``children`` and ``rebuild``;
+the simplifier's reference matches, substitutes and replaces with these
+copies.
 """
 
 from __future__ import annotations
@@ -42,6 +47,7 @@ from asymlogic.expr import (
     ImplyChain,
     Not,
     Or,
+    NoPathError,
     Path,
     Var,
     children,
@@ -51,8 +57,6 @@ from asymlogic.expr import (
     literal_count,
     normalize_not,
     operator_count,
-    rebuild,
-    replace_at,
     variables,
 )
 from asymlogic.canon import complement, noi_products
@@ -62,8 +66,6 @@ from asymlogic.laws import (
     SimplifyStep,
     catalog,
     classical_rules,
-    match_pattern,
-    substitute,
 )
 from asymlogic.errors import CapacityError, EvaluationError, ParseError
 from asymlogic.memristor import (
@@ -499,11 +501,13 @@ def reference_simplify(
         best: tuple[tuple, Rule, Path, Expr] | None = None
         for path, node in iter_subexpressions(current):
             for rule in rules:
-                binding = match_pattern(rule.lhs, node)
+                binding = reference_match_pattern(rule.lhs, node)
                 if binding is None:
                     continue
                 candidate = normalize_not(
-                    replace_at(current, path, substitute(rule.rhs, binding))
+                    reference_replace_at(
+                        current, path, reference_substitute(rule.rhs, binding)
+                    )
                 )
                 lits = literal_count(candidate)
                 if lits >= base:
@@ -590,7 +594,196 @@ def reference_normalize_not(e: Expr) -> Expr:
         return Not(inner)
     if isinstance(e, (Const, Var)):
         return e
-    return rebuild(e, tuple(reference_normalize_not(c) for c in children(e)))
+    return reference_rebuild(
+        e, tuple(reference_normalize_not(c) for c in children(e))
+    )
+
+
+# --- the per-type ``match`` walks that expr and laws used to hold ----------
+
+
+def reference_rebuild(e: Expr, kids: tuple[Expr, ...]) -> Expr:
+    """Reconstruct a node of the same kind around new children.
+
+    Structural edit only: chain constructors' flattening is deliberately
+    not applied, so rewrites never silently change pairing.
+    """
+    match e:
+        case Const() | Var():
+            return e
+        case Not():
+            return Not(kids[0])
+        case And():
+            return And(kids)
+        case Or():
+            return Or(kids)
+        case IandChain():
+            return IandChain(kids)
+        case ImplyChain():
+            return ImplyChain(kids)
+    raise TypeError(f"expr: not an expression node: {e!r}")
+
+
+def reference_replace_at(e: Expr, path: Path, replacement: Expr) -> Expr:
+    if not path:
+        return replacement
+    kids = list(children(e))
+    i = path[0]
+    if not 0 <= i < len(kids):
+        raise NoPathError(path, e)
+    kids[i] = reference_replace_at(kids[i], path[1:], replacement)
+    return reference_rebuild(e, tuple(kids))
+
+
+# Printing precedence, loosest binding first.  These match the concrete
+# grammar in parser.py: ! > & > @ > | > ->
+_LEVEL: dict[type, int] = {
+    ImplyChain: 10,
+    Or: 20,
+    IandChain: 30,
+    And: 40,
+    Not: 50,
+    Var: 60,
+    Const: 60,
+}
+
+
+def reference_format_expr(e: Expr) -> str:
+    """``format_expr`` by one class-pattern arm per node type."""
+    return _fmt(e, 0)
+
+
+def _fmt(e: Expr, min_level: int) -> str:
+    level = _LEVEL[type(e)]
+    match e:
+        case Const(v):
+            text = str(v)
+        case Var(name):
+            text = name
+        case Not(child):
+            text = "!" + _fmt(child, 50)
+        case And(kids):
+            text = " & ".join(_fmt(c, 41) for c in kids)
+        case Or(kids):
+            text = " | ".join(_fmt(c, 21) for c in kids)
+        case IandChain(ops):
+            text = " @ ".join(_fmt(c, 31) for c in ops)
+        case ImplyChain(ops):
+            text = " -> ".join(_fmt_imply_operand(c) for c in ops)
+        case _:
+            raise TypeError(f"expr: not an expression node: {e!r}")
+    if level < min_level:
+        return f"({text})"
+    return text
+
+
+def _fmt_imply_operand(c: Expr) -> str:
+    # '@' and '->' may not mix at one nesting level, so an operand that
+    # would otherwise print a bare '@' (an IAND chain, possibly under a
+    # bare OR) is parenthesized even though '@' binds tighter.
+    if _prints_bare_iand(c):
+        return f"({_fmt(c, 0)})"
+    return _fmt(c, 11)
+
+
+def _prints_bare_iand(c: Expr) -> bool:
+    if isinstance(c, IandChain):
+        return True
+    if isinstance(c, Or):
+        return any(isinstance(k, IandChain) for k in c.children)
+    return False
+
+
+def reference_match_pattern(
+    pattern: Expr, subject: Expr
+) -> dict[str, Expr] | None:
+    """Match a metavariable pattern against a subject expression.
+
+    Returns the binding on success, None otherwise.  A negated bare
+    metavariable may bind to the complement of a non-negated subject, so
+    e.g. ``A @ !A`` matches ``!p @ p`` with ``A = !p``.
+    """
+    binding: dict[str, Expr] = {}
+    if _match(pattern, subject, binding):
+        return binding
+    return None
+
+
+def _match(pattern: Expr, subject: Expr, binding: dict[str, Expr]) -> bool:
+    match pattern:
+        case Var(name):
+            return _bind(name, subject, binding)
+        case Const(v):
+            return isinstance(subject, Const) and subject.value == v
+        case Not(inner):
+            if isinstance(subject, Not):
+                return _match(inner, subject.child, binding)
+            if isinstance(inner, Var):
+                return _bind(inner.name, normalize_not(Not(subject)), binding)
+            return False
+        case And(pk) | Or(pk) | IandChain(pk) | ImplyChain(pk):
+            if type(subject) is not type(pattern):
+                return False
+            sk = (
+                subject.children
+                if type(subject) in (And, Or)
+                else subject.operands
+            )
+            return len(sk) == len(pk) and all(
+                _match(p, s, binding) for p, s in zip(pk, sk)
+            )
+    return False
+
+
+def _bind(name: str, value: Expr, binding: dict[str, Expr]) -> bool:
+    seen = binding.get(name)
+    if seen is None:
+        binding[name] = value
+        return True
+    return seen == value
+
+
+def reference_substitute(pattern: Expr, binding: dict[str, Expr]) -> Expr:
+    match pattern:
+        case Var(name):
+            return binding[name]
+        case Const():
+            return pattern
+        case Not(inner):
+            return Not(reference_substitute(inner, binding))
+        case And(kids):
+            return And(tuple(reference_substitute(k, binding) for k in kids))
+        case Or(kids):
+            return Or(tuple(reference_substitute(k, binding) for k in kids))
+        case IandChain(ops):
+            return iand_chain([reference_substitute(k, binding) for k in ops])
+        case ImplyChain(ops):
+            return imply_chain([reference_substitute(k, binding) for k in ops])
+    raise TypeError(f"laws: not a pattern node: {pattern!r}")
+
+
+def reference_dual(e: Expr) -> Expr:
+    """``laws._dual`` by one class-pattern arm per node type."""
+    match e:
+        case Const(v):
+            return Const(1 - v)
+        case Var():
+            return e
+        case Not(child):
+            return normalize_not(Not(reference_dual(child)))
+        case And(kids):
+            return Or(tuple(reference_dual(k) for k in kids))
+        case Or(kids):
+            return And(tuple(reference_dual(k) for k in kids))
+        case IandChain(ops):
+            first = reference_dual(ops[0])
+            rest = (normalize_not(Not(reference_dual(x))) for x in ops[1:])
+            return Or((first, *rest))
+        case ImplyChain(ops):
+            front = (normalize_not(Not(reference_dual(x))) for x in ops[:-1])
+            last = reference_dual(ops[-1])
+            return And((*front, last))
+    raise TypeError(f"laws: not an expression node: {e!r}")
 
 
 _MIX_HINT = (

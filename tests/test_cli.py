@@ -264,13 +264,26 @@ class TestSimulate:
         assert code == 0 and out == f"output {want}\n"
 
     def test_memristor_binding_order(self, capsys, carry_file):
-        # table input compiles the reduced form; bits follow its binding
-        # order (B, C, A), which the majority function cannot distinguish
+        # table input compiles the reduced form, which binds (B, C, A);
+        # the bits still follow the table header (A, B, C)
         code, out, _ = run(
             capsys, "simulate", "--target", "memristor",
             "--table-file", carry_file, "--inputs", "110",
         )
         assert code == 0 and out == "output 1\n"
+
+    @pytest.mark.parametrize("target", ["memristor", "spindiode"])
+    def test_table_rows_in_header_order(self, capsys, tmp_path, target):
+        # not symmetric in its inputs: the memristor binds (B, A, C), and
+        # reading "100" in that order gives row 2 (1) instead of row 4 (0)
+        path = tmp_path / "f.tbl"
+        path.write_text("A B C\n00110111\n")
+        for row, want in enumerate("00110111"):
+            code, out, _ = run(
+                capsys, "simulate", "--target", target, "--table-file",
+                str(path), "--inputs", format(row, "03b"),
+            )
+            assert code == 0 and out == f"output {want}\n", row
 
     def test_memristor_structured_trace(self, capsys):
         _, out, _ = run(

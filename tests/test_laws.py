@@ -24,6 +24,7 @@ from asymlogic.expr import (
     iter_subexpressions,
     literal_count,
     normalize_not,
+    replace_at,
     variables,
 )
 from asymlogic.laws import (
@@ -50,7 +51,16 @@ from asymlogic.semantics import (
     truth_table,
 )
 
-from .helpers import assignments, naive_eval, reference_simplify
+from .helpers import (
+    assignments,
+    naive_eval,
+    reference_dual,
+    reference_format_expr,
+    reference_match_pattern,
+    reference_replace_at,
+    reference_simplify,
+    reference_substitute,
+)
 from .strategies import (
     expressions,
     noi_exprs_with_constants,
@@ -447,6 +457,39 @@ class TestDual:
     def test_beyond_table_cap(self):
         e = Or(tuple(Var(f"x{i}") for i in range(30)))
         assert dual(e) == And(e.children)
+
+
+_ALL_RULES = catalog() + classical_rules()
+_TREES = st.one_of(
+    expressions(), soi_exprs_with_constants, noi_exprs_with_constants
+)
+
+
+class TestTreeWalksMatchReference:
+    """The ``children``/``rebuild`` walks against copies of the per-type
+    ``match`` code they replaced."""
+
+    @given(_TREES)
+    def test_format_and_dual(self, e):
+        assert format_expr(e) == reference_format_expr(e)
+        d = dual(e)
+        assert d == reference_dual(e)
+        assert format_expr(d) == reference_format_expr(reference_dual(e))
+
+    @settings(deadline=None)
+    @given(_TREES)
+    def test_every_rule_at_every_subtree(self, e):
+        for path, node in iter_subexpressions(e):
+            for rule in _ALL_RULES:
+                binding = match_pattern(rule.lhs, node)
+                assert binding == reference_match_pattern(rule.lhs, node)
+                if binding is None:
+                    continue
+                new = substitute(rule.rhs, binding)
+                assert new == reference_substitute(rule.rhs, binding)
+                assert replace_at(e, path, new) == reference_replace_at(
+                    e, path, new
+                )
 
 
 class TestDemorganDualExpr:

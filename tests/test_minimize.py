@@ -268,6 +268,14 @@ class TestMinimumCover:
         with pytest.raises(ValueError):
             minimum_cover(primes, [0, 3])
 
+    @pytest.mark.parametrize("row", [-1, 4, 9])
+    def test_out_of_range_row_raises(self, row):
+        primes = prime_implicants([1, 2], n=2)
+        with pytest.raises(
+            ValueError, match=f"ON row {row} out of range for n=2"
+        ):
+            minimum_cover(primes, [row])
+
     def test_degenerate_constant_one(self):
         t = TruthTable(("A", "B"), (1, 1, 1, 1))
         _, cover = minimize_table(t)

@@ -90,6 +90,21 @@ class TestTruthTable:
         with pytest.raises(EvaluationError):
             evaluate(A, {})
 
+    @pytest.mark.parametrize(
+        "e, env",
+        [
+            (Not(A), {"A": 2}),
+            (ImplyChain((A, B)), {"A": 0, "B": -1}),
+            (And((A, B)), {"A": 1, "B": 3}),
+        ],
+    )
+    def test_non_bit_value(self, e, env):
+        with pytest.raises(EvaluationError, match="must be 0 or 1"):
+            evaluate(e, env)
+
+    def test_unread_variable_is_not_checked(self):
+        assert evaluate(A, {"A": 1, "Z": 7}) == 1
+
     def test_validation(self):
         with pytest.raises(ValueError):
             TruthTable(("A",), (0,))  # wrong length
