@@ -67,11 +67,14 @@ def complement(x: Expr) -> Expr:
     raise ShapeError(f"canon: expected a literal, got {t.__name__}")
 
 
-def _minterm_literals(names: tuple[str, ...], row: int) -> Product:
+def literals(names: tuple[str, ...], value: int, care: int) -> Product:
+    """A cube's literals: each of ``names`` (the first is the MSB) whose
+    ``care`` bit is set, complemented where its ``value`` bit is clear.
+    A minterm cares for every variable: ``care = -1``."""
     n = len(names)
     return tuple(
-        Var(name) if (row >> (n - 1 - i)) & 1 else Not(Var(name))
-        for i, name in enumerate(names)
+        Var(name) if value >> (n - 1 - i) & 1 else Not(Var(name))
+        for i, name in enumerate(names) if care >> (n - 1 - i) & 1
     )
 
 
@@ -186,7 +189,7 @@ def _require_vars(t: TruthTable, what: str) -> None:
 
 
 def _minterms(t: TruthTable) -> tuple[Product, ...]:
-    return tuple(_minterm_literals(t.variables, r) for r in rows_of(t.mask))
+    return tuple(literals(t.variables, r, -1) for r in rows_of(t.mask))
 
 
 def soi_from_tt(t: TruthTable) -> Expr:
@@ -225,17 +228,13 @@ def noi_to_soi(e: Expr) -> Expr:
 
 def _maxterm_sum(names: tuple[str, ...], row: int) -> Expr:
     """Full-support sum that is false exactly at ``row``."""
-    n = len(names)
-    lits = tuple(
-        Not(Var(name)) if (row >> (n - 1 - i)) & 1 else Var(name)
-        for i, name in enumerate(names)
-    )
+    lits = tuple(map(complement, literals(names, row, -1)))
     return lits[0] if len(lits) == 1 else Or(lits)
 
 
 def _minterm_nand(names: tuple[str, ...], row: int) -> Expr:
     """Negated full-support product that is false exactly at ``row``."""
-    lits = _minterm_literals(names, row)
+    lits = literals(names, row, -1)
     body = lits[0] if len(lits) == 1 else And(lits)
     return normalize_not(Not(body))
 

@@ -27,6 +27,7 @@ import os
 import sys
 from typing import Callable
 
+from . import memristor, spindiode
 from .canon import (
     Unsupported,
     ion_from_tt,
@@ -61,13 +62,7 @@ from .memristor import (
     step_count,
     step_text,
 )
-from .minimize import (
-    cover_form,
-    cover_text,
-    minimize_table,
-    minimized_noi,
-    minimized_soi,
-)
+from .minimize import cover_form, cover_text, minimize_table
 from .parser import parse
 from .semantics import TruthTable, equivalent, truth_table
 from .spindiode import (
@@ -225,10 +220,14 @@ def _cmd_minimize(args: argparse.Namespace) -> _Output:
 def _build_memristor(args: argparse.Namespace):
     """The program, and the input order that ``--inputs`` reads: the table
     file's header, or first appearance in the expression, which is also
-    the order of the program's bindings."""
+    the order of the program's bindings.  A table's program binds the
+    inputs of its minimum cover's products in first-appearance order."""
     if args.table_file is not None:
         t = _source_table(args)
-        return compile_noi(minimized_noi(t)), t.variables
+        products = minimize_table(t)[1].products(t.variables)
+        names = tuple(dict.fromkeys(
+            v for p in products for x in p for v in variables(x)))
+        return memristor._compile(names, products, t, True), t.variables
     program = compile_noi(_source_expr(args))
     return program, tuple(n for n, _ in program.bindings)
 
@@ -236,7 +235,8 @@ def _build_memristor(args: argparse.Namespace):
 def _build_spindiode(args: argparse.Namespace):
     if args.table_file is not None:
         t = _source_table(args)
-        return compile_soi(minimized_soi(t), inputs=t.variables)
+        products = minimize_table(t)[1].products(t.variables)
+        return spindiode._compile(t.variables, products, t)
     return compile_soi(_source_expr(args))
 
 

@@ -21,9 +21,9 @@ register, and a scratch register is free again right after its last read.
 Input registers are never written, so a program replays from any input
 assignment.  One loop replays it: each register holds a mask of rows
 (``semantics.columns``), ``RESET r`` clears ``r`` and ``IMPLY p, q`` sets
-``q`` to ``(full ^ p) | q``.  ``compile_noi`` runs it once over all rows
-and checks the output mask against its input expression; ``simulate`` and
-``step_semantics`` run it over the single row ``full = 1``.
+``q`` to ``(full ^ p) | q``.  The compiler runs it once over all rows and
+checks the output mask against its source, a NOI expression or a table;
+``simulate`` and ``step_semantics`` run it over the single row ``full = 1``.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Union
 
-from .canon import noi_products
+from .canon import Product, noi_products
 from .errors import CapacityError, EvaluationError
 from .expr import Expr, Not, Var, variables
 from .semantics import TruthTable, check_oracle, columns
@@ -149,16 +149,14 @@ def _replay(
             trace.append(tuple(regs))
 
 
-def _table(program: ImplyProgram) -> TruthTable:
-    """The program's output over every row of its bound inputs."""
-    n = len(program.bindings)
+def _table(program: ImplyProgram, names: tuple[str, ...]) -> TruthTable:
+    """The output over every row of ``names``, which hold the inputs."""
+    col = dict(zip(names, columns(len(names))))
     regs = [0] * program.registers
-    for (_, reg), col in zip(program.bindings, columns(n)):
-        regs[reg] = col
-    _replay(program.steps, regs, (1 << (1 << n)) - 1)
-    return TruthTable.from_mask(
-        (name for name, _ in program.bindings), regs[program.output]
-    )
+    for name, reg in program.bindings:
+        regs[reg] = col[name]
+    _replay(program.steps, regs, (1 << (1 << len(names))) - 1)
+    return TruthTable.from_mask(names, regs[program.output])
 
 
 def step_count(program: ImplyProgram) -> dict[str, int]:
@@ -200,8 +198,17 @@ def compile_noi(e: Expr, *, peephole: bool = True) -> ImplyProgram:
     ``e`` (``semantics.check_oracle``): a wrong schedule raises
     ``AssertionError``.
     """
-    program = _lower(e, peephole)
-    check_oracle(e, _table(program), "memristor")
+    return _compile(variables(e), noi_products(e), e, peephole)
+
+
+def _compile(
+    names: tuple[str, ...], products: tuple[Product, ...],
+    want: Expr | TruthTable, peephole: bool,
+) -> ImplyProgram:
+    """``_lower``'s program, replayed and checked against ``want``."""
+    program = _lower(names, products, peephole)
+    order = want.variables if isinstance(want, TruthTable) else names
+    check_oracle(want, _table(program, order), "memristor")
     return program
 
 
@@ -213,8 +220,9 @@ _IMPLIES = tuple(tuple(Imply(c, s) if c != s else None for s in _REGS)
                  for c in _REGS)
 
 
-def _lower(e: Expr, peephole: bool) -> ImplyProgram:
-    names = variables(e)
+def _lower(
+    names: tuple[str, ...], products: tuple[Product, ...], peephole: bool
+) -> ImplyProgram:
     if len(names) > MAX_COMPILE_VARS:
         raise CapacityError(
             f"memristor: {len(names)} variables exceeds the cap of "
@@ -223,8 +231,6 @@ def _lower(e: Expr, peephole: bool) -> ImplyProgram:
     nin = len(names)
     bindings = tuple((name, i) for i, name in enumerate(names))
     src_of = {name: i for i, name in enumerate(names)}
-
-    products = noi_products(e)
     match products:
         case ():
             return ImplyProgram(nin + 1, bindings, nin, (Reset(nin),))

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from typing import Iterable, Iterator
 
 from .errors import CapacityError
-from .expr import Expr, Not, Var
+from .expr import Expr
 from .semantics import (
     TruthTable,
     check_oracle,
@@ -32,7 +32,7 @@ from .semantics import (
     lowest_row,
     rows_of,
 )
-from .canon import noi_form, soi_form
+from .canon import Product, literals, noi_form, soi_form
 
 MAX_MINIMIZE_VARS = 12
 # Branch-and-bound nodes one cover search may visit.  The synth benchmark's
@@ -99,14 +99,9 @@ class Cube:
         before '0'."""
         return (self.value, self.care)
 
-    def literals(self, names: tuple[str, ...]) -> tuple[Expr, ...]:
+    def literals(self, names: tuple[str, ...]) -> Product:
         self._check_width(len(names))
-        out: list[Expr] = []
-        for i, name in enumerate(names):
-            bit = 1 << (self.width - 1 - i)
-            if self.care & bit:
-                out.append(Var(name) if self.value & bit else Not(Var(name)))
-        return tuple(out)
+        return literals(names, self.value, self.care)
 
     def _check_width(self, n: int) -> None:
         if self.width != n:
@@ -131,6 +126,10 @@ class CoverSolution:
     cubes: tuple[Cube, ...]
     cost: int  # total literal count
     trace: tuple[str, ...]
+
+    def products(self, names: tuple[str, ...]) -> tuple[Product, ...]:
+        """The cubes as products of ``names``, the table's variables."""
+        return tuple(q.literals(names) for q in self.cubes)
 
 
 def _check_size(n: int) -> None:
@@ -356,7 +355,7 @@ def minimize_table(t: TruthTable) -> tuple[PrimeImplicantSet, CoverSolution]:
 def cover_form(t: TruthTable, cover: CoverSolution, form: str) -> Expr:
     """A cover of ``t``'s ON-set as ``form`` "soi" (OR of IAND chains) or
     "noi" (NAND of IMPLY chains), checked against ``t`` by the oracle."""
-    products = tuple(q.literals(t.variables) for q in cover.cubes)
+    products = cover.products(t.variables)
     result = noi_form(products) if form == "noi" else soi_form(products)
     check_oracle(result, t, "minimize")
     return result

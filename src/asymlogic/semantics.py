@@ -263,17 +263,21 @@ def equivalent(e1: Expr, e2: Expr) -> Verdict:
     return Verdict(False, row_assignment(order, lowest_row(diff)))
 
 
-def check_oracle(result: Expr, want: Expr | TruthTable, what: str) -> None:
+def check_oracle(
+    result: Expr | TruthTable, want: Expr | TruthTable, what: str
+) -> None:
     """Raise ``AssertionError`` unless ``result`` computes ``want``.
 
-    ``want`` is a table (``result`` is tabulated over its variable order)
-    or an expression (both are compared over their unioned variables).
-    The check runs at every optimisation level, ``python -O`` included, for
-    every function up to ``MAX_TABLE_VARS`` variables; beyond the table cap
-    there is nothing to compare against and it returns without checking.
+    ``want`` is a table (a table ``result`` must equal it, an expression is
+    tabulated over its variable order) or an expression (both are compared
+    over their unioned variables).  The check runs at every optimisation
+    level, ``python -O`` included, for every function up to
+    ``MAX_TABLE_VARS`` variables; beyond the table cap there is nothing to
+    compare against and it returns without checking.
     """
     if isinstance(want, TruthTable):
-        ok = _table_masks(want.variables, result)[0] == want.mask
+        ok = (result == want if isinstance(result, TruthTable)
+              else _table_masks(want.variables, result)[0] == want.mask)
     else:
         order = _union_order(result, want)
         if len(order) > MAX_TABLE_VARS:

@@ -13,15 +13,15 @@ cells.  Gate inputs are references: ``in:<name>`` reads a primary input,
 complemented chain head or operand cost zero gates), and ``g<i>`` reads an
 earlier gate.  Gates are listed in topological order.
 
-The expression is read as a sum of products (``canon.soi_products``), which
-folds constant operands before any gate is emitted; a product ``l1 .. lk``
-becomes the cascade ``l1 IAND !l2 ... IAND !lk``.
+The compiler reads a sum of products, from an expression by
+``canon.soi_products`` (folding constant operands) or from a table's cover;
+a product ``l1 .. lk`` becomes the cascade ``l1 IAND !l2 ... IAND !lk``.
 
 One loop replays a netlist: each value is a mask of rows
 (``semantics.columns``), a tap ``!in:x`` reads ``full ^ x``, ``OR`` is
-``a | b`` and ``IAND`` is ``a & (full ^ b)``.  ``compile_soi`` runs it once
-over all rows and checks the output mask against its input expression;
-``simulate_netlist`` runs it over the single row ``full = 1``.  A
+``a | b`` and ``IAND`` is ``a & (full ^ b)``.  The compiler runs it once
+over all rows and checks the output mask against its source, an expression
+or a table; ``simulate_netlist`` runs it over the single row ``full = 1``.  A
 ``Netlist`` checks its references when it is built, so the loop reads
 only values that exist.
 """
@@ -30,7 +30,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .canon import soi_products
+from .canon import Product, soi_products
 from .errors import EvaluationError
 from .expr import Expr, Not, variables
 from .semantics import MAX_TABLE_VARS, TruthTable, check_oracle, columns
@@ -145,14 +145,20 @@ def compile_soi(e: Expr, inputs: tuple[str, ...] | None = None) -> Netlist:
             raise EvaluationError(
                 f"spindiode: inputs do not cover variables {missing}"
             )
+    return _compile(names, soi_products(e), e)
 
+
+def _compile(
+    names: tuple[str, ...], products: tuple[Product, ...],
+    want: Expr | TruthTable,
+) -> Netlist:
+    """The netlist of a sum of products, checked against ``want``."""
     gates: list[Gate] = []
 
     def emit(kind: str, in_a: str, in_b: str) -> str:
         gates.append(Gate(len(gates), kind, in_a, in_b))
         return gates[-1].ref
 
-    products = soi_products(e)
     if products in ((), ((),)):  # constant 0 or 1
         if not names:
             raise ValueError(
@@ -184,7 +190,7 @@ def compile_soi(e: Expr, inputs: tuple[str, ...] | None = None) -> Netlist:
     n = len(names)
     if n <= MAX_TABLE_VARS:
         mask = _replay(netlist, columns(n), (1 << (1 << n)) - 1)
-        check_oracle(e, TruthTable.from_mask(names, mask), "spindiode")
+        check_oracle(want, TruthTable.from_mask(names, mask), "spindiode")
     return netlist
 
 

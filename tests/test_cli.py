@@ -2,15 +2,23 @@
 
 from __future__ import annotations
 
+import argparse
+import dataclasses
 import json
+import random
 import subprocess
 import sys
+import textwrap
 from pathlib import Path
 
 import pytest
 
-from asymlogic import minimize
+from asymlogic import cli, memristor, minimize, semantics, spindiode
 from asymlogic.cli import load_table_file, main
+from asymlogic.memristor import compile_noi
+from asymlogic.minimize import minimized_noi, minimized_soi
+from asymlogic.semantics import TruthTable
+from asymlogic.spindiode import compile_soi
 
 CARRY_BITS = "00010111"
 GOLDEN_CLI = Path(__file__).parent / "golden" / "cli"
@@ -307,6 +315,147 @@ class TestSimulate:
             "--inputs", "2x",
         )
         assert code == 2 and err.startswith("error:")
+
+
+def _cube_tables(seed: int, count: int) -> list[TruthTable]:
+    """Seeded 4- to 8-variable tables, each an OR of two to five random
+    cubes, so that every cover search stays small."""
+    rng = random.Random(seed)
+    tables = []
+    for _ in range(count):
+        n = rng.randint(4, 8)
+        cubes = []
+        for _ in range(rng.randint(2, 5)):
+            care = rng.getrandbits(n) | 1 << rng.randrange(n)
+            cubes.append((rng.getrandbits(n) & care, care))
+        mask = sum(1 << r for r in range(1 << n)
+                   if any(r & c == v for v, c in cubes))
+        names = tuple(rng.sample("ABCDEFGHJK", n))
+        tables.append(TruthTable.from_mask(names, mask))
+    return tables
+
+
+class TestTableRoute:
+    """``--table-file`` hands the minimum cover's products straight to the
+    compilers, which check their result against the table itself."""
+
+    TABLES3 = [TruthTable.from_mask(("A", "B", "C"), m) for m in range(256)]
+
+    @staticmethod
+    def source(tmp_path, t: TruthTable) -> argparse.Namespace:
+        path = tmp_path / "t.tbl"
+        path.write_text(" ".join(t.variables) + "\n" + t.to_string() + "\n")
+        return argparse.Namespace(expr=None, table_file=str(path), vars=None)
+
+    @pytest.mark.parametrize(
+        "tables", [TABLES3, _cube_tables(11, 40)], ids=["all3", "cubes4-8"]
+    )
+    def test_same_program_and_netlist_as_the_expr_route(
+        self, tmp_path, tables
+    ):
+        permuted = 0
+        for t in tables:
+            args = self.source(tmp_path, t)
+            program, names = cli._build_memristor(args)
+            assert names == t.variables
+            assert program == compile_noi(minimized_noi(t)), t
+            bound = tuple(n for n, _ in program.bindings)
+            permuted += bound != tuple(v for v in t.variables if v in bound)
+            netlist = cli._build_spindiode(args)
+            assert netlist == compile_soi(minimized_soi(t),
+                                          inputs=t.variables), t
+        if tables is self.TABLES3:
+            # binding in header order would fail these: 145 tables, 136 of
+            # them over all three inputs (e.g. 11001000 binds B, C, A)
+            assert permuted == 145
+
+    @pytest.mark.parametrize("target", ["memristor", "spindiode"])
+    def test_simulate_agrees_on_every_row(self, capsys, tmp_path, target):
+        for t in self.TABLES3:
+            path = self.source(tmp_path, t).table_file
+            for row, want in enumerate(t.to_string()):
+                code, out, _ = run(
+                    capsys, "simulate", "--target", target, "--table-file",
+                    path, "--inputs", format(row, "03b"),
+                )
+                assert (code, out) == (0, f"output {want}\n"), (t, row)
+
+    def test_evaluates_no_expression(self, capsys, carry_file, monkeypatch):
+        def forbidden(*args, **kwargs):
+            raise RuntimeError("the table route built or read an Expr")
+
+        monkeypatch.setattr(semantics, "_eval", forbidden)
+        monkeypatch.setattr(memristor, "noi_products", forbidden)
+        monkeypatch.setattr(spindiode, "soi_products", forbidden)
+        monkeypatch.setattr(cli, "cover_form", forbidden)
+        for target in ("memristor", "spindiode"):
+            code, _, err = run(
+                capsys, "compile", "--target", target,
+                "--table-file", carry_file,
+            )
+            assert code == 0, err
+            code, out, err = run(
+                capsys, "simulate", "--target", target,
+                "--table-file", carry_file, "--inputs", "110",
+            )
+            assert (code, out) == (0, "output 1\n"), err
+
+
+class TestTableRouteOracle:
+    """A wrong cover reaches the compilers unchecked, and each compiler's
+    check against the table stops it: an ``AssertionError`` naming the
+    compiler (CLI exit 3), with or without ``python -O``."""
+
+    @pytest.fixture()
+    def drop_a_cube(self, monkeypatch):
+        real = minimize.minimum_cover
+
+        def dropping(primes, onset):
+            cover = real(primes, onset)
+            return dataclasses.replace(cover, cubes=cover.cubes[1:])
+
+        monkeypatch.setattr(minimize, "minimum_cover", dropping)
+
+    @pytest.mark.parametrize("target", ["memristor", "spindiode"])
+    def test_compiler_raises(self, drop_a_cube, carry_file, target):
+        args = argparse.Namespace(expr=None, table_file=carry_file, vars=None)
+        build = getattr(cli, f"_build_{target}")
+        with pytest.raises(AssertionError, match=target):
+            build(args)
+
+    @pytest.mark.parametrize("target", ["memristor", "spindiode"])
+    def test_cli_exits_3(self, drop_a_cube, capsys, carry_file, target):
+        code, _, err = run(
+            capsys, "compile", "--target", target, "--table-file", carry_file
+        )
+        assert code == 3
+        assert f"AssertionError: {target}:" in err
+
+    @pytest.mark.parametrize("target", ["memristor", "spindiode"])
+    def test_fires_under_optimize_flag(self, carry_file, target):
+        script = textwrap.dedent(
+            """
+            import dataclasses, sys
+            from asymlogic import minimize
+            from asymlogic.cli import main
+            if __debug__:
+                sys.exit(9)
+            real = minimize.minimum_cover
+            def dropping(primes, onset):
+                cover = real(primes, onset)
+                return dataclasses.replace(cover, cubes=cover.cubes[1:])
+            minimize.minimum_cover = dropping
+            sys.exit(main(["compile", "--target", sys.argv[1],
+                           "--table-file", sys.argv[2]]))
+            """
+        )
+        proc = subprocess.run(
+            [sys.executable, "-O", "-c", script, target, carry_file],
+            capture_output=True,
+            text=True,
+        )
+        assert proc.returncode == 3, proc.stderr
+        assert f"AssertionError: {target}:" in proc.stderr
 
 
 class TestVerify:

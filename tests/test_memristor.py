@@ -403,8 +403,8 @@ class TestOracleCatchesWrongSchedules:
     def mutate(self, request, monkeypatch):
         real = memristor._lower
 
-        def wrong(e, peephole):
-            prog = real(e, peephole)
+        def wrong(names, products, peephole):
+            prog = real(names, products, peephole)
             steps = request.param(list(prog.steps), len(prog.bindings))
             return replace(prog, steps=tuple(steps))
 
@@ -434,8 +434,8 @@ class TestOracleCatchesWrongSchedules:
                 sys.exit(9)
             from dataclasses import replace
             real = memristor._lower
-            def dropping(e, peephole):
-                prog = real(e, peephole)
+            def dropping(names, products, peephole):
+                prog = real(names, products, peephole)
                 return replace(prog, steps=prog.steps[:-1])
             memristor._lower = dropping
             sys.exit(main(["compile", "--target", "memristor",
