@@ -112,22 +112,42 @@ def noi_form(products: tuple[Product, ...]) -> Expr:
     return normalize_not(Not(terms[0])) if len(terms) == 1 else Not(And(terms))
 
 
-def _fold(literals: tuple[Expr, ...]) -> Product | None:
-    """A product's literals with each constant 1 dropped, or None if a
-    constant 0 makes it 0; ShapeError for an operand that is no literal."""
+_SOI_SHAPE = "an SOI expression (OR of IAND chains or literals)"
+_NOI_SHAPE = "a NOI expression (negated AND of IMPLY chains or literals)"
+
+
+def _operands(term: Expr, chain: type, shape: str) -> tuple[Expr, ...]:
+    """A two-level form's term as operands: a ``chain``'s, or the term
+    itself if it is a literal or a constant; ShapeError naming the form's
+    ``shape`` for a term that is neither."""
+    t = type(term)
+    if t is chain:
+        return term.operands
+    if t is Var or t is Const or (t is Not and type(term.child) is Var):
+        return (term,)
+    raise ShapeError(f"canon: not {shape}: got {t.__name__}")
+
+
+def _fold(
+    plain: tuple[Expr, ...], flipped: tuple[Expr, ...]
+) -> Product | None:
+    """The product of ``plain`` and the complements of ``flipped``, with
+    each constant 1 dropped, or None if a constant 0 makes it 0; ShapeError
+    for an operand that is no literal."""
     kept = []
-    zero = False
-    for x in literals:
-        t = type(x)
-        if t is Var or (t is Not and type(x.child) is Var):
-            kept.append(x)
-        elif t is Const:
-            zero = zero or not x.value
-        else:
-            raise ShapeError(
-                f"canon: chain operands must be literals, got {t.__name__}"
-            )
-    return None if zero else tuple(kept)
+    for flip, operands in ((0, plain), (1, flipped)):
+        for x in operands:
+            t = type(x)
+            if t is Var or (t is Not and type(x.child) is Var):
+                kept.append(complement(x) if flip else x)
+            elif t is not Const:
+                raise ShapeError(
+                    "canon: chain operands must be literals, "
+                    f"got {t.__name__}"
+                )
+            elif x.value == flip:
+                return None
+    return tuple(kept)
 
 
 def soi_products(e: Expr) -> tuple[Product, ...]:
@@ -139,11 +159,8 @@ def soi_products(e: Expr) -> tuple[Product, ...]:
     e = normalize_not(e)
     products: list[Product] = []
     for term in e.children if type(e) is Or else (e,):
-        if type(term) is IandChain:
-            ops = term.operands
-            p = _fold((ops[0], *map(complement, ops[1:])))
-        else:
-            p = _fold((term,))
+        ops = _operands(term, IandChain, _SOI_SHAPE)
+        p = _fold(ops[:1], ops[1:])
         if p == ():
             return ((),)
         if p is not None:
@@ -169,13 +186,12 @@ def noi_products(e: Expr) -> tuple[Product, ...]:
             terms = (child,)
         case _:
             raise ShapeError(
-                "canon: not a NOI expression (negated AND of IMPLY chains "
-                f"or literals): got {type(e).__name__}"
+                f"canon: not {_NOI_SHAPE}: got {type(e).__name__}"
             )
     products: list[Product] = []
     for term in terms:
-        ops = term.operands if type(term) is ImplyChain else (term,)
-        p = _fold((*ops[:-1], complement(ops[-1])))
+        ops = _operands(term, ImplyChain, _NOI_SHAPE)
+        p = _fold(ops[:-1], ops[-1:])
         if p == ():
             return ((),)
         if p is not None:

@@ -37,14 +37,7 @@ from .canon import (
     soi_from_tt,
     soi_to_noi,
 )
-from .errors import (
-    ArityError,
-    CapacityError,
-    EvaluationError,
-    NoMatchError,
-    ParseError,
-    ShapeError,
-)
+from .errors import AsymLogicError
 from .expr import Expr, format_expr, variables
 from .laws import (
     RuleReport,
@@ -405,16 +398,7 @@ def main(argv: list[str] | None = None) -> int:
         return code
     except BrokenPipeError:  # e.g. piped into head; not an input error
         return 0
-    except (
-        ParseError,
-        ShapeError,
-        ArityError,
-        EvaluationError,
-        CapacityError,
-        NoMatchError,
-        ValueError,
-        OSError,
-    ) as ex:
+    except (AsymLogicError, ValueError, OSError) as ex:
         print(f"error: {ex}", file=sys.stderr)
         return 2
     except Exception as ex:  # pragma: no cover - defensive

@@ -1,10 +1,13 @@
 """Rewrite-rule catalog for the asymmetric operators, with verification.
 
-Every ``Var`` leaf inside a rule pattern is a metavariable that matches an
-arbitrary subexpression.  A rule is admitted to the default catalog only if
-``verify_rule`` proves it by exhaustive enumeration, so the catalog doubles
-as a machine-checked law table.  Expected-negative exhibits (shapes that
-look like laws but are not) live in ``demonstrations`` instead.
+The rules are rows of text in the concrete grammar, one table each for the
+catalog, the classical helper rules and the demonstrations, and ``parse``
+reads them on first use.  Every ``Var`` leaf inside a rule pattern is a
+metavariable that matches an arbitrary subexpression.  A rule is admitted
+to the default catalog only if ``verify_rule`` proves it by exhaustive
+enumeration, so the catalog doubles as a machine-checked law table.
+Expected-negative exhibits (shapes that look like laws but are not) live
+in ``demonstrations`` instead.
 """
 
 from __future__ import annotations
@@ -39,6 +42,7 @@ from .expr import (
     subexpr_at,
     variables,
 )
+from .parser import parse
 from .semantics import Assignment, check_oracle, equivalent
 
 
@@ -91,229 +95,117 @@ class RuleReport:
         return out
 
 
-_A = Var("A")
-_B = Var("B")
-_C = Var("C")
+# One rule per row: ``name; citation; equation``, and a demonstration adds
+# ``; expect``.  An equation ``lhs => rhs`` is one directed rule; ``lhs =
+# rhs`` is a bidirectional one, read as the rule and its ``-rev`` twin.
+# Both sides are in the concrete grammar, spelled as ``format_expr`` prints
+# them, and every name is a metavariable.
 
-
-def _rule(name: str, citation: str, lhs: Expr, rhs: Expr) -> Rule:
-    return Rule(name, citation, lhs, rhs)
-
-
-def _both(name: str, citation: str, lhs: Expr, rhs: Expr) -> list[Rule]:
-    """A bidirectional equation as two directed rules (``-rev`` suffix)."""
-    return [
-        Rule(name, citation, lhs, rhs),
-        Rule(f"{name}-rev", citation, rhs, lhs),
-    ]
-
-
-def _identity_rules() -> list[Rule]:
-    rules: list[Rule] = []
+_CATALOG = (
     # Constant annulment: both orientations exist for IAND, one for IMPLY.
     # The reverses would invent an unbound metavariable, so they are omitted.
-    rules.append(
-        _rule("annulment-iand-right", "annulment law",
-              IandChain((_A, Const(1))), Const(0))
-    )
-    rules.append(
-        _rule("annulment-iand-left", "annulment law",
-              IandChain((Const(0), _A)), Const(0))
-    )
-    rules.append(
-        _rule("annulment-imply", "annulment law",
-              ImplyChain((_A, Const(1))), Const(1))
-    )
-    rules += _both("inversion-iand", "inversion law",
-                   IandChain((Const(1), _A)), Not(_A))
-    rules += _both("inversion-imply", "inversion law",
-                   ImplyChain((_A, Const(0))), Not(_A))
-    rules += _both("identity-iand", "identity law",
-                   IandChain((_A, Const(0))), _A)
-    rules += _both("identity-imply", "identity law",
-                   ImplyChain((Const(1), _A)), _A)
-    rules.append(
-        _rule("null-idempotency-iand", "null idempotency",
-              IandChain((_A, _A)), Const(0))
-    )
-    rules.append(
-        _rule("null-idempotency-imply", "null idempotency",
-              ImplyChain((_A, _A)), Const(1))
-    )
-    rules += _both("inverse-idempotency-i-iand", "inverse idempotency I",
-                   IandChain((_A, Not(_A))), _A)
-    rules += _both("inverse-idempotency-i-imply", "inverse idempotency I",
-                   ImplyChain((_A, Not(_A))), Not(_A))
-    rules += _both("inverse-idempotency-ii-iand", "inverse idempotency II",
-                   IandChain((Not(_A), _A)), Not(_A))
-    rules += _both("inverse-idempotency-ii-imply", "inverse idempotency II",
-                   ImplyChain((Not(_A), _A)), _A)
-    return rules
-
-
-def _commutation_rules() -> list[Rule]:
-    # Both are involutions, so each reverse is the rule itself.
-    return [
-        _rule("asymmetric-commutation-iand", "asymmetric commutation",
-              IandChain((_A, _B)), IandChain((Not(_B), Not(_A)))),
-        _rule("asymmetric-commutation-imply", "asymmetric commutation",
-              ImplyChain((_A, _B)), ImplyChain((Not(_B), Not(_A)))),
-    ]
-
-
-def _associativity_rules() -> list[Rule]:
+    "annulment-iand-right; annulment law; A @ 1 => 0",
+    "annulment-iand-left; annulment law; 0 @ A => 0",
+    "annulment-imply; annulment law; A -> 1 => 1",
+    "inversion-iand; inversion law; 1 @ A = !A",
+    "inversion-imply; inversion law; A -> 0 = !A",
+    "identity-iand; identity law; A @ 0 = A",
+    "identity-imply; identity law; 1 -> A = A",
+    "null-idempotency-iand; null idempotency; A @ A => 0",
+    "null-idempotency-imply; null idempotency; A -> A => 1",
+    "inverse-idempotency-i-iand; inverse idempotency I; A @ !A = A",
+    "inverse-idempotency-i-imply; inverse idempotency I; A -> !A = !A",
+    "inverse-idempotency-ii-iand; inverse idempotency II; !A @ A = !A",
+    "inverse-idempotency-ii-imply; inverse idempotency II; !A -> A = A",
+    # Both commutations are involutions, so each reverse is the rule itself.
+    "asymmetric-commutation-iand; asymmetric commutation; A @ B => !B @ !A",
+    "asymmetric-commutation-imply; asymmetric commutation; A -> B => !B -> !A",
     # Swapping two inverted operands needs no complementation; swapping an
     # inverted with a non-inverted operand complements both.  The swaps are
     # involutions and the cycles compose from them, so no reverses appear.
-    iand3 = IandChain((_A, _B, _C))
-    imply3 = ImplyChain((_A, _B, _C))
-    return [
-        _rule("non-inverting-assoc-iand", "non-inverting associativity",
-              iand3, IandChain((_A, _C, _B))),
-        _rule("non-inverting-assoc-imply", "non-inverting associativity",
-              imply3, ImplyChain((_B, _A, _C))),
-        _rule("inverting-assoc-iand", "inverting associativity",
-              iand3, IandChain((Not(_B), Not(_A), _C))),
-        _rule("inverting-assoc-iand-ends", "inverting associativity",
-              iand3, IandChain((Not(_C), _B, Not(_A)))),
-        _rule("inverting-assoc-iand-cycle", "inverting associativity",
-              iand3, IandChain((Not(_C), Not(_A), _B))),
-        _rule("inverting-assoc-imply", "inverting associativity",
-              imply3, ImplyChain((_A, Not(_C), Not(_B)))),
-        _rule("inverting-assoc-imply-ends", "inverting associativity",
-              imply3, ImplyChain((Not(_C), _B, Not(_A)))),
-        _rule("inverting-assoc-imply-cycle", "inverting associativity",
-              imply3, ImplyChain((_B, Not(_C), Not(_A)))),
-    ]
+    "non-inverting-assoc-iand; non-inverting associativity; A @ B @ C => A @ C @ B",
+    "non-inverting-assoc-imply; non-inverting associativity; A -> B -> C => B -> A -> C",
+    "inverting-assoc-iand; inverting associativity; A @ B @ C => !B @ !A @ C",
+    "inverting-assoc-iand-ends; inverting associativity; A @ B @ C => !C @ B @ !A",
+    "inverting-assoc-iand-cycle; inverting associativity; A @ B @ C => !C @ !A @ B",
+    "inverting-assoc-imply; inverting associativity; A -> B -> C => A -> !C -> !B",
+    "inverting-assoc-imply-ends; inverting associativity; A -> B -> C => !C -> B -> !A",
+    "inverting-assoc-imply-cycle; inverting associativity; A -> B -> C => B -> !C -> !A",
+    "distributive-law-i-iand; distributive law I; A @ B & C = A @ B | A @ C",
+    "distributive-law-i-imply; distributive law I; A -> B & C = (A -> B) & (A -> C)",
+    "distributive-law-ii-iand; distributive law II; (A @ B) & C = A @ B @ !C",
+    "distributive-law-ii-imply; distributive law II; (A -> B) & C = !A & C | B & C",
+    "distributive-law-iii-iand; distributive law III; (A | B) @ C = A @ C | B @ C",
+    "distributive-law-iii-imply; distributive law III; A | B -> C = (A -> C) & (B -> C)",
+    "distributive-law-iv-iand; distributive law IV; A @ (B | C) = (A @ B) & (A @ C)",
+    "distributive-law-iv-imply; distributive law IV; A -> B | C = (A -> B) | C",
+    "distributive-law-iv-imply-chain; distributive law IV; A -> B | C = A -> !B -> C",
+    "distributive-law-v-iand; distributive law V; A & (B @ C) = A & B @ C",
+    "distributive-law-v-iand-alt; distributive law V; A & (B @ C) = A @ !B @ C",
+    "distributive-law-v-imply; distributive law V; A & (B -> C) = A & !B | A & C",
+    "distributive-law-vi-iand; distributive law VI; A | B @ C = (A | B) & (A | !C)",
+    "distributive-law-vi-imply; distributive law VI; A | (B -> C) = !A -> B -> C",
+    "distributive-law-vii-iand; distributive law VII; A @ B | C = (A | C) & (!B | C)",
+    "distributive-law-vii-imply; distributive law VII; A & B -> C = A -> B -> C",
+    "demorgan-iand; De Morgan law for asymmetric logic; !(A @ B) = !A | B",
+    "demorgan-imply; De Morgan law for asymmetric logic; !(A -> B) = A & !B",
+    "demorgan-or-to-iand; De Morgan law for asymmetric logic; !(A | B) = !A @ B",
+    "demorgan-and-to-imply; De Morgan law for asymmetric logic; !(A & B) = A -> !B",
+    "demorgan-iand-3; De Morgan law for asymmetric logic; !(A @ B @ C) = !A | B | C",
+    "demorgan-imply-3; De Morgan law for asymmetric logic; !(A -> B -> C) = A & B & !C",
+    "demorgan-or-to-iand-3; De Morgan law for asymmetric logic; !(A | B | C) = !A @ B @ C",
+    "demorgan-and-to-imply-3; De Morgan law for asymmetric logic; !(A & B & C) = A -> B -> !C",
+    "conversion-imply-to-iand; IAND-IMPLY De Morgan duality; !(A -> B) = A @ B",
+    "conversion-imply-to-iand-swapped; IAND-IMPLY De Morgan duality; !(A -> B) = !B @ !A",
+    "conversion-imply-to-iand-3; IAND-IMPLY De Morgan duality; !(A -> B -> C) = !C @ !B @ !A",
+    "conversion-iand-to-imply; IAND-IMPLY De Morgan duality; !(A @ B) = !B -> !A",
+    "conversion-iand-to-imply-3; IAND-IMPLY De Morgan duality; !(A @ B @ C) = !C -> !B -> !A",
+)
+
+_CLASSICAL = (
+    "and-identity; conventional Boolean algebra; A & 1 = A",
+    "and-identity-left; conventional Boolean algebra; 1 & A => A",
+    "and-annulment; conventional Boolean algebra; A & 0 => 0",
+    "and-annulment-left; conventional Boolean algebra; 0 & A => 0",
+    "and-idempotent; conventional Boolean algebra; A & A = A",
+    "and-complement; conventional Boolean algebra; A & !A => 0",
+    "or-identity; conventional Boolean algebra; A | 0 = A",
+    "or-identity-left; conventional Boolean algebra; 0 | A => A",
+    "or-annulment; conventional Boolean algebra; A | 1 => 1",
+    "or-annulment-left; conventional Boolean algebra; 1 | A => 1",
+    "or-idempotent; conventional Boolean algebra; A | A = A",
+    "or-complement; conventional Boolean algebra; A | !A => 1",
+)
+
+_DEMONSTRATIONS = (
+    "conventional-non-associativity-iand; conventional non-associativity; A @ B @ C => A @ (B @ C); refuted",
+    "duality-procedure-imply-chain; principle of duality; !A & !B & C => !(!A -> !B -> !C); proven",
+    "duality-printed-or-form-imply-chain; principle of duality; !A | !B | C => !(!A -> !B -> !C); refuted",
+)
 
 
-def _distributive_rules() -> list[Rule]:
+@cache
+def _read(rows: tuple[str, ...]) -> tuple[Rule, ...]:
+    """The rules of a table's rows, parsed on the first call, not at import."""
     rules: list[Rule] = []
-    rules += _both("distributive-law-i-iand", "distributive law I",
-                   IandChain((_A, And((_B, _C)))),
-                   Or((IandChain((_A, _B)), IandChain((_A, _C)))))
-    rules += _both("distributive-law-i-imply", "distributive law I",
-                   ImplyChain((_A, And((_B, _C)))),
-                   And((ImplyChain((_A, _B)), ImplyChain((_A, _C)))))
-    rules += _both("distributive-law-ii-iand", "distributive law II",
-                   And((IandChain((_A, _B)), _C)),
-                   IandChain((_A, _B, Not(_C))))
-    rules += _both("distributive-law-ii-imply", "distributive law II",
-                   And((ImplyChain((_A, _B)), _C)),
-                   Or((And((Not(_A), _C)), And((_B, _C)))))
-    rules += _both("distributive-law-iii-iand", "distributive law III",
-                   IandChain((Or((_A, _B)), _C)),
-                   Or((IandChain((_A, _C)), IandChain((_B, _C)))))
-    rules += _both("distributive-law-iii-imply", "distributive law III",
-                   ImplyChain((Or((_A, _B)), _C)),
-                   And((ImplyChain((_A, _C)), ImplyChain((_B, _C)))))
-    rules += _both("distributive-law-iv-iand", "distributive law IV",
-                   IandChain((_A, Or((_B, _C)))),
-                   And((IandChain((_A, _B)), IandChain((_A, _C)))))
-    rules += _both("distributive-law-iv-imply", "distributive law IV",
-                   ImplyChain((_A, Or((_B, _C)))),
-                   Or((ImplyChain((_A, _B)), _C)))
-    rules += _both("distributive-law-iv-imply-chain", "distributive law IV",
-                   ImplyChain((_A, Or((_B, _C)))),
-                   ImplyChain((_A, Not(_B), _C)))
-    rules += _both("distributive-law-v-iand", "distributive law V",
-                   And((_A, IandChain((_B, _C)))),
-                   IandChain((And((_A, _B)), _C)))
-    rules += _both("distributive-law-v-iand-alt", "distributive law V",
-                   And((_A, IandChain((_B, _C)))),
-                   IandChain((_A, Not(_B), _C)))
-    rules += _both("distributive-law-v-imply", "distributive law V",
-                   And((_A, ImplyChain((_B, _C)))),
-                   Or((And((_A, Not(_B))), And((_A, _C)))))
-    rules += _both("distributive-law-vi-iand", "distributive law VI",
-                   Or((_A, IandChain((_B, _C)))),
-                   And((Or((_A, _B)), Or((_A, Not(_C))))))
-    rules += _both("distributive-law-vi-imply", "distributive law VI",
-                   Or((_A, ImplyChain((_B, _C)))),
-                   ImplyChain((Not(_A), _B, _C)))
-    rules += _both("distributive-law-vii-iand", "distributive law VII",
-                   Or((IandChain((_A, _B)), _C)),
-                   And((Or((_A, _C)), Or((Not(_B), _C)))))
-    rules += _both("distributive-law-vii-imply", "distributive law VII",
-                   ImplyChain((And((_A, _B)), _C)),
-                   ImplyChain((_A, _B, _C)))
-    return rules
-
-
-def _demorgan_rules() -> list[Rule]:
-    cite = "De Morgan law for asymmetric logic"
-    rules: list[Rule] = []
-    rules += _both("demorgan-iand", cite,
-                   Not(IandChain((_A, _B))), Or((Not(_A), _B)))
-    rules += _both("demorgan-imply", cite,
-                   Not(ImplyChain((_A, _B))), And((_A, Not(_B))))
-    rules += _both("demorgan-or-to-iand", cite,
-                   Not(Or((_A, _B))), IandChain((Not(_A), _B)))
-    rules += _both("demorgan-and-to-imply", cite,
-                   Not(And((_A, _B))), ImplyChain((_A, Not(_B))))
-    rules += _both("demorgan-iand-3", cite,
-                   Not(IandChain((_A, _B, _C))), Or((Not(_A), _B, _C)))
-    rules += _both("demorgan-imply-3", cite,
-                   Not(ImplyChain((_A, _B, _C))), And((_A, _B, Not(_C))))
-    rules += _both("demorgan-or-to-iand-3", cite,
-                   Not(Or((_A, _B, _C))), IandChain((Not(_A), _B, _C)))
-    rules += _both("demorgan-and-to-imply-3", cite,
-                   Not(And((_A, _B, _C))), ImplyChain((_A, _B, Not(_C))))
-    return rules
-
-
-def _conversion_rules() -> list[Rule]:
-    cite = "IAND-IMPLY De Morgan duality"
-    rules: list[Rule] = []
-    rules += _both("conversion-imply-to-iand", cite,
-                   Not(ImplyChain((_A, _B))), IandChain((_A, _B)))
-    rules += _both("conversion-imply-to-iand-swapped", cite,
-                   Not(ImplyChain((_A, _B))),
-                   IandChain((Not(_B), Not(_A))))
-    rules += _both("conversion-imply-to-iand-3", cite,
-                   Not(ImplyChain((_A, _B, _C))),
-                   IandChain((Not(_C), Not(_B), Not(_A))))
-    rules += _both("conversion-iand-to-imply", cite,
-                   Not(IandChain((_A, _B))),
-                   ImplyChain((Not(_B), Not(_A))))
-    rules += _both("conversion-iand-to-imply-3", cite,
-                   Not(IandChain((_A, _B, _C))),
-                   ImplyChain((Not(_C), Not(_B), Not(_A))))
-    return rules
+    for row in rows:
+        name, citation, equation, *expect = row.split("; ")
+        both = " = " in equation
+        lhs, rhs = map(parse, equation.split(" = " if both else " => "))
+        rules.append(Rule(name, citation, lhs, rhs, *expect))
+        if both:
+            rules.append(Rule(f"{name}-rev", citation, rhs, lhs))
+    return tuple(rules)
 
 
 def catalog() -> tuple[Rule, ...]:
     """Every directed rule for the asymmetric operators, all Proven."""
-    return tuple(
-        _identity_rules()
-        + _commutation_rules()
-        + _associativity_rules()
-        + _distributive_rules()
-        + _demorgan_rules()
-        + _conversion_rules()
-    )
+    return _read(_CATALOG)
 
 
 def classical_rules() -> tuple[Rule, ...]:
     """Helper rules over plain AND/OR, used by ``simplify``."""
-    cite = "conventional Boolean algebra"
-    rules: list[Rule] = []
-    rules += _both("and-identity", cite, And((_A, Const(1))), _A)
-    rules.append(_rule("and-identity-left", cite, And((Const(1), _A)), _A))
-    rules.append(_rule("and-annulment", cite, And((_A, Const(0))), Const(0)))
-    rules.append(_rule("and-annulment-left", cite,
-                       And((Const(0), _A)), Const(0)))
-    rules += _both("and-idempotent", cite, And((_A, _A)), _A)
-    rules.append(_rule("and-complement", cite,
-                       And((_A, Not(_A))), Const(0)))
-    rules += _both("or-identity", cite, Or((_A, Const(0))), _A)
-    rules.append(_rule("or-identity-left", cite, Or((Const(0), _A)), _A))
-    rules.append(_rule("or-annulment", cite, Or((_A, Const(1))), Const(1)))
-    rules.append(_rule("or-annulment-left", cite,
-                       Or((Const(1), _A)), Const(1)))
-    rules += _both("or-idempotent", cite, Or((_A, _A)), _A)
-    rules.append(_rule("or-complement", cite, Or((_A, Not(_A))), Const(1)))
-    return tuple(rules)
+    return _read(_CLASSICAL)
 
 
 def demonstrations() -> tuple[Rule, ...]:
@@ -326,39 +218,17 @@ def demonstrations() -> tuple[Rule, ...]:
     four-step dual procedure's AND form is proven, while the circulating
     OR form is refuted.
     """
-    defining_dual = Not(ImplyChain((Not(_A), Not(_B), Not(_C))))
-    return (
-        Rule(
-            "conventional-non-associativity-iand",
-            "conventional non-associativity",
-            IandChain((_A, _B, _C)),
-            IandChain((_A, IandChain((_B, _C)))),
-            expect="refuted",
-        ),
-        Rule(
-            "duality-procedure-imply-chain",
-            "principle of duality",
-            And((Not(_A), Not(_B), _C)),
-            defining_dual,
-            expect="proven",
-        ),
-        Rule(
-            "duality-printed-or-form-imply-chain",
-            "principle of duality",
-            Or((Not(_A), Not(_B), _C)),
-            defining_dual,
-            expect="refuted",
-        ),
-    )
+    return _read(_DEMONSTRATIONS)
 
 
 def verify_rule(rule: Rule) -> RuleReport:
-    """Exhaustively check a rule's two sides; metavariables range over 0/1."""
-    names: dict[str, None] = {}
-    for v in variables(rule.lhs) + variables(rule.rhs):
-        names.setdefault(v, None)
+    """Exhaustively check a rule's two sides; metavariables range over 0/1.
+
+    The left side binds every metavariable (``Rule`` checks it), so its
+    variables are the ones the two sides are compared over.
+    """
     verdict = equivalent(rule.lhs, rule.rhs)
-    rows = 1 << len(names)
+    rows = 1 << len(variables(rule.lhs))
     if verdict:
         return RuleReport(rule.name, rule.citation, "Proven", rows)
     return RuleReport(

@@ -163,14 +163,22 @@ class TestConversions:
             assert truth_table(noi_to_soi(noi), names).bits == t.bits
 
     def test_shape_errors(self):
-        with pytest.raises(ShapeError):
+        not_soi = "not an SOI expression .*: got "
+        not_noi = "not a NOI expression .*: got "
+        with pytest.raises(ShapeError, match=not_soi + "And"):
             soi_to_noi(And((A, B)))
-        with pytest.raises(ShapeError):
+        with pytest.raises(ShapeError, match=not_soi + "ImplyChain"):
+            soi_to_noi(Or((A, ImplyChain((A, B)))))
+        with pytest.raises(ShapeError, match="operands must be literals"):
             soi_to_noi(IandChain((A, Or((B, C)))))
-        with pytest.raises(ShapeError):
+        with pytest.raises(ShapeError, match=not_noi + "Or"):
             noi_to_soi(Or((A, B)))
-        with pytest.raises(ShapeError):
+        with pytest.raises(ShapeError, match=not_noi + "Or"):
+            noi_to_soi(Not(Or((A, B))))
+        with pytest.raises(ShapeError, match=not_noi + "IandChain"):
             noi_to_soi(Not(And((IandChain((A, B)), C))))
+        with pytest.raises(ShapeError, match="operands must be literals"):
+            noi_to_soi(Not(ImplyChain((And((A, B)), C))))
 
 
 class TestProducts:

@@ -169,6 +169,22 @@ class TestConvert:
         code, _, err = run(capsys, "convert", "--to", "noi", "A -> B")
         assert code == 2 and err.startswith("error:")
 
+    @pytest.mark.parametrize("argv, message", [
+        (("compile", "--target", "spindiode", "A -> B"),
+         "not an SOI expression (OR of IAND chains or literals): "
+         "got ImplyChain"),
+        (("convert", "--to", "soi", "!(A | B)"),
+         "not a NOI expression (negated AND of IMPLY chains or literals): "
+         "got Or"),
+        (("convert", "--to", "noi", "A @ (B | C)"),
+         "chain operands must be literals, got Or"),
+        (("compile", "--target", "memristor", "!((A & B) -> C)"),
+         "chain operands must be literals, got And"),
+    ])
+    def test_shape_error_names_the_form(self, capsys, argv, message):
+        code, _, err = run(capsys, *argv)
+        assert code == 2 and err == f"error: canon: {message}\n"
+
 
 class TestMinimize:
     def test_noi_text(self, capsys, carry_file):
@@ -509,6 +525,18 @@ class TestTableFileParsing:
         path.write_text("\nX Y\n\n0110\n\n")
         t = load_table_file(str(path))
         assert t.bits == (0, 1, 1, 0)
+
+
+def test_readme_quick_start(capsys):
+    # the README's Quick start block runs and prints what its comments say
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    section = readme.split("## Quick start (Python)\n", 1)[1]
+    exec(section.split("```python\n", 1)[1].split("```", 1)[0], {})
+    out = capsys.readouterr().out.splitlines()
+    assert out[:2] == ["00010111", "!((B -> !C) & (A -> !C) & (A -> !B))"]
+    steps = [line for line in out if line.startswith(("RESET ", "IMPLY "))]
+    assert len(steps) == 13
+    assert out[-2:] == ["1", "{'A': 0, 'B': 1}"]
 
 
 def test_module_entry_point():

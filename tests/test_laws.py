@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from asymlogic import laws
 from asymlogic.errors import NoMatchError, ShapeError
 from asymlogic.expr import (
     And,
@@ -84,6 +85,22 @@ class TestCatalog:
         refuted = [r.name for r in reports if r.status != "Proven"]
         assert refuted == []
         assert elapsed < 5.0
+
+    def test_rows_hold_the_canonical_spelling(self):
+        # each side of a row is written as format_expr prints its parse, and
+        # a row marked "=" is the one that also gave the "-rev" rule
+        rules = catalog() + classical_rules() + demonstrations()
+        by_name = {r.name: r for r in rules}
+        rows = laws._CATALOG + laws._CLASSICAL + laws._DEMONSTRATIONS
+        for row in rows:
+            name, _, equation, *_ = row.split("; ")
+            rule = by_name[name]
+            mark = "=" if f"{name}-rev" in by_name else "=>"
+            assert equation == (
+                f"{format_expr(rule.lhs)} {mark} {format_expr(rule.rhs)}"
+            ), name
+        reversed_ = sum(1 for row in rows if " = " in row)
+        assert len(rules) == len(rows) + reversed_ == 108
 
     def test_rows_field_counts_assignments(self):
         by_name = {r.name: r for r in verify_rules(catalog())}
@@ -448,8 +465,6 @@ class TestDual:
         assert truth_table(dual(dual(e)), names).bits == t.bits
 
     def test_oracle_rejects_wrong_dual(self, monkeypatch):
-        import asymlogic.laws as laws
-
         monkeypatch.setattr(laws, "_dual", lambda e: e)
         with pytest.raises(AssertionError, match="dual"):
             dual(parse("A @ B"))
