@@ -8,9 +8,11 @@ domain they return an ``Unsupported`` value rather than raising.
 
 Two-level forms.  SOI and NOI are two spellings of one sum of products,
 held as a tuple of products, each a tuple of literals (``()`` is 0, a form
-holding the empty product is 1).  ``soi_products`` / ``noi_products`` read
-an expression into that form and ``soi_form`` / ``noi_form`` write it back;
-a product ``l1 .. lk`` is written
+holding the empty product is 1).  One reader takes an expression apart in
+a single pass, into its variable names, its products and a check of its
+shape; ``soi_products`` / ``noi_products`` return its products and the
+compilers take its names too.  ``soi_form`` / ``noi_form`` write a sum of
+products back; a product ``l1 .. lk`` is written
 
 * as an SOI term ``IandChain(l1, !l2, ..., !lk)``: the head as written, the
   rest complemented, because the chain evaluates ``l1 AND NOT(!l2)...``;
@@ -19,9 +21,11 @@ a product ``l1 .. lk`` is written
 
 A one-literal product is the bare literal (SOI) or its complement (NOI).
 By the conversion theorem ``NOT(x1 @ ... @ xk) = !xk -> ... -> !x1``,
-converting between the forms reverses each product.  Readers fold constant
-operands with the chain identity laws: a literal that is 1 drops out, a 0
-drops its product, and the empty product makes the whole form 1.
+converting between the forms reverses each product.  The reader folds
+constant operands with the chain identity laws: a literal that is 1 drops
+out, a 0 drops its product, and the empty product makes the whole form 1.
+It reads every term and operand even so, and raises ShapeError for any of
+the wrong shape, wherever it stands.
 
 Canonical terms are ordered by ascending minterm index.
 """
@@ -56,14 +60,12 @@ Product = tuple[Expr, ...]  # literals: each a Var or a Not(Var)
 
 
 def complement(x: Expr) -> Expr:
-    """The complement of a literal, or of a constant while folding."""
+    """The complement of a literal."""
     t = type(x)
     if t is Var:
         return Not(x)
     if t is Not and type(x.child) is Var:
         return x.child
-    if t is Const:
-        return Const(1 - x.value)
     raise ShapeError(f"canon: expected a literal, got {t.__name__}")
 
 
@@ -116,87 +118,70 @@ _SOI_SHAPE = "an SOI expression (OR of IAND chains or literals)"
 _NOI_SHAPE = "a NOI expression (negated AND of IMPLY chains or literals)"
 
 
-def _operands(term: Expr, chain: type, shape: str) -> tuple[Expr, ...]:
-    """A two-level form's term as operands: a ``chain``'s, or the term
-    itself if it is a literal or a constant; ShapeError naming the form's
-    ``shape`` for a term that is neither."""
-    t = type(term)
-    if t is chain:
-        return term.operands
-    if t is Var or t is Const or (t is Not and type(term.child) is Var):
-        return (term,)
-    raise ShapeError(f"canon: not {shape}: got {t.__name__}")
+def _read(
+    e: Expr, noi: bool
+) -> tuple[tuple[str, ...], tuple[Product, ...]]:
+    """Read an SOI expression, or a NOI expression if ``noi``, in one pass:
+    its variable names in first-appearance order and its sum of products.
 
-
-def _fold(
-    plain: tuple[Expr, ...], flipped: tuple[Expr, ...]
-) -> Product | None:
-    """The product of ``plain`` and the complements of ``flipped``, with
-    each constant 1 dropped, or None if a constant 0 makes it 0; ShapeError
-    for an operand that is no literal."""
-    kept = []
-    for flip, operands in ((0, plain), (1, flipped)):
-        for x in operands:
+    Every term and every operand is read, so a term or an operand of the
+    wrong shape raises ShapeError wherever it stands.  A literal or a
+    constant reads the same in both forms.
+    """
+    e = normalize_not(e)
+    t = type(e)
+    if noi and t is Not:
+        terms = e.child.children if type(e.child) is And else (e.child,)
+    elif noi and t is not Var and t is not Const:
+        raise ShapeError(f"canon: not {_NOI_SHAPE}: got {t.__name__}")
+    else:
+        noi = False
+        terms = e.children if t is Or else (e,)
+    chain, shape = (ImplyChain, _NOI_SHAPE) if noi else (IandChain, _SOI_SHAPE)
+    names: list[str] = []
+    products: list[Product] = []
+    for term in terms:
+        t = type(term)
+        if t is chain:
+            ops = term.operands
+        elif t is Var or t is Const or (t is Not and type(term.child) is Var):
+            ops = (term,)
+        else:
+            raise ShapeError(f"canon: not {shape}: got {t.__name__}")
+        # SOI complements every operand after the head, NOI only the last
+        cut = len(ops) - 1 if noi else 1
+        kept: list[Expr] = []
+        zero = False
+        for i, x in enumerate(ops):
             t = type(x)
-            if t is Var or (t is Not and type(x.child) is Var):
-                kept.append(complement(x) if flip else x)
-            elif t is not Const:
+            if t is Const:  # as read: a 1 drops out, a 0 drops the product
+                zero |= x.value == (i >= cut)
+                continue
+            v = x.child if t is Not else x
+            if type(v) is not Var:
                 raise ShapeError(
                     "canon: chain operands must be literals, "
                     f"got {t.__name__}"
                 )
-            elif x.value == flip:
-                return None
-    return tuple(kept)
+            names.append(v.name)
+            kept.append(x if i < cut else v if t is Not else Not(v))
+        if not zero:
+            products.append(tuple(kept))
+    if () in products:
+        products = [()]
+    return tuple(dict.fromkeys(names)), tuple(products)
 
 
 def soi_products(e: Expr) -> tuple[Product, ...]:
     """Read an SOI expression (an OR of IAND chains of literals, a chain, a
-    literal or a constant) as a sum of products.
-
-    Reading stops at the first term that folds to 1.
-    """
-    e = normalize_not(e)
-    products: list[Product] = []
-    for term in e.children if type(e) is Or else (e,):
-        ops = _operands(term, IandChain, _SOI_SHAPE)
-        p = _fold(ops[:1], ops[1:])
-        if p == ():
-            return ((),)
-        if p is not None:
-            products.append(p)
-    return tuple(products)
+    literal or a constant) as a sum of products."""
+    return _read(e, False)[1]
 
 
 def noi_products(e: Expr) -> tuple[Product, ...]:
     """Read a NOI expression (a negated AND of IMPLY chains of literals, a
-    negated chain, a literal or a constant) as a sum of products.
-
-    Reading stops at the first term that folds to 1.
-    """
-    e = normalize_not(e)
-    match e:
-        case Const(value):
-            return ((),) if value else ()
-        case Var():
-            return ((e,),)
-        case Not(And(kids)):
-            terms = kids
-        case Not(child):
-            terms = (child,)
-        case _:
-            raise ShapeError(
-                f"canon: not {_NOI_SHAPE}: got {type(e).__name__}"
-            )
-    products: list[Product] = []
-    for term in terms:
-        ops = _operands(term, ImplyChain, _NOI_SHAPE)
-        p = _fold(ops[:-1], ops[-1:])
-        if p == ():
-            return ((),)
-        if p is not None:
-            products.append(p)
-    return tuple(products)
+    negated chain, a literal or a constant) as a sum of products."""
+    return _read(e, True)[1]
 
 
 def _require_vars(t: TruthTable, what: str) -> None:

@@ -31,9 +31,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Union
 
-from .canon import Product, noi_products
+from .canon import Product, _read
 from .errors import CapacityError, EvaluationError
-from .expr import Expr, Not, Var, variables
+from .expr import Expr, Not, Var
 from .semantics import TruthTable, check_oracle, columns
 
 MAX_COMPILE_VARS = 16
@@ -184,9 +184,10 @@ def compile_nand(in1: str, in2: str, work: int = 2) -> ImplyProgram:
 def compile_noi(e: Expr, *, peephole: bool = True) -> ImplyProgram:
     """Compile a NOI expression (or a degenerate form) to a step schedule.
 
-    The expression is read as a sum of products (``canon.noi_products``):
-    a NOI, a negated chain, a literal or a constant, with constant chain
-    operands folded.  Capacity is capped at 16 input variables.
+    One pass of the canon reader takes the expression's variable names, in
+    first-appearance order, and its sum of products: a NOI, a negated
+    chain, a literal or a constant, with constant chain operands folded.
+    Capacity is capped at 16 input variables.
 
     With ``peephole=False`` the schedule keeps the double inversions of the
     textbook lowering: a positive last operand ``x`` of a term is inverted
@@ -198,7 +199,8 @@ def compile_noi(e: Expr, *, peephole: bool = True) -> ImplyProgram:
     ``e`` (``semantics.check_oracle``): a wrong schedule raises
     ``AssertionError``.
     """
-    return _compile(variables(e), noi_products(e), e, peephole)
+    names, products = _read(e, noi=True)
+    return _compile(names, products, e, peephole)
 
 
 def _compile(
@@ -232,8 +234,6 @@ def _lower(
     bindings = tuple((name, i) for i, name in enumerate(names))
     src_of = {name: i for i, name in enumerate(names)}
     match products:
-        case ():
-            return ImplyProgram(nin + 1, bindings, nin, (Reset(nin),))
         case ((),):
             return ImplyProgram(
                 nin + 2,

@@ -13,9 +13,11 @@ cells.  Gate inputs are references: ``in:<name>`` reads a primary input,
 complemented chain head or operand cost zero gates), and ``g<i>`` reads an
 earlier gate.  Gates are listed in topological order.
 
-The compiler reads a sum of products, from an expression by
-``canon.soi_products`` (folding constant operands) or from a table's cover;
-a product ``l1 .. lk`` becomes the cascade ``l1 IAND !l2 ... IAND !lk``.
+The compiler reads a sum of products, from a table's cover or from an
+expression by one pass of the canon reader, which also gives the
+expression's variable names (folding constant operands, as
+``canon.soi_products`` does); a product ``l1 .. lk`` becomes the cascade
+``l1 IAND !l2 ... IAND !lk``.
 
 One loop replays a netlist: each value is a mask of rows
 (``semantics.columns``), a tap ``!in:x`` reads ``full ^ x``, ``OR`` is
@@ -30,9 +32,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .canon import Product, soi_products
+from .canon import Product, _read
 from .errors import EvaluationError
-from .expr import Expr, Not, variables
+from .expr import Expr, Not
 from .semantics import MAX_TABLE_VARS, TruthTable, check_oracle, columns
 
 
@@ -133,7 +135,7 @@ def compile_soi(e: Expr, inputs: tuple[str, ...] | None = None) -> Netlist:
     input row and checked against ``e`` (``semantics.check_oracle``): a
     wrong netlist raises ``AssertionError``.
     """
-    used = variables(e)
+    used, products = _read(e, noi=False)
     if inputs is None:
         names = used
     else:
@@ -145,7 +147,7 @@ def compile_soi(e: Expr, inputs: tuple[str, ...] | None = None) -> Netlist:
             raise EvaluationError(
                 f"spindiode: inputs do not cover variables {missing}"
             )
-    return _compile(names, soi_products(e), e)
+    return _compile(names, products, e)
 
 
 def _compile(

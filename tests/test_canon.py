@@ -9,6 +9,7 @@ from hypothesis import given
 
 from asymlogic.canon import (
     Unsupported,
+    _read,
     ion_from_tt,
     ios_from_tt,
     noi_form,
@@ -179,6 +180,15 @@ class TestConversions:
             noi_to_soi(Not(And((IandChain((A, B)), C))))
         with pytest.raises(ShapeError, match="operands must be literals"):
             noi_to_soi(Not(ImplyChain((And((A, B)), C))))
+        # a constant that settles the form does not end the reading
+        with pytest.raises(ShapeError, match=not_soi + "ImplyChain"):
+            soi_products(parse("1 | (A -> B)"))
+        with pytest.raises(ShapeError, match="operands must be literals"):
+            soi_products(parse("A @ 1 @ (B | C)"))
+        with pytest.raises(ShapeError, match="operands must be literals"):
+            noi_products(parse("!((A -> B) & (0 -> (C @ D)))"))
+        with pytest.raises(ShapeError, match=not_noi + "Or"):
+            noi_products(parse("!(0 & (A | B))"))
 
 
 class TestProducts:
@@ -206,9 +216,22 @@ class TestProducts:
         assert noi_products(parse("!((A -> 1) & (1 -> B))")) == ((Not(B),),)
         assert noi_products(parse("!((A -> 0) & B)")) == ((A,), (Not(B),))
 
-    def test_reading_stops_at_a_true_term(self):
+    def test_a_true_term_makes_the_form_one(self):
         assert soi_products(parse("A | 1 @ 0 | B")) == ((),)
         assert noi_products(parse("!(A & 0 & B)")) == ((),)
+
+    @pytest.mark.parametrize("strategy, noi", [
+        (soi_exprs, False),
+        (noi_exprs, True),
+        (soi_exprs_with_constants, False),
+        (noi_exprs_with_constants, True),
+    ])
+    def test_reader_names_are_the_variables(self, strategy, noi):
+        @given(strategy)
+        def check(e):
+            assert _read(e, noi)[0] == variables(e)
+
+        check()
 
     def test_writers_invert_readers(self):
         soi = Or((IandChain((A, Not(B))), C))

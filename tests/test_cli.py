@@ -180,6 +180,16 @@ class TestConvert:
          "chain operands must be literals, got Or"),
         (("compile", "--target", "memristor", "!((A & B) -> C)"),
          "chain operands must be literals, got And"),
+        # a constant that settles the form does not end the reading
+        (("convert", "--to", "noi", "1 | (A -> B)"),
+         "not an SOI expression (OR of IAND chains or literals): "
+         "got ImplyChain"),
+        (("compile", "--target", "spindiode", "1 | (A | B)"),
+         "not an SOI expression (OR of IAND chains or literals): got Or"),
+        (("compile", "--target", "spindiode", "A @ 1 @ (B | C)"),
+         "chain operands must be literals, got Or"),
+        (("compile", "--target", "memristor", "!((A -> B) & (0 -> (C @ D)))"),
+         "chain operands must be literals, got IandChain"),
     ])
     def test_shape_error_names_the_form(self, capsys, argv, message):
         code, _, err = run(capsys, *argv)
@@ -401,8 +411,8 @@ class TestTableRoute:
             raise RuntimeError("the table route built or read an Expr")
 
         monkeypatch.setattr(semantics, "_eval", forbidden)
-        monkeypatch.setattr(memristor, "noi_products", forbidden)
-        monkeypatch.setattr(spindiode, "soi_products", forbidden)
+        monkeypatch.setattr(memristor, "_read", forbidden)
+        monkeypatch.setattr(spindiode, "_read", forbidden)
         monkeypatch.setattr(cli, "cover_form", forbidden)
         for target in ("memristor", "spindiode"):
             code, _, err = run(
