@@ -32,9 +32,9 @@ from dataclasses import dataclass
 from typing import Union
 
 from .canon import Product, _read
-from .errors import CapacityError, EvaluationError
+from .errors import CapacityError
 from .expr import Expr, Not, Var
-from .semantics import TruthTable, check_oracle, columns
+from .semantics import TruthTable, _bit, check_oracle, columns
 
 MAX_COMPILE_VARS = 16
 
@@ -123,12 +123,7 @@ def simulate(
     """
     regs = [0] * program.registers
     for name, reg in program.bindings:
-        if name not in inputs:
-            raise EvaluationError(f"memristor: unbound input {name!r}")
-        bit = inputs[name]
-        if bit not in (0, 1):
-            raise EvaluationError(f"memristor: input {name!r} must be 0 or 1")
-        regs[reg] = bit
+        regs[reg] = _bit(inputs, name, "memristor")
     trace: list[tuple[int, ...]] = []
     _replay(program.steps, regs, 1, trace)
     return SimulationResult(regs[program.output], tuple(regs), tuple(trace))

@@ -137,8 +137,6 @@ def _check_size(n: int) -> None:
         raise CapacityError(
             f"minimize: {n} variables exceeds the cap of {MAX_MINIMIZE_VARS}"
         )
-    if n < 1:
-        raise ValueError("minimize: need n >= 1")
 
 
 def _row_mask(rows: Iterable[int], n: int, what: str) -> int:
@@ -163,6 +161,8 @@ def prime_implicants(
     ``ValueError``.
     """
     _check_size(n)
+    if n < 1:
+        raise ValueError("minimize: need n >= 1")
     on = _row_mask(onset, n, "ON")
     dcs = _row_mask(dc, n, "DC")
     if on & dcs:
@@ -181,7 +181,7 @@ def _prime_implicants(
     on: int, dc: int, names: tuple[str, ...]
 ) -> PrimeImplicantSet:
     """``prime_implicants`` over row masks; the caller has checked that
-    ``1 <= len(names) <= MAX_MINIMIZE_VARS``."""
+    ``len(names) <= MAX_MINIMIZE_VARS``."""
     n = len(names)
     full = (1 << n) - 1
     # clear[p]: the rows whose bit p is 0
@@ -240,12 +240,16 @@ def minimum_cover(
     search that would visit more than ``MAX_COVER_NODES`` nodes raises
     ``CapacityError``.
     """
+    return _minimum_cover(
+        primes, _row_mask(onset, len(primes.variables), "ON"))
+
+
+def _minimum_cover(primes: PrimeImplicantSet, uncovered: int) -> CoverSolution:
+    """``minimum_cover`` of the ON rows in the mask ``uncovered``."""
     cubes = list(primes.cubes)
     masks = [_rows(q) for q in cubes]
     trace: list[str] = []
     chosen: list[Cube] = []
-
-    uncovered = _row_mask(onset, len(primes.variables), "ON")
     once = twice = 0
     for m in masks:
         twice |= once & m
@@ -349,7 +353,7 @@ def minimize_table(t: TruthTable) -> tuple[PrimeImplicantSet, CoverSolution]:
         )
     _check_size(len(t.variables))
     primes = _prime_implicants(t.mask, 0, t.variables)
-    return primes, minimum_cover(primes, rows_of(t.mask))
+    return primes, _minimum_cover(primes, t.mask)
 
 
 def cover_form(t: TruthTable, cover: CoverSolution, form: str) -> Expr:

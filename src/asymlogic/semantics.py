@@ -152,15 +152,23 @@ def evaluate(e: Expr, assignment: Assignment) -> int:
 
     IAND chains fold left with ``acc AND NOT x``; IMPLY chains fold right
     with ``NOT x OR acc``.  A variable the expression reads must be bound to
-    0 or 1, else ``EvaluationError``.
+    an int 0 or 1 (a bool counts), else ``EvaluationError``.
     """
-    for name in variables(e):
-        if assignment.get(name, 0) not in (0, 1):
-            raise EvaluationError(
-                f"semantics: variable {name!r} must be 0 or 1, "
-                f"got {assignment[name]!r}"
-            )
-    return _eval(e, assignment, 1)
+    env = {name: _bit(assignment, name, "semantics")  # _eval names the unbound
+           for name in variables(e) if name in assignment}
+    return _eval(e, env, 1)
+
+
+def _bit(assignment: Assignment, name: str, who: str) -> int:
+    """``assignment[name]`` as an int 0 or 1 (a bool counts as an int)."""
+    if name not in assignment:
+        raise EvaluationError(f"{who}: unbound input {name!r}")
+    bit = assignment[name]
+    if type(bit) is not int and isinstance(bit, int):
+        bit = int(bit)  # a bool is stored as the int it equals
+    if type(bit) is not int or bit not in (0, 1):
+        raise EvaluationError(f"{who}: {name!r} must be 0 or 1, got {bit!r}")
+    return bit
 
 
 def _eval(e: Expr, env: dict[str, int], full: int) -> int:

@@ -13,19 +13,21 @@ cells.  Gate inputs are references: ``in:<name>`` reads a primary input,
 complemented chain head or operand cost zero gates), and ``g<i>`` reads an
 earlier gate.  Gates are listed in topological order.
 
-The compiler reads a sum of products, from a table's cover or from an
-expression by one pass of the canon reader, which also gives the
-expression's variable names (folding constant operands, as
-``canon.soi_products`` does); a product ``l1 .. lk`` becomes the cascade
-``l1 IAND !l2 ... IAND !lk``.
+Over ``n`` inputs, input ``i`` is value ``i``, its complement ``n + i`` and
+gate ``k`` value ``2n + k``.  The compiler reads a sum of products, from a
+table's cover or from an expression by one pass of the canon reader, which
+also gives the expression's variable names (folding constant operands, as
+``canon.soi_products`` does).  A product ``l1 .. lk`` becomes the cascade
+``l1 IAND !l2 ... IAND !lk``, emitted over value indices and given its
+reference text once, at the end.
 
-One loop replays a netlist: each value is a mask of rows
-(``semantics.columns``), a tap ``!in:x`` reads ``full ^ x``, ``OR`` is
-``a | b`` and ``IAND`` is ``a & (full ^ b)``.  The compiler runs it once
-over all rows and checks the output mask against its source, an expression
-or a table; ``simulate_netlist`` runs it over the single row ``full = 1``.  A
-``Netlist`` checks its references when it is built, so the loop reads
-only values that exist.
+``Netlist.__post_init__`` is the one resolver from text to indices, and
+rejects duplicate inputs and dangling references.  One loop replays a
+netlist: each value is a mask of rows (``semantics.columns``), a tap
+``!in:x`` reads ``full ^ x``, ``OR`` is ``a | b`` and ``IAND`` is
+``a & (full ^ b)``.  The compiler runs it over all rows and checks the
+output mask against its source; ``simulate_netlist`` runs it over the
+single row ``full = 1``.
 """
 
 from __future__ import annotations
@@ -35,7 +37,7 @@ from dataclasses import dataclass
 from .canon import Product, _read
 from .errors import EvaluationError
 from .expr import Expr, Not
-from .semantics import MAX_TABLE_VARS, TruthTable, check_oracle, columns
+from .semantics import MAX_TABLE_VARS, TruthTable, _bit, check_oracle, columns
 
 
 @dataclass(frozen=True)
@@ -61,17 +63,17 @@ class Netlist:
     output: str
 
     def __post_init__(self) -> None:
-        """Check every reference, then resolve each to a value slot once.
+        """Check every reference, then resolve each to a value index once.
 
-        Input ``i`` reads slot ``i`` and its complement slot ``n + i``.  A
-        gate writes the slot of a gate value past its last read, if there
-        is one, so a replay over all rows holds only values still to be
-        read.
+        A gate writes the slot of a gate value past its last read, if there
+        is one, so a replay over all rows holds only values still to be read.
         """
         n = len(self.inputs)
+        if len(set(self.inputs)) != n:
+            raise ValueError("spindiode: duplicate input names")
         base = 2 * n  # gate k is value base + k
-        slot = {f"in:{x}": i for i, x in enumerate(self.inputs)}
-        slot.update((f"!in:{x}", n + i) for i, x in enumerate(self.inputs))
+        value = {r: v for v, r in enumerate(
+            _references(self.inputs, len(self.gates)))}
         ops = []
         for k, g in enumerate(self.gates):
             if g.gid != k:
@@ -79,16 +81,16 @@ class Netlist:
                     f"spindiode: gate {k} is numbered g{g.gid}; "
                     f"gates must be g0, g1, ... in order"
                 )
-            a, b = slot.get(g.in_a), slot.get(g.in_b)
-            if a is None or b is None:
-                bad = g.in_a if a is None else g.in_b
+            a = value.get(g.in_a, base + k)
+            b = value.get(g.in_b, base + k)
+            if max(a, b) >= base + k:  # unknown, this gate or a later one
+                bad = g.in_a if a >= base + k else g.in_b
                 raise ValueError(
                     f"spindiode: g{k} reads {bad!r}, which is neither a "
                     f"declared input tap nor an earlier gate"
                 )
             ops.append((g.kind == "OR", a, b))
-            slot[f"g{k}"] = base + k
-        out = slot.get(self.output)
+        out = value.get(self.output)
         if out is None:
             raise ValueError(
                 f"spindiode: output {self.output!r} is neither a declared "
@@ -113,14 +115,14 @@ class Netlist:
                 where.append(size)
                 size += 1
             plan.append((is_or, where[a], where[b], where[-1]))
+        object.__setattr__(self, "_ops", (tuple(ops), out))
         object.__setattr__(self, "_plan", (size, tuple(plan), where[out]))
 
 
-def _ref(lit: Expr, invert: bool = False) -> str:
-    """The input tap reading a literal, or its complement if ``invert``."""
-    if type(lit) is Not:
-        lit, invert = lit.child, not invert
-    return f"!in:{lit.name}" if invert else f"in:{lit.name}"
+def _references(inputs: tuple[str, ...], gates: int) -> list[str]:
+    """The reference text of every value, indexed by value."""
+    return ([f"in:{x}" for x in inputs] + [f"!in:{x}" for x in inputs]
+            + [f"g{k}" for k in range(gates)])
 
 
 def compile_soi(e: Expr, inputs: tuple[str, ...] | None = None) -> Netlist:
@@ -140,8 +142,6 @@ def compile_soi(e: Expr, inputs: tuple[str, ...] | None = None) -> Netlist:
         names = used
     else:
         names = tuple(inputs)
-        if len(set(names)) != len(names):
-            raise ValueError("spindiode: duplicate input names")
         missing = [v for v in used if v not in names]
         if missing:
             raise EvaluationError(
@@ -155,32 +155,35 @@ def _compile(
     want: Expr | TruthTable,
 ) -> Netlist:
     """The netlist of a sum of products, checked against ``want``."""
-    gates: list[Gate] = []
+    n = len(names)
+    tap = {x: i for i, x in enumerate(names)}
+    ops: list[tuple[bool, int, int]] = []  # (is_or, a, b) over value indices
 
-    def emit(kind: str, in_a: str, in_b: str) -> str:
-        gates.append(Gate(len(gates), kind, in_a, in_b))
-        return gates[-1].ref
+    def emit(is_or: bool, a: int, b: int) -> int:
+        ops.append((is_or, a, b))
+        return 2 * n + len(ops) - 1
 
-    if products in ((), ((),)):  # constant 0 or 1
+    def literal(x: Expr, invert: bool = False) -> int:
+        if type(x) is Not:
+            x, invert = x.child, not invert
+        return tap[x.name] + n * invert
+
+    if products in ((), ((),)):  # 1 is x OR NOT x, 0 is x IAND x
         if not names:
             raise ValueError(
                 "spindiode: a constant netlist needs at least one input"
             )
-        x = f"in:{names[0]}"
-        if products:  # x OR NOT x
-            out = emit("OR", x, f"!in:{names[0]}")
-        else:  # x IAND x
-            out = emit("IAND", x, x)
+        out = emit(True, 0, n) if products else emit(False, 0, 0)
     else:
         refs = []
         for p in products:
-            acc = _ref(p[0])
+            acc = literal(p[0])
             for x in p[1:]:
-                acc = emit("IAND", acc, _ref(x, True))
+                acc = emit(False, acc, literal(x, True))
             refs.append(acc)
         while len(refs) > 1:  # balanced OR tree by adjacent pairing
             nxt = [
-                emit("OR", refs[i], refs[i + 1])
+                emit(True, refs[i], refs[i + 1])
                 for i in range(0, len(refs) - 1, 2)
             ]
             if len(refs) % 2:
@@ -188,8 +191,10 @@ def _compile(
             refs = nxt
         out = refs[0]
 
-    netlist = Netlist(names, tuple(gates), out)
-    n = len(names)
+    text = _references(names, len(ops))
+    netlist = Netlist(names, tuple(
+        Gate(k, "OR" if is_or else "IAND", text[a], text[b])
+        for k, (is_or, a, b) in enumerate(ops)), text[out])
     if n <= MAX_TABLE_VARS:
         mask = _replay(netlist, columns(n), (1 << (1 << n)) - 1)
         check_oracle(want, TruthTable.from_mask(names, mask), "spindiode")
@@ -202,14 +207,7 @@ def simulate_netlist(netlist: Netlist, inputs: dict[str, int]) -> int:
     This is the one-row case of the replay ``compile_soi`` runs over every
     row at once.
     """
-    bits = []
-    for name in netlist.inputs:
-        if name not in inputs:
-            raise EvaluationError(f"spindiode: unbound input {name!r}")
-        bit = inputs[name]
-        if bit not in (0, 1):
-            raise EvaluationError(f"spindiode: input {name!r} must be 0 or 1")
-        bits.append(bit)
+    bits = [_bit(inputs, name, "spindiode") for name in netlist.inputs]
     return _replay(netlist, bits, 1)
 
 
@@ -225,19 +223,13 @@ def _replay(netlist: Netlist, cols: list[int], full: int) -> int:
 
 def netlist_stats(netlist: Netlist) -> dict[str, int]:
     """Gate count, depth (longest input-to-output path), and per-kind counts."""
-    depth: dict[str, int] = {}
-
-    def ref_depth(ref: str) -> int:
-        return depth.get(ref, 0)  # primary inputs are depth 0
-
-    for g in netlist.gates:
-        depth[g.ref] = 1 + max(ref_depth(g.in_a), ref_depth(g.in_b))
-    return {
-        "gates": len(netlist.gates),
-        "depth": ref_depth(netlist.output),
-        "iands": sum(1 for g in netlist.gates if g.kind == "IAND"),
-        "ors": sum(1 for g in netlist.gates if g.kind == "OR"),
-    }
+    ops, out = netlist._ops
+    depth = [0] * (2 * len(netlist.inputs))  # primary inputs are depth 0
+    for _, a, b in ops:
+        depth.append(1 + max(depth[a], depth[b]))
+    ors = sum(is_or for is_or, _, _ in ops)
+    return {"gates": len(ops), "depth": depth[out],
+            "iands": len(ops) - ors, "ors": ors}
 
 
 def gate_text(g: Gate) -> str:

@@ -583,6 +583,23 @@ def reference_simulate_netlist(
     return reference_ref_value(netlist.output, inputs, vals)
 
 
+def reference_netlist_stats(netlist: Netlist) -> dict[str, int]:
+    """Gate count, depth (longest input-to-output path), and per-kind counts."""
+    depth: dict[str, int] = {}
+
+    def ref_depth(ref: str) -> int:
+        return depth.get(ref, 0)  # primary inputs are depth 0
+
+    for g in netlist.gates:
+        depth[g.ref] = 1 + max(ref_depth(g.in_a), ref_depth(g.in_b))
+    return {
+        "gates": len(netlist.gates),
+        "depth": ref_depth(netlist.output),
+        "iands": sum(1 for g in netlist.gates if g.kind == "IAND"),
+        "ors": sum(1 for g in netlist.gates if g.kind == "OR"),
+    }
+
+
 def reference_normalize_not(e: Expr) -> Expr:
     """``normalize_not`` that rebuilds every operator node."""
     if isinstance(e, Not):

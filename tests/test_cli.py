@@ -197,6 +197,19 @@ class TestConvert:
 
 
 class TestMinimize:
+    @pytest.mark.parametrize("form", ["soi", "noi"])
+    @pytest.mark.parametrize("value", ["0", "1"])
+    def test_constant_over_no_variables(self, capsys, form, value):
+        code, out, _ = run(capsys, "minimize", "--form", form, value)
+        assert (code, out) == (0, f"{value}\n")
+        code, out, _ = run(
+            capsys, "minimize", "--form", form, "--format", "structured",
+            value,
+        )
+        record = json.loads(out)
+        assert code == 0 and record["expr"] == value
+        assert record["cost"] == 0 and record["variables"] == []
+
     def test_noi_text(self, capsys, carry_file):
         code, out, _ = run(
             capsys, "minimize", "--form", "noi", "--table-file", carry_file
@@ -229,13 +242,13 @@ class TestMinimize:
         self, capsys, carry_file, monkeypatch, extra
     ):
         calls = []
-        real = minimize.minimum_cover
+        real = minimize._minimum_cover
 
         def counting(primes, onset):
             calls.append(primes)
             return real(primes, onset)
 
-        monkeypatch.setattr(minimize, "minimum_cover", counting)
+        monkeypatch.setattr(minimize, "_minimum_cover", counting)
         code, _, _ = run(
             capsys, "minimize", "--form", "noi", "--table-file", carry_file,
             *extra,
@@ -434,13 +447,13 @@ class TestTableRouteOracle:
 
     @pytest.fixture()
     def drop_a_cube(self, monkeypatch):
-        real = minimize.minimum_cover
+        real = minimize._minimum_cover
 
         def dropping(primes, onset):
             cover = real(primes, onset)
             return dataclasses.replace(cover, cubes=cover.cubes[1:])
 
-        monkeypatch.setattr(minimize, "minimum_cover", dropping)
+        monkeypatch.setattr(minimize, "_minimum_cover", dropping)
 
     @pytest.mark.parametrize("target", ["memristor", "spindiode"])
     def test_compiler_raises(self, drop_a_cube, carry_file, target):
@@ -466,11 +479,11 @@ class TestTableRouteOracle:
             from asymlogic.cli import main
             if __debug__:
                 sys.exit(9)
-            real = minimize.minimum_cover
+            real = minimize._minimum_cover
             def dropping(primes, onset):
                 cover = real(primes, onset)
                 return dataclasses.replace(cover, cubes=cover.cubes[1:])
-            minimize.minimum_cover = dropping
+            minimize._minimum_cover = dropping
             sys.exit(main(["compile", "--target", sys.argv[1],
                            "--table-file", sys.argv[2]]))
             """

@@ -355,6 +355,17 @@ class TestSimulate:
         with pytest.raises(EvaluationError):
             simulate(compile_nand("p", "q"), {"p": 2, "q": 0})
 
+    @pytest.mark.parametrize("e", [Var("p"), Not(Var("p"))])
+    def test_float_input_is_rejected(self, e):
+        with pytest.raises(EvaluationError, match="^memristor: 'p' must be"):
+            simulate(compile_noi(e), {"p": 1.0})
+
+    def test_bool_input_reads_as_int(self):
+        r = simulate(compile_noi(Var("p")), {"p": True})
+        assert r.output == 1 and type(r.output) is int
+        assert all(type(v) is int for v in r.state)
+        assert simulate(compile_nand("p", "q"), {"p": True, "q": True}).output == 0
+
 
 class TestMatchesStepwiseReference:
     """``simulate`` and ``step_semantics`` are the one-row case of the

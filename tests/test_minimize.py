@@ -287,6 +287,16 @@ class TestMinimumCover:
         primes, cover = minimize_table(t)
         assert cover.cubes == () and cover.cost == 0
 
+    def test_constant_one_over_no_variables(self):
+        # the one row is 1: the all-dash cube over no variables, as over A
+        primes, cover = minimize_table(TruthTable((), (1,)))
+        assert [q.trits for q in cover.cubes] == [""] and cover.cost == 0
+        assert primes.cubes == cover.cubes
+        assert any("degenerate" in line for line in cover.trace)
+        assert minimize_table(TruthTable((), (0,)))[1].cubes == ()
+        with pytest.raises(ValueError, match="need n >= 1"):
+            prime_implicants([0], (), 0)
+
 
 # not-all-equal over five variables: a cyclic core with no essential prime,
 # and the hardest cover of the synth benchmark on seeds 1-10 (11 577 nodes)
@@ -391,13 +401,13 @@ class TestOracleAlwaysOn:
 
     @pytest.fixture()
     def drop_a_cube(self, monkeypatch):
-        real = minimize.minimum_cover
+        real = minimize._minimum_cover
 
         def dropping(primes, onset):
             cover = real(primes, onset)
             return dataclasses.replace(cover, cubes=cover.cubes[1:])
 
-        monkeypatch.setattr(minimize, "minimum_cover", dropping)
+        monkeypatch.setattr(minimize, "_minimum_cover", dropping)
 
     def table(self) -> TruthTable:
         # rows 0, 1 and 2047: the cubes 0000000000- and 11111111111
@@ -420,11 +430,11 @@ class TestOracleAlwaysOn:
             from asymlogic.cli import main
             if __debug__:
                 sys.exit(9)
-            real = minimize.minimum_cover
+            real = minimize._minimum_cover
             def dropping(primes, onset):
                 cover = real(primes, onset)
                 return dataclasses.replace(cover, cubes=cover.cubes[1:])
-            minimize.minimum_cover = dropping
+            minimize._minimum_cover = dropping
             argv = ["minimize", "--form", "noi", "--table-file", sys.argv[1]]
             sys.exit(main(argv))
             """
@@ -457,6 +467,9 @@ class TestMinimizedForms:
         assert minimized_noi(TruthTable(("A",), (0, 0))) == Const(0)
         assert minimized_soi(TruthTable(("A",), (1, 1))) == Const(1)
         assert minimized_noi(TruthTable(("A",), (1, 1))) == Const(1)
+        for bit in (0, 1):
+            t = TruthTable((), (bit,))
+            assert minimized_soi(t) == minimized_noi(t) == Const(bit)
 
     def test_single_cube_single_literal(self):
         # f = NOT A over (A, B) minimizes to the cube 0-

@@ -102,6 +102,16 @@ class TestTruthTable:
         with pytest.raises(EvaluationError, match="must be 0 or 1"):
             evaluate(e, env)
 
+    @pytest.mark.parametrize("e", [A, Not(A)])
+    def test_float_bit_is_rejected(self, e):
+        with pytest.raises(EvaluationError, match="^semantics: 'A' must be"):
+            evaluate(e, {"A": 1.0})
+
+    def test_bool_bit_reads_as_int(self):
+        for e, want in ((A, 1), (Not(A), 0), (IandChain((A, B)), 1)):
+            got = evaluate(e, {"A": True, "B": False})
+            assert got == want and type(got) is int
+
     def test_unread_variable_is_not_checked(self):
         assert evaluate(A, {"A": 1, "Z": 7}) == 1
 

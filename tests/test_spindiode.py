@@ -37,7 +37,11 @@ from asymlogic.spindiode import (
     simulate_netlist,
 )
 
-from .helpers import assignments, reference_simulate_netlist
+from .helpers import (
+    assignments,
+    reference_netlist_stats,
+    reference_simulate_netlist,
+)
 from .strategies import soi_exprs, soi_exprs_with_constants
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -170,7 +174,7 @@ class TestInputHandling:
             compile_soi(IandChain((A, B)), inputs=("A",))
 
     def test_duplicate_inputs_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^spindiode: duplicate input"):
             compile_soi(A, inputs=("A", "A"))
 
     def test_default_order_is_first_appearance(self):
@@ -189,6 +193,18 @@ class TestInputHandling:
     def test_non_bit_simulation_input(self):
         with pytest.raises(EvaluationError):
             simulate_netlist(compile_soi(A), {"A": 7})
+
+    @pytest.mark.parametrize("text", ["A", "!A", "A @ B"])
+    def test_float_input_is_rejected(self, text):
+        net = compile_soi(parse(text), inputs=("A", "B"))
+        with pytest.raises(EvaluationError, match="^spindiode: 'A' must be"):
+            simulate_netlist(net, {"A": 1.0, "B": 0})
+
+    def test_bool_input_reads_as_int(self):
+        for text, want in (("A", 1), ("!A", 0), ("A @ B", 1)):
+            net = compile_soi(parse(text), inputs=("A", "B"))
+            got = simulate_netlist(net, {"A": True, "B": False})
+            assert got == want and type(got) is int
 
     def test_every_declared_input_must_be_bound(self):
         # B is declared but no gate reads it; it must still be bound
@@ -262,6 +278,13 @@ class TestNetlistValidation:
         with pytest.raises(ValueError, match="^spindiode: gate 1 is .* g0"):
             Netlist(("A",), gates, "g0")
 
+    def test_duplicate_input_names(self):
+        # the tap in:A could otherwise mean either declared input
+        with pytest.raises(ValueError, match="^spindiode: duplicate input"):
+            Netlist(("A", "A"), (Gate(0, "IAND", "in:A", "in:A"),), "g0")
+        with pytest.raises(ValueError, match="^spindiode: duplicate input"):
+            Netlist(("A", "B", "A"), (), "in:B")
+
     def test_missing_output_gate(self):
         with pytest.raises(ValueError, match="^spindiode: output 'g3'"):
             Netlist(("A",), (Gate(0, "OR", "in:A", "!in:A"),), "g3")
@@ -311,6 +334,39 @@ class TestMatchesRowwiseReference:
             assert simulate_netlist(net, env) == reference_simulate_netlist(
                 net, env
             )
+
+
+class TestStatsMatchReference:
+    """``netlist_stats`` reads the resolved value indices; it returns what
+    the reference, which walks the reference strings, returns."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.one_of(soi_exprs, soi_exprs_with_constants))
+    def test_compiled_netlists(self, e):
+        net = compile_soi(e, inputs=("A", "B", "C", "D"))
+        assert netlist_stats(net) == reference_netlist_stats(net)
+
+    @settings(max_examples=150, deadline=None)
+    @given(_netlists())
+    def test_hand_written_netlists(self, net):
+        assert netlist_stats(net) == reference_netlist_stats(net)
+
+    @pytest.mark.parametrize(
+        "inputs, gates, output, want",
+        [
+            # the output is an input tap, and the one gate goes unread
+            (("A", "B"), (Gate(0, "OR", "in:A", "!in:B"),), "!in:B",
+             {"gates": 1, "depth": 0, "iands": 0, "ors": 1}),
+            # g1 reads g0 twice and is not read; the output is g0
+            (("A",), (Gate(0, "IAND", "in:A", "!in:A"),
+                      Gate(1, "OR", "g0", "g0")), "g0",
+             {"gates": 2, "depth": 1, "iands": 1, "ors": 1}),
+            (("A",), (), "in:A", {"gates": 0, "depth": 0, "iands": 0, "ors": 0}),
+        ],
+    )
+    def test_hand_built_netlists(self, inputs, gates, output, want):
+        net = Netlist(inputs, gates, output)
+        assert netlist_stats(net) == reference_netlist_stats(net) == want
 
 
 def _flip_first_tap(netlist_type):
