@@ -31,7 +31,8 @@ class Const:
     value: int
 
     def __post_init__(self) -> None:
-        if self.value not in (0, 1):
+        # an int, not a bool or float, so it prints as the parser reads it
+        if type(self.value) is not int or self.value not in (0, 1):
             raise ValueError(f"expr: constant must be 0 or 1, got {self.value!r}")
 
     def __repr__(self) -> str:

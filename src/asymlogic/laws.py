@@ -36,7 +36,6 @@ from .expr import (
     iter_subexpressions,
     literal_count,
     normalize_not,
-    operator_count,
     rebuild,
     replace_at,
     subexpr_at,
@@ -340,37 +339,73 @@ def simplify(
     position) and stops when nothing reduces it or the budget runs out.
     A match is scored from its binding (``_literal_delta``); only a match
     that can still win is built and has its operators counted.
+
+    A node's matches are found once and carried from round to round by
+    node identity.  A rewrite rebuilds only the nodes on one path, and
+    ``normalize_not`` returns every other subtree as the same object, so
+    each round matches only the nodes that are new: the rewritten path
+    and the replacement.  Operator counts are kept per node the same way.
+    Both maps hold their nodes, so no id is reused while they live, and
+    both end with the call.
     """
     if budget < 0:
         raise ValueError("laws: simplify budget must be >= 0")
     index = _default_index() if rules is None else _index(rules)
     anywhere = index[_ANYWHERE]
+
+    def reductions(node: Expr) -> list[tuple[int, Rule, dict[str, Expr]]]:
+        """``(delta, rule, binding)`` for each match that cuts literals."""
+        found = []
+        for rule, const, weights in index.get(_shape(node), anywhere):
+            binding = match_pattern(rule.lhs, node)
+            if binding is None:
+                continue
+            delta = const
+            for name, w in weights:
+                delta += w * literal_count(binding[name])
+            if delta < 0:
+                found.append((delta, rule, binding))
+        return found
+
+    counts: dict[int, tuple[Expr, int]] = {}
+
+    def operators(node: Expr) -> int:
+        hit = counts.get(id(node))
+        if hit is None:
+            n = 0
+            if not isinstance(node, (Const, Var)):
+                n = 1 + sum(map(operators, children(node)))
+            hit = counts[id(node)] = (node, n)
+        return hit[1]
+
     current = normalize_not(e)
     steps: list[SimplifyStep] = []
+    carried: dict[int, tuple[Expr, list]] = {}
+    base = literal_count(current)
     for _ in range(budget):
-        base = literal_count(current)
         best: tuple[tuple, Rule, Path, Expr] | None = None
         most = base - 1  # a contender has at most this many literals
+        seen: dict[int, tuple[Expr, list]] = {}
         for path, node in iter_subexpressions(current):
-            for rule, const, weights in index.get(_shape(node), anywhere):
-                binding = match_pattern(rule.lhs, node)
-                if binding is None:
-                    continue
-                lits = base + const
-                for name, w in weights:
-                    lits += w * literal_count(binding[name])
+            k = id(node)
+            entry = seen.get(k) or carried.get(k) or (node, reductions(node))
+            seen[k] = entry
+            for delta, rule, binding in entry[1]:
+                lits = base + delta
                 if lits > most:
                     continue
                 candidate = normalize_not(
                     replace_at(current, path, substitute(rule.rhs, binding))
                 )
-                key = (lits, operator_count(candidate), rule.name, path)
+                key = (lits, operators(candidate), rule.name, path)
                 if best is None or key < best[0]:
                     best = (key, rule, path, candidate)
                     most = lits
         if best is None:
             break
-        _, rule, path, current = best
+        carried = seen
+        key, rule, path, current = best
+        base = key[0]  # exact, see ``_literal_delta``
         steps.append(SimplifyStep(rule.name, path, current))
     check_oracle(current, e, "simplify")
     return SimplifyResult(current, tuple(steps))

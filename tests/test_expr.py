@@ -49,6 +49,13 @@ class TestConstruction:
         with pytest.raises(ValueError):
             Const(2)
 
+    @pytest.mark.parametrize("value", [True, False, 1.0, 0.0, 2, -1, "1"])
+    def test_constant_must_be_the_int_0_or_1(self, value):
+        # True and 1.0 compare equal to 1 but print as text the parser
+        # cannot read back
+        with pytest.raises(ValueError):
+            Const(value)
+
     @pytest.mark.parametrize("ctor", [And, Or, IandChain, ImplyChain])
     def test_arity_minimum_two(self, ctor):
         with pytest.raises(ArityError):

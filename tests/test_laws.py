@@ -300,6 +300,7 @@ RULE_SETS = {
     "demonstrations": demonstrations(),
 }
 BUDGETS = (0, 1, 3, 64)
+CARRY_BUDGETS = (1, 3, 64)
 
 
 def _planted_or(rng: random.Random, n: int, terms: int) -> Expr:
@@ -378,6 +379,61 @@ class TestSimplifyMatchesReference:
                 result = simplify(e, budget=budget)
                 assert result == reference_simplify(e, budget=budget)
             assert result.steps  # the planted terms were found
+
+    # simplify carries each node's matches between rounds by node identity;
+    # these inputs put one node object at several paths
+
+    # a proven rule whose rhs repeats A; "and-idempotent" would beat it
+    SQUARE = (
+        Rule("square", "test", parse("(A | 0) & (A | 0)"), parse("A & A")),
+    ) + tuple(r for r in classical_rules() if r.name != "and-idempotent")
+
+    @staticmethod
+    def _squarable(x: Expr, y: Expr) -> Expr:
+        # two equal operands (A | 0), distinct objects, inside an OR
+        twin = Or((Or((x, Const(0))), Const(0)))
+        return Or((And((Or((Or((x, Const(0))), Const(0))), twin)), y))
+
+    def test_rhs_repeat_puts_one_object_at_two_paths(self):
+        assert verify_rule(self.SQUARE[0]).status == "Proven"
+        e = self._squarable(Var("p"), Var("q"))
+        result = simplify(e, self.SQUARE, 64)
+        assert result == reference_simplify(e, self.SQUARE, 64)
+        first = result.steps[0]
+        assert first.rule == "square"
+        left, right = first.result.children[0].children
+        assert left is right
+        # the shared p | 0 is matched at both paths, or-identity at each,
+        # and their parent, a new node, by square again
+        assert [s.rule for s in result.steps] == ["square", "square"]
+
+    @settings(deadline=None)
+    @given(expressions(max_leaves=6), expressions(max_leaves=6))
+    def test_rhs_repeating_a_metavariable(self, x, y):
+        e = self._squarable(x, y)
+        for budget in CARRY_BUDGETS:
+            assert simplify(e, self.SQUARE, budget) == reference_simplify(
+                e, self.SQUARE, budget
+            )
+
+    @pytest.mark.parametrize("rules", RULE_SETS.values(), ids=RULE_SETS)
+    @settings(deadline=None)
+    @given(expressions(max_leaves=6), expressions(max_leaves=6))
+    def test_shared_subtrees(self, rules, x, y):
+        e = Or((x, And((x, y)), x))
+        for budget in CARRY_BUDGETS:
+            assert simplify(e, rules, budget) == reference_simplify(
+                e, rules, budget
+            )
+
+    @settings(deadline=None)
+    @given(expressions())
+    def test_no_state_between_calls(self, e):
+        for rules in (None, None, classical_rules(), catalog()):
+            for budget in CARRY_BUDGETS:
+                assert simplify(e, rules, budget) == reference_simplify(
+                    e, rules, budget
+                )
 
 
 class TestStaticFilter:
