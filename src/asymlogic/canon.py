@@ -36,6 +36,8 @@ from dataclasses import dataclass
 
 from .errors import ShapeError
 from .expr import (
+    FALSE,
+    TRUE,
     And,
     Const,
     Expr,
@@ -118,6 +120,22 @@ _SOI_SHAPE = "an SOI expression (OR of IAND chains or literals)"
 _NOI_SHAPE = "a NOI expression (negated AND of IMPLY chains or literals)"
 
 
+def _peel(e: Expr) -> Expr:
+    """``e`` as ``normalize_not`` leaves its root: ``Not`` pairs collapsed
+    and a negated constant folded.  Nothing below the root is read, and a
+    root with nothing to change comes back as the same object."""
+    if type(e) is not Not:
+        return e
+    odd = False
+    while type(e) is Not:
+        top, e, odd = e, e.child, not odd
+    if not odd:
+        return e
+    if type(e) is Const:
+        return TRUE if e.value == 0 else FALSE
+    return top  # the Not directly above e
+
+
 def _read(
     e: Expr, noi: bool
 ) -> tuple[tuple[str, ...], tuple[Product, ...]]:
@@ -126,9 +144,12 @@ def _read(
 
     Every term and every operand is read, so a term or an operand of the
     wrong shape raises ShapeError wherever it stands.  A literal or a
-    constant reads the same in both forms.
+    constant reads the same in both forms.  The result is the same as for
+    ``normalize_not(e)``, without a walk of its own: each node the reader
+    looks at (the root, each term, each operand) is peeled as it is read,
+    which is all that ``normalize_not`` changes at a subtree's root.
     """
-    e = normalize_not(e)
+    e = _peel(e)
     t = type(e)
     if noi and t is Not:
         terms = e.child.children if type(e.child) is And else (e.child,)
@@ -141,6 +162,7 @@ def _read(
     names: list[str] = []
     products: list[Product] = []
     for term in terms:
+        term = _peel(term)
         t = type(term)
         if t is chain:
             ops = term.operands
@@ -153,6 +175,7 @@ def _read(
         kept: list[Expr] = []
         zero = False
         for i, x in enumerate(ops):
+            x = _peel(x)
             t = type(x)
             if t is Const:  # as read: a 1 drops out, a 0 drops the product
                 zero |= x.value == (i >= cut)

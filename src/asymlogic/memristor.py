@@ -19,11 +19,17 @@ are pinned to ``r0 .. r(k-1)``, each RESET takes the smallest free
 register, and a scratch register is free again right after its last read.
 
 Input registers are never written, so a program replays from any input
-assignment.  One loop replays it: each register holds a mask of rows
+assignment.  ``ImplyProgram.__post_init__`` resolves the steps once into
+``_plan``, a ``(read, written)`` register pair per step with ``read`` None
+for a ``RESET``, as ``Netlist`` resolves its references; it checks the
+plan with set operations and walks it step by step only to word the first
+fault.  One loop replays the plan: each register holds a mask of rows
 (``semantics.columns``), ``RESET r`` clears ``r`` and ``IMPLY p, q`` sets
 ``q`` to ``(full ^ p) | q``.  The compiler runs it once over all rows and
 checks the output mask against its source, a NOI expression or a table;
-``simulate`` and ``step_semantics`` run it over the single row ``full = 1``.
+``simulate`` (which takes its trace in the same loop) and
+``step_semantics`` run it over the single row ``full = 1``, and
+``step_count`` counts the plan's resets.
 """
 
 from __future__ import annotations
@@ -67,6 +73,9 @@ class ImplyProgram:
     steps: tuple[Step, ...]
 
     def __post_init__(self) -> None:
+        """Check the bindings and registers, then resolve every step once
+        into ``_plan``: a ``(read, written)`` register pair per step, with
+        ``read`` ``None`` for a ``RESET``."""
         inputs: set[int] = set()
         names: set[str] = set()
         for name, reg in self.bindings:
@@ -81,21 +90,35 @@ class ImplyProgram:
                 raise ValueError(f"memristor: input {name!r} bound twice")
             inputs.add(reg)
             names.add(name)
-        for step in self.steps:
-            regs = (
-                (step.target,) if type(step) is Reset
-                else (step.cond, step.set)
-            )
-            for r in regs:
-                if not 0 <= r < self.registers:
-                    raise ValueError(f"memristor: register r{r} out of range")
-            written = regs[-1]
-            if written in inputs:
-                raise ValueError(
-                    f"memristor: program writes input register r{written}"
-                )
+        # the same pair as step_semantics takes, inline: a call per step
+        # would cost more than the rest of the check
+        plan = tuple([(None, s.target) if type(s) is Reset else (s.cond, s.set)
+                      for s in self.steps])
+        written = {w for _, w in plan}
+        used = {r for r, _ in plan}
+        used.discard(None)
+        used |= written
+        if used and (min(used) < 0 or max(used) >= self.registers
+                     or not inputs.isdisjoint(written)):
+            _first_fault(plan, self.registers, inputs)
         if not 0 <= self.output < self.registers:
             raise ValueError("memristor: output register out of range")
+        object.__setattr__(self, "_plan", plan)
+
+
+def _first_fault(
+    plan: tuple[tuple[int | None, int], ...], registers: int, inputs: set[int]
+) -> None:
+    """Raise for the first faulty step: a register out of range, its read
+    checked before its write, or a write to an input register."""
+    for read, written in plan:
+        for r in (written,) if read is None else (read, written):
+            if not 0 <= r < registers:
+                raise ValueError(f"memristor: register r{r} out of range")
+        if written in inputs:
+            raise ValueError(
+                f"memristor: program writes input register r{written}"
+            )
 
 
 @dataclass(frozen=True)
@@ -108,7 +131,8 @@ class SimulationResult:
 def step_semantics(state: tuple[int, ...], step: Step) -> tuple[int, ...]:
     """One machine step applied to an immutable register state."""
     regs = list(state)
-    _replay((step,), regs, 1)
+    pair = (None, step.target) if type(step) is Reset else (step.cond, step.set)
+    _replay((pair,), regs, 1)
     return tuple(regs)
 
 
@@ -119,29 +143,32 @@ def simulate(
 
     Bound registers start at their input value, every other register at 0;
     the trace holds the full state after each step.  This is the one-row
-    case of the replay ``compile_noi`` runs over every row at once.
+    case of the replay ``compile_noi`` runs over every row at once, with
+    the trace taken in the same loop.
     """
     regs = [0] * program.registers
     for name, reg in program.bindings:
         regs[reg] = _bit(inputs, name, "memristor")
     trace: list[tuple[int, ...]] = []
-    _replay(program.steps, regs, 1, trace)
+    for read, written in program._plan:
+        if read is None:
+            regs[written] = 0
+        else:
+            regs[written] |= 1 ^ regs[read]
+        trace.append(tuple(regs))
     return SimulationResult(regs[program.output], tuple(regs), tuple(trace))
 
 
 def _replay(
-    steps: tuple[Step, ...], regs: list[int], full: int,
-    trace: list[tuple[int, ...]] | None = None,
+    plan: tuple[tuple[int | None, int], ...], regs: list[int], full: int
 ) -> None:
-    """Run ``steps`` in place over registers that hold row masks within
-    ``full``, appending the register file after each step to ``trace``."""
-    for s in steps:
-        if type(s) is Reset:
-            regs[s.target] = 0
+    """Run a resolved plan in place over registers that hold row masks
+    within ``full``."""
+    for read, written in plan:
+        if read is None:
+            regs[written] = 0
         else:
-            regs[s.set] |= full ^ regs[s.cond]
-        if trace is not None:
-            trace.append(tuple(regs))
+            regs[written] |= full ^ regs[read]
 
 
 def _table(program: ImplyProgram, names: tuple[str, ...]) -> TruthTable:
@@ -150,16 +177,17 @@ def _table(program: ImplyProgram, names: tuple[str, ...]) -> TruthTable:
     regs = [0] * program.registers
     for name, reg in program.bindings:
         regs[reg] = col[name]
-    _replay(program.steps, regs, (1 << (1 << len(names))) - 1)
+    _replay(program._plan, regs, (1 << (1 << len(names))) - 1)
     return TruthTable.from_mask(names, regs[program.output])
 
 
 def step_count(program: ImplyProgram) -> dict[str, int]:
-    resets = sum(1 for s in program.steps if isinstance(s, Reset))
+    total = len(program._plan)
+    resets = [r for r, _ in program._plan].count(None)
     return {
-        "total": len(program.steps),
+        "total": total,
         "resets": resets,
-        "implies": len(program.steps) - resets,
+        "implies": total - resets,
         "registers": program.registers,
     }
 

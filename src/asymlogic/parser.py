@@ -14,13 +14,25 @@ Grammar, loosest binding first::
 fix-it hint: the two chain operators pair in opposite directions, so an
 unparenthesized mix has no reading that respects both.
 
-One compiled regex splits the text into tokens: a one-character operator
-or parenthesis, ``->``, a word (a run of letters, digits and underscores),
-or any other non-space character, which is an error.  Whitespace between
-tokens is skipped.  A word is ``0``, ``1`` or a name, which starts with a
-letter or underscore; any other word is an error.  The tokens are held as
-parallel kind/text/position lists, which the recursive descent reads by
-index, taking a run of ``!`` in one loop.
+One ``findall`` of a compiled regex splits the text into tokens: a
+one-character operator or parenthesis, ``->``, a word (a run of ASCII
+letters, digits and underscores), or any other non-space character, which
+is an error.  Whitespace between tokens is skipped.  A word is ``0``, ``1``
+or a name, which starts with a letter or underscore; any other word is an
+error.  An operator's kind is its own text, so the recursive descent reads
+the token texts by index and takes a run of ``!`` in one loop.  A token is
+checked where the descent first reads it, and a name only the first time
+it is read.  Token positions are found only when the parse fails: the
+error path runs the regex again, reports the first bad token if there is
+one (so a token error wins over a grammar error, wherever it stands) and
+otherwise the grammar error at its token's position.
+
+The parser keeps one ``Var`` for each name and one ``Not`` for each name
+written with a single ``!``, so ``!a & !a`` holds one ``Not(Var('a'))``
+node twice.  Nesting is bounded: an atom may stand inside at most
+``MAX_NESTING`` parentheses and ``!`` together, and the ``(`` or ``!`` that
+crosses the bound is a ``ParseError``, so every tree ``parse`` returns is
+shallow enough for the recursive walks over it.
 """
 
 from __future__ import annotations
@@ -40,82 +52,87 @@ from .expr import (
     imply_chain,
 )
 
+MAX_NESTING = 100  # parentheses and '!' around any one atom
+_TOO_DEEP = f"nesting deeper than {MAX_NESTING} levels of '(' and '!'"
+
 _MIX_HINT = (
     "cannot mix '@' and '->' at the same nesting level; "
     "add parentheses, e.g. (A @ B) -> C or A @ (B -> C)"
 )
 
-# Operators, then words, then any other non-space character (an error).
-# ``\w`` is ``str.isalnum`` or ``_``, and the whitespace that ``finditer``
-# skips is ``str.isspace``, character for character.
-_TOKEN_RE = re.compile(r"[!&@|()]|->|\w+|\S")
-_FIXED = frozenset(("!", "&", "@", "|", "(", ")", "->", "0", "1"))
+# Operators, then ASCII words, then any other non-space character (an
+# error), so a letter such as ``\u00e9`` is an error at its own position.
+# The whitespace that ``findall`` skips is ``str.isspace``, character for
+# character, so a no-break space is a space.
+_TOKEN_RE = re.compile(r"[!&@|()]|->|[A-Za-z0-9_]+|\S")
+_OPERATORS = frozenset(("!", "&", "@", "|", "(", ")", "->"))
+_DIGITS = "0123456789"
+_NAME_START = frozenset(
+    "ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz_"
+)
+_EOF = ""  # the token after the last one; no token is empty
 
 
-def _tokenize(text: str) -> tuple[list[str], list[str], list[int]]:
-    """Parallel kind, text and position lists, ending with an ``EOF`` token.
-
-    A token's kind is its own text for operators, parentheses, ``0`` and
-    ``1``, and ``NAME`` for a name.
-    """
-    kinds: list[str] = []
-    texts: list[str] = []
-    positions: list[int] = []
-    for m in _TOKEN_RE.finditer(text):
-        tok = m[0]
-        if tok in _FIXED:
-            kinds.append(tok)
-        elif tok[0].isalpha() or tok[0] == "_":
-            kinds.append("NAME")
-        elif tok[0].isdigit():
-            raise ParseError(
-                f"name cannot start with a digit: {tok!r}", m.start()
-            )
-        elif tok == "-":
-            raise ParseError("expected '->' after '-'", m.start())
-        else:
-            raise ParseError(f"unexpected character {tok[0]!r}", m.start())
-        texts.append(tok)
-        positions.append(m.start())
-    kinds.append("EOF")
-    texts.append("")
-    positions.append(len(text))
-    return kinds, texts, positions
+def _token_error(tok: str) -> str | None:
+    """Why a token cannot stand in any expression, or ``None``."""
+    if tok in _OPERATORS or tok[0] in _NAME_START or tok in ("0", "1"):
+        return None
+    if tok[0] in _DIGITS:
+        return f"name cannot start with a digit: {tok!r}"
+    if tok == "-":
+        return "expected '->' after '-'"
+    return f"unexpected character {tok[0]!r}"
 
 
 class _Parser:
     def __init__(self, text: str) -> None:
-        self.kinds, self.texts, self.positions = _tokenize(text)
+        self.text = text
+        self.texts = _TOKEN_RE.findall(text)
+        self.texts.append(_EOF)
         self.index = 0
-        self.names: dict[str, Var] = {}  # one Var per distinct name
+        self.depth = 0  # parentheses and '!' around the current token
+        # one node per atom: the constants and each name, and each negated
+        self.atoms: dict[str, Expr] = {"0": FALSE, "1": TRUE}
+        self.negated: dict[str, Not] = {}
+
+    def error(self, message: str, index: int) -> ParseError:
+        """The first bad token's error, or ``message`` at token ``index``."""
+        position = len(self.text)
+        for i, m in enumerate(_TOKEN_RE.finditer(self.text)):
+            bad = _token_error(m[0])
+            if bad is not None:
+                return ParseError(bad, m.start())
+            if i == index:
+                position = m.start()
+        return ParseError(message, position)
 
     # Every level returns (expression, naked_iand): the flag records an
     # '@' consumed inside the current parentheses, and parentheses clear it.
 
     def parse_imply(self) -> tuple[Expr, bool]:
         left, left_naked = self.parse_or()
-        kinds = self.kinds
-        if kinds[self.index] != "->":
+        texts = self.texts
+        if texts[self.index] != "->":
             return left, left_naked
         if left_naked:
-            raise ParseError(_MIX_HINT, self.positions[self.index])
+            raise self.error(_MIX_HINT, self.index)
         operands = [left]
-        while kinds[self.index] == "->":
+        while texts[self.index] == "->":
             arrow = self.index
             self.index += 1
             right, right_naked = self.parse_or()
             if right_naked:
-                raise ParseError(_MIX_HINT, self.positions[arrow])
+                raise self.error(_MIX_HINT, arrow)
             operands.append(right)
         return imply_chain(operands), False
 
     def parse_or(self) -> tuple[Expr, bool]:
         first, naked = self.parse_iand()
-        kinds = self.kinds
-        if kinds[self.index] != "|":
+        texts = self.texts
+        if texts[self.index] != "|":
             return first, naked
         operands = [first]
-        while kinds[self.index] == "|":
+        while texts[self.index] == "|":
             self.index += 1
             nxt, nxt_naked = self.parse_iand()
             naked = naked or nxt_naked
@@ -124,60 +141,75 @@ class _Parser:
 
     def parse_iand(self) -> tuple[Expr, bool]:
         first = self.parse_and()
-        kinds = self.kinds
-        if kinds[self.index] != "@":
+        texts = self.texts
+        if texts[self.index] != "@":
             return first, False
         operands = [first]
-        while kinds[self.index] == "@":
+        while texts[self.index] == "@":
             self.index += 1
             operands.append(self.parse_and())
         return iand_chain(operands), True
 
     def parse_and(self) -> Expr:
         first = self.parse_not()
-        kinds = self.kinds
-        if kinds[self.index] != "&":
+        texts = self.texts
+        if texts[self.index] != "&":
             return first
         operands = [first]
-        while kinds[self.index] == "&":
+        while texts[self.index] == "&":
             self.index += 1
             operands.append(self.parse_not())
         return And(tuple(operands))
 
     def parse_not(self) -> Expr:
         """A run of ``!`` and the atom it negates."""
-        kinds = self.kinds
+        texts = self.texts
         i = start = self.index
-        while kinds[i] == "!":
+        while texts[i] == "!":
             i += 1
         self.index = i + 1
-        kind = kinds[i]
-        if kind == "NAME":
-            name = self.texts[i]
-            e = self.names.get(name)
-            if e is None:
-                e = self.names[name] = Var(name)
-        elif kind == "(":
+        tok = texts[i]
+        outer = self.depth
+        # the k-th token from ``start`` is at level outer + k + 1, so the
+        # one that crosses the bound is k = MAX_NESTING - outer; a '(' at
+        # the bound is found by the descent inside it, as k = -1
+        depth = outer + i - start
+        if depth > MAX_NESTING:
+            raise self.error(_TOO_DEEP, start + MAX_NESTING - outer)
+        if tok == "(":
+            self.depth = depth + 1
             e, _ = self.parse_imply()
+            self.depth = outer
             closing = self.index
+            if texts[closing] != ")":
+                raise self.error("expected ')'", closing)
             self.index = closing + 1
-            if kinds[closing] != ")":
-                raise ParseError("expected ')'", self.positions[closing])
-        elif kind == "0":
-            e = FALSE
-        elif kind == "1":
-            e = TRUE
-        elif kind == ")":
-            raise ParseError("unmatched ')'", self.positions[i])
-        elif kind == "EOF":
-            raise ParseError("unexpected end of input", self.positions[i])
         else:
-            raise ParseError(
-                f"unexpected token {self.texts[i]!r}", self.positions[i]
-            )
+            e = self.atoms.get(tok)
+            if e is None:
+                e = self.atoms[tok] = self.name(tok, i)
+            if i > start:
+                start += 1  # the innermost '!' is the atom's shared Not
+                neg = self.negated.get(tok)
+                if neg is None:
+                    neg = self.negated[tok] = Not(e)
+                e = neg
         for _ in range(i - start):
             e = Not(e)
         return e
+
+    def name(self, tok: str, i: int) -> Var:
+        """The ``Var`` of a name read for the first time."""
+        if tok == ")":
+            raise self.error("unmatched ')'", i)
+        if tok == _EOF:
+            raise self.error("unexpected end of input", i)
+        if tok in _OPERATORS:
+            raise self.error(f"unexpected token {tok!r}", i)
+        bad = _token_error(tok)
+        if bad is not None:
+            raise self.error(bad, i)
+        return Var(tok)
 
 
 def parse(text: str) -> Expr:
@@ -185,8 +217,6 @@ def parse(text: str) -> Expr:
     parser = _Parser(text)
     expr, _ = parser.parse_imply()
     i = parser.index
-    if parser.kinds[i] != "EOF":
-        raise ParseError(
-            f"trailing input {parser.texts[i]!r}", parser.positions[i]
-        )
+    if parser.texts[i] != _EOF:
+        raise parser.error(f"trailing input {parser.texts[i]!r}", i)
     return expr

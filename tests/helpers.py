@@ -15,12 +15,16 @@ for every match of every rule, where the production search scores a match
 from its binding and builds only the ones that can win.  The machine
 simulators' references step one row at a time, copying the register file
 at every step and resolving each netlist reference string on every row,
-where the production simulators run one bit-parallel replay loop.  The
+where the production simulators run one bit-parallel replay loop over
+steps resolved once into register pairs.  The program validator's
+reference checks one step at a time, where the production constructor
+checks the resolved plan with set operations.  The
 prime generator's reference merges cubes pairwise within each care group
 and sorts trit strings, where the production code takes one shift-AND per
 dash set over the table's mask and sorts int cubes.  The parser's reference
 tokenizes character by character into one token object each, where the
-production parser splits the text with one regex into parallel lists, and
+production parser takes the token texts from one regex ``findall`` and
+finds positions only on error, and
 the ``normalize_not`` reference rebuilds every node, where the production
 code returns unchanged subtrees as they are.  The pattern matcher,
 ``substitute``, ``rebuild``, ``replace_at``, the structural dual and the
@@ -522,6 +526,55 @@ def reference_simplify(
     return SimplifyResult(current, tuple(steps))
 
 
+def reference_check_program(
+    registers: int, bindings: tuple[tuple[str, int], ...], output: int,
+    steps: tuple[Step, ...],
+) -> None:
+    """The per-step validation ``ImplyProgram`` ran before it resolved its
+    steps into a plan: the error its constructor must raise, step for step
+    and register for register."""
+    inputs: set[int] = set()
+    names: set[str] = set()
+    for name, reg in bindings:
+        if not 0 <= reg < registers:
+            raise ValueError(
+                f"memristor: input {name!r} bound to register r{reg} "
+                "out of range"
+            )
+        if reg in inputs:
+            raise ValueError(f"memristor: two inputs bound to r{reg}")
+        if name in names:
+            raise ValueError(f"memristor: input {name!r} bound twice")
+        inputs.add(reg)
+        names.add(name)
+    for step in steps:
+        regs = (
+            (step.target,) if type(step) is Reset
+            else (step.cond, step.set)
+        )
+        for r in regs:
+            if not 0 <= r < registers:
+                raise ValueError(f"memristor: register r{r} out of range")
+        written = regs[-1]
+        if written in inputs:
+            raise ValueError(
+                f"memristor: program writes input register r{written}"
+            )
+    if not 0 <= output < registers:
+        raise ValueError("memristor: output register out of range")
+
+
+def reference_step_count(program: ImplyProgram) -> dict[str, int]:
+    """``step_count`` by counting the step objects."""
+    resets = sum(1 for s in program.steps if isinstance(s, Reset))
+    return {
+        "total": len(program.steps),
+        "resets": resets,
+        "implies": sum(1 for s in program.steps if isinstance(s, Imply)),
+        "registers": program.registers,
+    }
+
+
 def reference_step_semantics(
     state: tuple[int, ...], step: Step
 ) -> tuple[int, ...]:
@@ -828,6 +881,13 @@ _SINGLE = {
 }
 
 
+# A word is a run of ASCII letters, digits and underscores; any other
+# letter or digit is an unexpected character.
+_WORD = frozenset(
+    "ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789_"
+)
+
+
 def _tokenize(text: str) -> list[_Token]:
     tokens: list[_Token] = []
     i = 0
@@ -847,9 +907,9 @@ def _tokenize(text: str) -> list[_Token]:
             tokens.append(_Token(_SINGLE[ch], ch, i))
             i += 1
             continue
-        if ch.isalpha() or ch == "_" or ch.isdigit():
+        if ch in _WORD:
             j = i
-            while j < n and (text[j].isalnum() or text[j] == "_"):
+            while j < n and text[j] in _WORD:
                 j += 1
             word = text[i:j]
             if word[0].isdigit():
@@ -864,7 +924,7 @@ def _tokenize(text: str) -> list[_Token]:
 
 def _ident_tail(text: str, i: int) -> bool:
     """True when the digit at ``i`` starts a longer word (an invalid name)."""
-    return i + 1 < len(text) and (text[i + 1].isalnum() or text[i + 1] == "_")
+    return i + 1 < len(text) and text[i + 1] in _WORD
 
 
 class _Parser:

@@ -5,7 +5,8 @@ from __future__ import annotations
 from itertools import product
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from asymlogic.canon import (
     Unsupported,
@@ -30,12 +31,16 @@ from asymlogic.expr import (
     Not,
     Or,
     Var,
+    children,
+    normalize_not,
+    rebuild,
     variables,
 )
 from asymlogic.parser import parse
 from asymlogic.semantics import TruthTable, equivalent, truth_table
 
 from .strategies import (
+    expressions,
     noi_exprs,
     noi_exprs_with_constants,
     soi_exprs,
@@ -248,6 +253,70 @@ class TestProducts:
     def test_noi_conversion_reverses_each_product(self, noi):
         soi = noi_to_soi(noi)
         assert soi_products(soi) == tuple(p[::-1] for p in noi_products(noi))
+
+
+@st.composite
+def _stacked_nots(draw, base):
+    """An expression from ``base`` with 0 to 3 ``Not`` stacked on every
+    node, so that double negations and negated constants stand at the root,
+    at terms, at operands and below them."""
+
+    def stack(e):
+        kids = children(e)
+        if kids:
+            e = rebuild(e, tuple(map(stack, kids)))
+        for _ in range(draw(st.integers(0, 3))):
+            e = Not(e)
+        return e
+
+    return stack(draw(base))
+
+
+def _read_outcome(e, noi):
+    """The names and products, or the ShapeError's type and message."""
+    try:
+        return _read(e, noi)
+    except ShapeError as exc:
+        return type(exc), str(exc)
+
+
+class TestReaderPeelsAsItReads:
+    """``_read`` peels negations only at the nodes it reads; the result is
+    the one it gives for the whole tree normalized first."""
+
+    @pytest.mark.parametrize("noi", [False, True])
+    @settings(max_examples=300)
+    @given(data=st.data())
+    def test_matches_normalized_tree(self, noi, data):
+        base = st.one_of(
+            soi_exprs_with_constants, noi_exprs_with_constants,
+            expressions(max_leaves=8),
+        )
+        e = data.draw(_stacked_nots(base))
+        assert _read_outcome(e, noi) == _read_outcome(normalize_not(e), noi)
+
+    @pytest.mark.parametrize("text, noi, products", [
+        ("!!(A @ !!!B | !!C)", False, ((A, B), (C,))),
+        ("!!!(A -> !!B) ", True, ((A, Not(B)),)),
+        ("!!!(!!(A -> !1) & !!!0)", True, ((A,),)),
+        ("A @ !!!0 | B", False, ((B,),)),
+        ("!!!!1", True, ((),)),
+        ("!!!1", False, ()),
+    ])
+    def test_stacked_negations_fold(self, text, noi, products):
+        assert _read(parse(text), noi)[1] == products
+
+    @pytest.mark.parametrize("text, noi, message", [
+        ("!!!(A @ B)", False, "got Not"),
+        ("!(A | !!(B @ C))", True, "got Or"),
+        ("A @ !!(B | C)", False, "got Or"),
+        ("!!!(A -> !!!(B -> C))", True, "got Not"),
+    ])
+    def test_stacked_negations_of_the_wrong_shape(self, text, noi, message):
+        e = parse(text)
+        with pytest.raises(ShapeError, match=message):
+            _read(e, noi)
+        assert _read_outcome(e, noi) == _read_outcome(normalize_not(e), noi)
 
 
 class TestConstantOperands:

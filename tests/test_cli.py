@@ -17,6 +17,7 @@ from asymlogic import cli, memristor, minimize, semantics, spindiode
 from asymlogic.cli import load_table_file, main
 from asymlogic.memristor import compile_noi
 from asymlogic.minimize import minimized_noi, minimized_soi
+from asymlogic.parser import MAX_NESTING
 from asymlogic.semantics import TruthTable
 from asymlogic.spindiode import compile_soi
 
@@ -94,6 +95,40 @@ class TestSourceErrors:
 
     def test_unknown_subcommand(self, capsys):
         assert run(capsys, "nonsense")[0] == 2
+
+    @pytest.mark.parametrize("opener, closer", [("(", ")"), ("!", "")])
+    def test_nesting_at_the_bound(self, capsys, opener, closer):
+        text = opener * MAX_NESTING + "A" + closer * MAX_NESTING
+        code, out, _ = run(capsys, "table", text)
+        assert code == 0
+        assert out.splitlines()[0].split() == ["A"]
+
+    @pytest.mark.parametrize("opener, closer", [("(", ")"), ("!", "")])
+    def test_nesting_past_the_bound(self, capsys, opener, closer):
+        depth = MAX_NESTING + 1
+        code, out, err = run(
+            capsys, "table", opener * depth + "A" + closer * depth
+        )
+        assert code == 2 and out == ""
+        assert err == (
+            f"error: nesting deeper than {MAX_NESTING} levels of '(' and "
+            f"'!' (at position {MAX_NESTING})\n"
+        )
+
+    def test_deep_nesting_far_past_the_bound(self, capsys):
+        code, _, err = run(capsys, "table", "!" * 5000 + "A")
+        assert code == 2 and err.startswith("error: nesting deeper")
+
+    @pytest.mark.parametrize("text, position", [
+        ("a\u00e9", 1), ("A & \u00b2", 4),
+    ])
+    def test_non_ascii_name(self, capsys, text, position):
+        code, _, err = run(capsys, "table", text)
+        assert code == 2
+        assert err == (
+            f"error: unexpected character {text[position]!r} "
+            f"(at position {position})\n"
+        )
 
 
 class TestLaws:

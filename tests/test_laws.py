@@ -436,6 +436,29 @@ class TestSimplifyMatchesReference:
                 )
 
 
+    # the parser keeps one Not per name written with a single '!', so a
+    # parsed tree holds that node at every such path
+
+    def test_parsed_negations_are_shared(self):
+        e = parse("!a & !a | (!a @ b) | !a -> !b & !a")
+        negs = [n for _, n in iter_subexpressions(e) if n == Not(Var("a"))]
+        assert len(negs) == 5 and all(n is negs[0] for n in negs)
+        for rules in RULE_SETS.values():
+            for budget in CARRY_BUDGETS:
+                assert simplify(e, rules, budget) == reference_simplify(
+                    e, rules, budget
+                )
+
+    @pytest.mark.parametrize("rules", RULE_SETS.values(), ids=RULE_SETS)
+    @settings(deadline=None)
+    @given(expressions())
+    def test_parsed_expressions(self, rules, e):
+        e = parse(format_expr(e))
+        for budget in CARRY_BUDGETS:
+            assert simplify(e, rules, budget) == reference_simplify(
+                e, rules, budget
+            )
+
 class TestStaticFilter:
     RULES = catalog() + classical_rules()
 

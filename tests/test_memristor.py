@@ -42,8 +42,10 @@ from asymlogic.semantics import TruthTable, evaluate
 
 from .helpers import (
     assignments,
+    reference_check_program,
     reference_compile_noi,
     reference_simulate,
+    reference_step_count,
     reference_step_semantics,
 )
 from .strategies import noi_exprs, noi_exprs_with_constants
@@ -113,6 +115,104 @@ class TestProgramValidation:
         with pytest.raises(ValueError, match="memristor: input 'p' bound "
                            "twice"):
             ImplyProgram(3, (("p", 0), ("p", 1)), 2, ())
+
+
+# steps over registers -2 .. 6 of a five-register file: some out of range,
+# some negative, some writing an input register
+_any_steps = st.one_of(
+    st.integers(-2, 6).map(Reset),
+    st.tuples(st.integers(-2, 6), st.integers(-2, 6))
+    .filter(lambda cs: cs[0] != cs[1])
+    .map(lambda cs: Imply(*cs)),
+)
+
+
+def _raised(build):
+    """The ValueError's message, or ``None`` when nothing is raised."""
+    try:
+        build()
+    except ValueError as exc:
+        return str(exc)
+    return None
+
+
+class TestValidationMatchesReference:
+    """The constructor checks its resolved plan with set operations; the
+    message is the one the per-step reference raises, for the first fault."""
+
+    BINDINGS = (("p", 0), ("q", 1))
+
+    def _check(self, steps, output=2):
+        fields = (5, self.BINDINGS, output, tuple(steps))
+        got = _raised(lambda: ImplyProgram(*fields))
+        assert got == _raised(lambda: reference_check_program(*fields))
+        return got
+
+    @pytest.mark.parametrize("steps, message", [
+        ([Reset(2), Imply(7, 2)], "memristor: register r7 out of range"),
+        ([Reset(2), Imply(2, 5)], "memristor: register r5 out of range"),
+        ([Reset(5)], "memristor: register r5 out of range"),
+        ([Imply(-1, 2)], "memristor: register r-1 out of range"),
+        ([Reset(-3)], "memristor: register r-3 out of range"),
+        ([Reset(2), Imply(2, 1)], "memristor: program writes input "
+         "register r1"),
+        ([Reset(0)], "memristor: program writes input register r0"),
+    ])
+    def test_each_fault(self, steps, message):
+        assert self._check(steps) == message
+
+    @pytest.mark.parametrize("steps, message", [
+        # a write to an input, then a register out of range
+        ([Imply(2, 0), Reset(9)], "memristor: program writes input "
+         "register r0"),
+        ([Reset(9), Imply(2, 0)], "memristor: register r9 out of range"),
+        # in one step, the read is checked before the write
+        ([Imply(8, 1)], "memristor: register r8 out of range"),
+        ([Imply(-1, 6)], "memristor: register r-1 out of range"),
+        ([Imply(3, 6), Imply(-1, 2)], "memristor: register r6 out of "
+         "range"),
+        # a bad step before a bad output
+        ([Reset(1)], "memristor: program writes input register r1"),
+    ])
+    def test_first_of_two_faults(self, steps, message):
+        assert self._check(steps, output=7) == message
+
+    def test_bad_output_after_good_steps(self):
+        assert self._check([Reset(2)], output=5) == (
+            "memristor: output register out of range"
+        )
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(_any_steps, max_size=8), st.integers(-1, 5))
+    def test_random_programs(self, steps, output):
+        self._check(steps, output)
+
+
+class TestPlanMatchesSteps:
+    """``_plan`` is the steps resolved once; everything that replays or
+    counts a program reads it, and must agree with the steps themselves."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(_programs)
+    def test_step_count(self, prog):
+        assert step_count(prog) == reference_step_count(prog)
+
+    @settings(max_examples=150, deadline=None)
+    @given(_programs)
+    def test_step_by_step_replay(self, prog):
+        # step_semantics chained over a program gives the reference trace
+        for env in assignments(("p", "q")):
+            cur = (env["p"], env["q"], 0, 0, 0)
+            for step, after in zip(prog.steps,
+                                   reference_simulate(prog, env).trace):
+                cur = step_semantics(cur, step)
+                assert cur == after
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.one_of(noi_exprs, noi_exprs_with_constants))
+    def test_compiled_step_count(self, e):
+        prog = compile_noi(e)
+        assert step_count(prog) == reference_step_count(prog)
 
 
 class TestNand:

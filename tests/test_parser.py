@@ -19,7 +19,9 @@ from asymlogic.expr import (
     Var,
     format_expr,
 )
-from asymlogic.parser import parse
+from asymlogic.laws import simplify
+from asymlogic.parser import MAX_NESTING, parse
+from asymlogic.semantics import equivalent, truth_table
 
 from .helpers import reference_parse
 from .strategies import expressions
@@ -119,6 +121,95 @@ class TestErrors:
             parse("A & $")
         assert exc.value.position == 4
 
+    def test_token_error_wins_over_an_earlier_grammar_error(self):
+        # every token is checked before the grammar is, wherever it stands
+        with pytest.raises(ParseError) as exc:
+            parse("A ) 0abc")
+        assert "name cannot start with a digit" in str(exc.value)
+        assert exc.value.position == 4
+
+    @pytest.mark.parametrize("text, char, position", [
+        ("a\u00e9", "\u00e9", 1),
+        ("\u00e9 & A", "\u00e9", 0),
+        ("A & \u00b2", "\u00b2", 4),
+        ("\u0663x", "\u0663", 0),
+        ("x\uff41", "\uff41", 1),
+    ])
+    def test_non_ascii_letters_and_digits(self, text, char, position):
+        with pytest.raises(ParseError) as exc:
+            parse(text)
+        assert str(exc.value) == (
+            f"unexpected character {char!r} (at position {position})"
+        )
+
+    def test_unicode_spaces_separate_tokens(self):
+        assert parse("A\u00a0&\u2003B") == And((A, B))
+
+
+def _nested(depth: int, opener: str) -> str:
+    closer = ")" if opener == "(" else ""
+    return opener * depth + "A" + closer * depth
+
+
+class TestNestingBound:
+    """An atom may stand inside at most MAX_NESTING parentheses and '!'
+    together; the token that crosses the bound is the error."""
+
+    @pytest.mark.parametrize("opener", ["(", "!"])
+    def test_at_the_bound(self, opener):
+        e = parse(_nested(MAX_NESTING, opener))
+        assert truth_table(e).variables == ("A",)
+        assert parse(format_expr(e)) == e
+
+    @pytest.mark.parametrize("opener", ["(", "!"])
+    def test_one_past_the_bound(self, opener):
+        with pytest.raises(ParseError) as exc:
+            parse(_nested(MAX_NESTING + 1, opener))
+        assert exc.value.position == MAX_NESTING
+        assert f"nesting deeper than {MAX_NESTING}" in str(exc.value)
+
+    def test_parentheses_and_negations_count_together(self):
+        # each level is '!(' and one more '!' crosses the bound
+        half = MAX_NESTING // 2
+        assert parse("!(" * half + "A" + ")" * half)
+        with pytest.raises(ParseError) as exc:
+            parse("!(" * half + "!A" + ")" * half)
+        assert exc.value.position == MAX_NESTING
+
+    def test_nesting_is_per_atom_not_per_text(self):
+        # siblings each at the bound: the depth returns after ')'
+        deep = _nested(MAX_NESTING, "(")
+        assert parse(f"{deep} & {deep} | !{_nested(MAX_NESTING - 1, '!')}")
+
+    def test_a_worst_case_at_the_bound(self):
+        # 25 nestings of four levels each: three '(' and one '!'
+        text = "t"
+        for _ in range(MAX_NESTING // 4):
+            text = f"(((!{text} & x) @ x) | x -> x)"
+        e = parse(text)
+        assert parse(format_expr(e)) == e
+        assert truth_table(e).variables == ("t", "x")
+        assert equivalent(simplify(e).expression, e)
+        with pytest.raises(ParseError) as exc:
+            parse(f"(((!{text} & x) @ x) | x -> x)")
+        assert exc.value.position == MAX_NESTING  # each level is one char
+
+
+class TestSharedNegations:
+    def test_one_not_per_negated_name(self):
+        e = parse("!a & !a | !b @ !a")
+        (first, second), chain = e.children[0].children, e.children[1]
+        assert first is second
+        assert chain.operands[1] is first
+        assert first == Not(Var("a"))
+
+    def test_one_var_per_name_under_any_negation(self):
+        e = parse("a & !a & !!a & !(a)")
+        a = e.children[0]
+        assert e.children[1].child is a
+        assert e.children[2].child.child is a
+        assert e.children[3].child is a
+
 
 class TestRoundTrip:
     @given(expressions())
@@ -138,7 +229,8 @@ class TestRoundTrip:
 
 
 # Operators, a lone '-', digits next to names, ASCII and Unicode spaces, and
-# Unicode letters, digits and numerics: each hits a different tokenizer path.
+# Unicode letters, digits and numerics, which are unexpected characters:
+# each hits a different tokenizer path.
 _PIECES = (
     "!", "!!", "&", "@", "|", "(", ")", "->", "-", ">", "$",
     "0", "1", "A", "b_2", "_x", " ", "\t", "\u00a0",
