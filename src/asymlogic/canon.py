@@ -25,7 +25,8 @@ converting between the forms reverses each product.  The reader folds
 constant operands with the chain identity laws: a literal that is 1 drops
 out, a 0 drops its product, and the empty product makes the whole form 1.
 It reads every term and operand even so, and raises ShapeError for any of
-the wrong shape, wherever it stands.
+the wrong shape, wherever it stands.  It peels each node it reads with
+``expr.peel``, and literals and terms are complemented with ``negate``.
 
 Canonical terms are ordered by ascending minterm index.
 """
@@ -36,8 +37,6 @@ from dataclasses import dataclass
 
 from .errors import ShapeError
 from .expr import (
-    FALSE,
-    TRUE,
     And,
     Const,
     Expr,
@@ -46,7 +45,8 @@ from .expr import (
     Not,
     Or,
     Var,
-    normalize_not,
+    negate,
+    peel,
 )
 from .semantics import TruthTable, check_oracle, lowest_row, rows_of
 
@@ -64,10 +64,8 @@ Product = tuple[Expr, ...]  # literals: each a Var or a Not(Var)
 def complement(x: Expr) -> Expr:
     """The complement of a literal."""
     t = type(x)
-    if t is Var:
-        return Not(x)
-    if t is Not and type(x.child) is Var:
-        return x.child
+    if t is Var or (t is Not and type(x.child) is Var):
+        return negate(x)
     raise ShapeError(f"canon: expected a literal, got {t.__name__}")
 
 
@@ -113,27 +111,11 @@ def noi_form(products: tuple[Product, ...]) -> Expr:
     if not products:
         return Const(0)
     terms = tuple(map(noi_term, products))
-    return normalize_not(Not(terms[0])) if len(terms) == 1 else Not(And(terms))
+    return negate(terms[0] if len(terms) == 1 else And(terms))
 
 
 _SOI_SHAPE = "an SOI expression (OR of IAND chains or literals)"
 _NOI_SHAPE = "a NOI expression (negated AND of IMPLY chains or literals)"
-
-
-def _peel(e: Expr) -> Expr:
-    """``e`` as ``normalize_not`` leaves its root: ``Not`` pairs collapsed
-    and a negated constant folded.  Nothing below the root is read, and a
-    root with nothing to change comes back as the same object."""
-    if type(e) is not Not:
-        return e
-    odd = False
-    while type(e) is Not:
-        top, e, odd = e, e.child, not odd
-    if not odd:
-        return e
-    if type(e) is Const:
-        return TRUE if e.value == 0 else FALSE
-    return top  # the Not directly above e
 
 
 def _read(
@@ -146,10 +128,10 @@ def _read(
     wrong shape raises ShapeError wherever it stands.  A literal or a
     constant reads the same in both forms.  The result is the same as for
     ``normalize_not(e)``, without a walk of its own: each node the reader
-    looks at (the root, each term, each operand) is peeled as it is read,
-    which is all that ``normalize_not`` changes at a subtree's root.
+    looks at (the root, each term, each operand) is peeled as it is read
+    (``peel``), which is all that ``normalize_not`` changes at its root.
     """
-    e = _peel(e)
+    e = peel(e)
     t = type(e)
     if noi and t is Not:
         terms = e.child.children if type(e.child) is And else (e.child,)
@@ -162,7 +144,7 @@ def _read(
     names: list[str] = []
     products: list[Product] = []
     for term in terms:
-        term = _peel(term)
+        term = peel(term)
         t = type(term)
         if t is chain:
             ops = term.operands
@@ -175,7 +157,7 @@ def _read(
         kept: list[Expr] = []
         zero = False
         for i, x in enumerate(ops):
-            x = _peel(x)
+            x = peel(x)
             t = type(x)
             if t is Const:  # as read: a 1 drops out, a 0 drops the product
                 zero |= x.value == (i >= cut)
@@ -187,7 +169,7 @@ def _read(
                     f"got {t.__name__}"
                 )
             names.append(v.name)
-            kept.append(x if i < cut else v if t is Not else Not(v))
+            kept.append(x if i < cut else negate(x))
         if not zero:
             products.append(tuple(kept))
     if () in products:
@@ -260,7 +242,7 @@ def _minterm_nand(names: tuple[str, ...], row: int) -> Expr:
     """Negated full-support product that is false exactly at ``row``."""
     lits = literals(names, row, -1)
     body = lits[0] if len(lits) == 1 else And(lits)
-    return normalize_not(Not(body))
+    return negate(body)
 
 
 def ios_from_tt(t: TruthTable) -> Expr | Unsupported:

@@ -195,22 +195,40 @@ def variables(e: Expr) -> tuple[str, ...]:
     return tuple(seen)
 
 
+def negate(e: Expr) -> Expr:
+    """The complement of ``e``, the one negation rule: ``Not(x)`` gives
+    ``x``, a constant the other constant and any other node ``Not(e)``."""
+    t = type(e)
+    if t is Not:
+        return e.child
+    if t is Const:
+        return FALSE if e.value else TRUE
+    return Not(e)
+
+
+def peel(e: Expr) -> Expr:
+    """``e`` as ``normalize_not`` leaves its root: ``Not`` pairs collapsed
+    and a negated constant folded.  Nothing below the root is read, and a
+    root with nothing to change comes back as the same object."""
+    while type(e) is Not and type(e.child) in (Not, Const):
+        e = negate(e.child)
+    return e
+
+
 def normalize_not(e: Expr) -> Expr:
     """Remove double negations and push Not through constants.
 
-    No other structure changes; in particular chains and And/Or operand
-    order are untouched.  A subtree with nothing to change is returned as
-    the same object, so a tree already in this form comes back unchanged.
+    A ``Not`` is its normalized child ``negate``d; no other structure
+    changes, so chains and And/Or operand order are untouched.  A subtree
+    with nothing to change is returned as the same object.
     """
     t = type(e)
     if t is Not:
         child = e.child
         inner = normalize_not(child)
-        if type(inner) is Not:
-            return inner.child
-        if type(inner) is Const:
-            return Const(1 - inner.value)
-        return e if inner is child else Not(inner)
+        if inner is child and type(inner) not in (Not, Const):
+            return e
+        return negate(inner)
     if t is Var or t is Const:
         return e
     kids = children(e)

@@ -35,6 +35,7 @@ from .expr import (
     imply_chain,
     iter_subexpressions,
     literal_count,
+    negate,
     normalize_not,
     rebuild,
     replace_at,
@@ -310,8 +311,12 @@ def rewrite_once(e: Expr, rule: Rule, position: Path) -> Expr:
         raise NoMatchError(
             f"laws: rule {rule.name!r} does not match at position {position}"
         )
-    replacement = substitute(rule.rhs, binding)
-    return normalize_not(replace_at(e, position, replacement))
+    return _rewrite(e, position, rule, binding)
+
+
+def _rewrite(e: Expr, path: Path, rule: Rule, binding: dict) -> Expr:
+    """The one rewrite step: ``rule`` at ``path`` under ``binding``."""
+    return normalize_not(replace_at(e, path, substitute(rule.rhs, binding)))
 
 
 @dataclass(frozen=True)
@@ -340,12 +345,12 @@ def simplify(
     A match is scored from its binding (``_literal_delta``); only a match
     that can still win is built and has its operators counted.
 
-    A node's matches are found once and carried from round to round by
-    node identity.  A rewrite rebuilds only the nodes on one path, and
+    A node's matches are found once per call and kept in one memo by node
+    identity.  A rewrite rebuilds only the nodes on one path, and
     ``normalize_not`` returns every other subtree as the same object, so
     each round matches only the nodes that are new: the rewritten path
     and the replacement.  Operator counts are kept per node the same way.
-    Both maps hold their nodes, so no id is reused while they live, and
+    Both memos hold their nodes, so no id is reused while they live, and
     both end with the call.
     """
     if budget < 0:
@@ -378,32 +383,28 @@ def simplify(
             hit = counts[id(node)] = (node, n)
         return hit[1]
 
+    matches: dict[int, tuple[Expr, list]] = {}
     current = normalize_not(e)
     steps: list[SimplifyStep] = []
-    carried: dict[int, tuple[Expr, list]] = {}
     base = literal_count(current)
     for _ in range(budget):
         best: tuple[tuple, Rule, Path, Expr] | None = None
         most = base - 1  # a contender has at most this many literals
-        seen: dict[int, tuple[Expr, list]] = {}
         for path, node in iter_subexpressions(current):
-            k = id(node)
-            entry = seen.get(k) or carried.get(k) or (node, reductions(node))
-            seen[k] = entry
+            entry = matches.get(id(node))
+            if entry is None:
+                entry = matches[id(node)] = (node, reductions(node))
             for delta, rule, binding in entry[1]:
                 lits = base + delta
                 if lits > most:
                     continue
-                candidate = normalize_not(
-                    replace_at(current, path, substitute(rule.rhs, binding))
-                )
+                candidate = _rewrite(current, path, rule, binding)
                 key = (lits, operators(candidate), rule.name, path)
                 if best is None or key < best[0]:
                     best = (key, rule, path, candidate)
                     most = lits
         if best is None:
             break
-        carried = seen
         key, rule, path, current = best
         base = key[0]  # exact, see ``_literal_delta``
         steps.append(SimplifyStep(rule.name, path, current))
@@ -497,23 +498,19 @@ def dual(e: Expr) -> Expr:
 def _dual(e: Expr) -> Expr:
     t = type(e)
     if t is Const:
-        return Const(1 - e.value)
+        return negate(e)
     if t is Var:
         return e
     kids = [_dual(k) for k in children(e)]
     # complement the operands a chain inverts: all but the first of an
     # IAND chain, all but the last of an IMPLY chain, the child of a Not
     if t is IandChain:
-        kids[1:] = map(_complement, kids[1:])
+        kids[1:] = map(negate, kids[1:])
     elif t is ImplyChain:
-        kids[:-1] = map(_complement, kids[:-1])
+        kids[:-1] = map(negate, kids[:-1])
     elif t is Not:
-        return _complement(kids[0])
+        return negate(kids[0])
     return (Or if t is And or t is IandChain else And)(tuple(kids))
-
-
-def _complement(e: Expr) -> Expr:
-    return normalize_not(Not(e))
 
 
 def demorgan_dual_expr(e: Expr) -> Expr:

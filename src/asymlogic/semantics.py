@@ -115,6 +115,8 @@ def _check_row_count(names: tuple[str, ...], rows: int) -> None:
 
 def row_assignment(names: tuple[str, ...], row: int) -> Assignment:
     n = len(names)
+    if not 0 <= row < 1 << n:
+        raise ValueError(f"semantics: row {row} is outside [0, 2**{n})")
     return {name: (row >> (n - 1 - i)) & 1 for i, name in enumerate(names)}
 
 

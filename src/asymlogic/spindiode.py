@@ -22,10 +22,11 @@ also gives the expression's variable names (folding constant operands, as
 reference text once, at the end.
 
 ``Netlist.__post_init__`` is the one resolver from text to indices, and
-rejects duplicate inputs and dangling references.  One loop replays a
-netlist: each value is a mask of rows (``semantics.columns``), a tap
-``!in:x`` reads ``full ^ x``, ``OR`` is ``a | b`` and ``IAND`` is
-``a & (full ^ b)``.  The compiler runs it over all rows and checks the
+rejects duplicate inputs and dangling references; its one plan of slots
+is what the replay and ``netlist_stats`` read.  One loop replays a
+netlist: each value is a mask of rows
+(``semantics.columns``), a tap ``!in:x`` reads ``full ^ x``, ``OR`` is
+``a | b`` and ``IAND`` is ``a & (full ^ b)``.  The compiler runs it over all rows and checks the
 output mask against its source; ``simulate_netlist`` runs it over the
 single row ``full = 1``.
 """
@@ -63,7 +64,7 @@ class Netlist:
     output: str
 
     def __post_init__(self) -> None:
-        """Check every reference, then resolve each to a value index once.
+        """Resolve every reference to a value index once, then plan slots.
 
         A gate writes the slot of a gate value past its last read, if there
         is one, so a replay over all rows holds only values still to be read.
@@ -72,8 +73,9 @@ class Netlist:
         if len(set(self.inputs)) != n:
             raise ValueError("spindiode: duplicate input names")
         base = 2 * n  # gate k is value base + k
-        value = {r: v for v, r in enumerate(
-            _references(self.inputs, len(self.gates)))}
+        end = len(self.gates)
+        value = {r: v for v, r in enumerate(_references(self.inputs, end))}
+        last = [end] * (base + end)  # each value's last reader
         ops = []
         for k, g in enumerate(self.gates):
             if g.gid != k:
@@ -89,6 +91,7 @@ class Netlist:
                     f"spindiode: g{k} reads {bad!r}, which is neither a "
                     f"declared input tap nor an earlier gate"
                 )
+            last[a] = last[b] = k
             ops.append((g.kind == "OR", a, b))
         out = value.get(self.output)
         if out is None:
@@ -96,10 +99,7 @@ class Netlist:
                 f"spindiode: output {self.output!r} is neither a declared "
                 f"input tap nor a gate"
             )
-        last = [len(ops)] * (base + len(ops))  # each value's last reader
-        for k, (_, a, b) in enumerate(ops):
-            last[a] = last[b] = k
-        last[out] = len(ops)
+        last[out] = end
         where = list(range(base))  # the slot of each value
         free: list[int] = []
         size = base
@@ -115,7 +115,6 @@ class Netlist:
                 where.append(size)
                 size += 1
             plan.append((is_or, where[a], where[b], where[-1]))
-        object.__setattr__(self, "_ops", (tuple(ops), out))
         object.__setattr__(self, "_plan", (size, tuple(plan), where[out]))
 
 
@@ -223,13 +222,13 @@ def _replay(netlist: Netlist, cols: list[int], full: int) -> int:
 
 def netlist_stats(netlist: Netlist) -> dict[str, int]:
     """Gate count, depth (longest input-to-output path), and per-kind counts."""
-    ops, out = netlist._ops
-    depth = [0] * (2 * len(netlist.inputs))  # primary inputs are depth 0
-    for _, a, b in ops:
-        depth.append(1 + max(depth[a], depth[b]))
-    ors = sum(is_or for is_or, _, _ in ops)
-    return {"gates": len(ops), "depth": depth[out],
-            "iands": len(ops) - ors, "ors": ors}
+    size, plan, out = netlist._plan
+    depth = [0] * size  # replayed over the slots; inputs and taps are 0
+    for _, a, b, dst in plan:
+        depth[dst] = 1 + max(depth[a], depth[b])
+    ors = sum(step[0] for step in plan)
+    return {"gates": len(plan), "depth": depth[out],
+            "iands": len(plan) - ors, "ors": ors}
 
 
 def gate_text(g: Gate) -> str:

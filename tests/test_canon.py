@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from asymlogic.canon import (
     Unsupported,
     _read,
+    complement,
     ion_from_tt,
     ios_from_tt,
     noi_form,
@@ -33,6 +34,7 @@ from asymlogic.expr import (
     Var,
     children,
     normalize_not,
+    peel,
     rebuild,
     variables,
 )
@@ -270,6 +272,35 @@ def _stacked_nots(draw, base):
         return e
 
     return stack(draw(base))
+
+
+def _peeled(e):
+    """Whether ``e``'s root is as ``normalize_not`` leaves a root."""
+    return type(e) is not Not or type(e.child) not in (Not, Const)
+
+
+class TestPeel:
+    """``expr.peel``, the reader's one negation step, changes only the root
+    and leaves it as ``normalize_not`` would."""
+
+    @settings(max_examples=300)
+    @given(_stacked_nots(expressions(max_leaves=8)))
+    def test_peels_the_root_only(self, e):
+        p = peel(e)
+        assert _peeled(p)
+        assert normalize_not(p) == normalize_not(e)
+        if _peeled(e):
+            assert p is e
+        elif type(p) is not Const:  # a node of e, reached through Nots
+            below = [e]
+            while type(below[-1]) is Not:
+                below.append(below[-1].child)
+            assert any(node is p for node in below)
+
+    def test_complement_takes_only_literals(self):
+        assert complement(A) == Not(A) and complement(Not(A)) is A
+        with pytest.raises(ShapeError, match="expected a literal, got Not"):
+            complement(Not(Not(Var("a"))))
 
 
 def _read_outcome(e, noi):

@@ -23,6 +23,7 @@ from asymlogic.expr import (
     imply_chain,
     iter_subexpressions,
     literal_count,
+    negate,
     normalize_not,
     operator_count,
     rebuild,
@@ -140,6 +141,17 @@ class TestNormalization:
         # the reference builds a fresh tree with no !! and no negated
         # constant, which comes back as the same object
         assert normalize_not(normal) is normal
+
+    def test_negate_collapses_the_root(self):
+        assert negate(A) == Not(A)
+        assert negate(Not(A)) is A
+        assert negate(Const(0)) == Const(1) and negate(Const(1)) == Const(0)
+        assert negate(Not(Not(A))) == Not(A)  # only the root collapses
+
+    @given(expressions().map(normalize_not))
+    def test_negate_is_the_normalized_complement(self, e):
+        assert negate(e) == normalize_not(Not(e))
+        assert negate(negate(e)) == e
 
     def test_counts(self):
         e = Or((IandChain((A, Not(B))), C))

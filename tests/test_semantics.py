@@ -74,6 +74,15 @@ class TestTruthTable:
         assert row_assignment(("A", "B", "C"), 4) == {"A": 1, "B": 0, "C": 0}
         assert row_assignment(("A", "B", "C"), 3) == {"A": 0, "B": 1, "C": 1}
 
+    @pytest.mark.parametrize("row", [4, -1])
+    def test_row_assignment_rejects_rows_out_of_range(self, row):
+        # rows are 0 .. 2**n - 1; 4 would alias row 0 and -1 read all ones
+        message = rf"row {row} is outside \[0, 2\*\*2\)"
+        with pytest.raises(ValueError, match=message):
+            row_assignment(("A", "B"), row)
+        with pytest.raises(ValueError, match=message):
+            TruthTable.from_string(("A", "B"), "0110").row_assignment(row)
+
     def test_default_variable_order_is_first_appearance(self):
         t = truth_table(Or((B, A)))
         assert t.variables == ("B", "A")

@@ -362,6 +362,11 @@ class TestStatsMatchReference:
                       Gate(1, "OR", "g0", "g0")), "g0",
              {"gates": 2, "depth": 1, "iands": 1, "ors": 1}),
             (("A",), (), "in:A", {"gates": 0, "depth": 0, "iands": 0, "ors": 0}),
+            # g1 reads g0 last and takes its slot, and g2 takes g1's
+            (("A", "B"), (Gate(0, "IAND", "in:A", "in:B"),
+                          Gate(1, "OR", "g0", "!in:B"),
+                          Gate(2, "IAND", "g1", "in:A")), "g2",
+             {"gates": 3, "depth": 3, "iands": 2, "ors": 1}),
         ],
     )
     def test_hand_built_netlists(self, inputs, gates, output, want):
