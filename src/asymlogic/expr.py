@@ -150,6 +150,18 @@ def imply_chain(operands: Sequence[Expr]) -> ImplyChain:
     return ImplyChain(tuple(ops))
 
 
+# The binary operators, loosest binding first: each row is the operator's
+# text, its node type and the constructor that joins a run of its operands.
+# The parser climbs this table and the printer reads its binding levels and
+# separators from it; '!' binds tighter than every row.
+BINARY_OPERATORS = (
+    ("->", ImplyChain, imply_chain),
+    ("|", Or, Or),
+    ("@", IandChain, iand_chain),
+    ("&", And, And),
+)
+
+
 def children(e: Expr) -> tuple[Expr, ...]:
     """Immediate subexpressions of a node, in positional order."""
     t = type(e)
@@ -283,17 +295,13 @@ def operator_count(e: Expr) -> int:
     return 1 + sum(operator_count(c) for c in children(e))
 
 
-# Printing precedence, loosest binding first.  These match the concrete
-# grammar in parser.py: ! > & > @ > | > ->
+# Printing precedence from the table, loosest first: -> < | < @ < & < !
 _LEVEL: dict[type, int] = {
-    ImplyChain: 10,
-    Or: 20,
-    IandChain: 30,
-    And: 40,
-    Not: 50,
-    Var: 60,
-    Const: 60,
+    node: 10 * i for i, (_, node, _) in enumerate(BINARY_OPERATORS, 1)
 }
+_LEVEL.update({Not: 50, Var: 60, Const: 60})
+# the operator between the children of each n-ary node
+_SEPARATOR = {node: f" {text} " for text, node, _ in BINARY_OPERATORS}
 
 
 def format_expr(e: Expr) -> str:
@@ -308,10 +316,6 @@ def format_expr(e: Expr) -> str:
     return _fmt(e, 0)
 
 
-# the operator between the children of each n-ary node but ImplyChain
-_SEPARATOR: dict[type, str] = {Or: " | ", IandChain: " @ ", And: " & "}
-
-
 def _fmt(e: Expr, min_level: int) -> str:
     t = type(e)
     level = _LEVEL[t]
@@ -322,7 +326,7 @@ def _fmt(e: Expr, min_level: int) -> str:
     elif t is Not:
         text = "!" + _fmt(e.child, level)
     elif t is ImplyChain:
-        text = " -> ".join(_fmt_imply_operand(c) for c in e.operands)
+        text = _SEPARATOR[t].join(map(_fmt_imply_operand, e.operands))
     else:
         text = _SEPARATOR[t].join(_fmt(c, level + 1) for c in children(e))
     if level < min_level:

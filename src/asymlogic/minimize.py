@@ -91,6 +91,10 @@ class Cube:
         return self.care.bit_count()
 
     def covers(self, row: int) -> bool:
+        if not 0 <= row < 1 << self.width:
+            raise ValueError(
+                f"minimize: row {row} is outside [0, 2**{self.width})"
+            )
         return row & self.care == self.value
 
     def sort_key(self) -> tuple[int, int]:
@@ -117,6 +121,8 @@ class PrimeImplicantSet:
     cubes: tuple[Cube, ...]
 
     def __post_init__(self) -> None:
+        if len(set(self.variables)) != len(self.variables):
+            raise ValueError("minimize: duplicate variable names")
         for q in self.cubes:
             q._check_width(len(self.variables))
 

@@ -1,27 +1,36 @@
 """Concrete syntax for expressions.
 
-Grammar, loosest binding first::
+Grammar::
 
-    imply := or ( "->" imply )?          right associative, chain-collected
-    or    := iand ( "|" iand )*
-    iand  := and ( "@" and )*            left associative, chain-collected
-    and   := not ( "&" not )*
-    not   := "!" not | atom
-    atom  := "0" | "1" | name | "(" imply ")"
+    binary := not ( op not )*    op: a row of expr.BINARY_OPERATORS
+    not    := "!" not | atom
+    atom   := "0" | "1" | name | "(" binary ")"
 
-``@`` binds tighter than ``|``, which binds tighter than ``->``.  Mixing
-``@`` and ``->`` inside the same pair of parentheses is rejected with a
-fix-it hint: the two chain operators pair in opposite directions, so an
-unparenthesized mix has no reading that respects both.
+The binary operators are the rows of ``expr.BINARY_OPERATORS``, loosest
+binding first: ``->``, ``|``, ``@``, ``&``.  A run of one operator is one
+node, joined by its row's constructor, so ``a @ b @ c`` is one IAND chain
+(pairing left to right) and ``a -> b -> c`` one IMPLY chain (pairing right
+to left).  One loop reads every level by precedence climbing:
+``parse_binary(level)`` reads an operand, then each run of an operator
+that binds tighter than ``level``, reading the run's operands at that
+operator's own level.
+
+Mixing ``@`` and ``->`` inside the same pair of parentheses is rejected
+with a fix-it hint: the two chain operators pair in opposite directions,
+so an unparenthesized mix has no reading that respects both.  The state
+``naked`` records an ``@`` read inside the current parentheses; a ``(``
+saves and clears it and its ``)`` restores it.  A run of ``->`` checks it
+before its first arrow and after each right operand, and reports the
+arrow before the operand.
 
 One ``findall`` of a compiled regex splits the text into tokens: a
 one-character operator or parenthesis, ``->``, a word (a run of ASCII
 letters, digits and underscores), or any other non-space character, which
 is an error.  Whitespace between tokens is skipped.  A word is ``0``, ``1``
 or a name, which starts with a letter or underscore; any other word is an
-error.  An operator's kind is its own text, so the recursive descent reads
-the token texts by index and takes a run of ``!`` in one loop.  A token is
-checked where the descent first reads it, and a name only the first time
+error.  An operator's kind is its own text, so the parser reads the
+token texts by index and takes a run of ``!`` in one loop.  A token is
+checked where the parser first reads it, and a name only the first time
 it is read.  Token positions are found only when the parse fails: the
 error path runs the regex again, reports the first bad token if there is
 one (so a token error wins over a grammar error, wherever it stands) and
@@ -41,15 +50,14 @@ import re
 
 from .errors import ParseError
 from .expr import (
+    BINARY_OPERATORS,
     FALSE,
     TRUE,
-    And,
     Expr,
+    IandChain,
+    ImplyChain,
     Not,
-    Or,
     Var,
-    iand_chain,
-    imply_chain,
 )
 
 MAX_NESTING = 100  # parentheses and '!' around any one atom
@@ -65,7 +73,10 @@ _MIX_HINT = (
 # The whitespace that ``findall`` skips is ``str.isspace``, character for
 # character, so a no-break space is a space.
 _TOKEN_RE = re.compile(r"[!&@|()]|->|[A-Za-z0-9_]+|\S")
-_OPERATORS = frozenset(("!", "&", "@", "|", "(", ")", "->"))
+# a binary operator's level is its row in the table, counting the loosest
+# as 1; any other token is at level 0 and ends every run
+_BINDS = {text: i for i, (text, _, _) in enumerate(BINARY_OPERATORS, 1)}
+_OPERATORS = frozenset(_BINDS).union("!()")
 _DIGITS = "0123456789"
 _NAME_START = frozenset(
     "ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz_"
@@ -91,6 +102,7 @@ class _Parser:
         self.texts.append(_EOF)
         self.index = 0
         self.depth = 0  # parentheses and '!' around the current token
+        self.naked = False  # an '@' was read inside the current parentheses
         # one node per atom: the constants and each name, and each negated
         self.atoms: dict[str, Expr] = {"0": FALSE, "1": TRUE}
         self.negated: dict[str, Not] = {}
@@ -106,60 +118,30 @@ class _Parser:
                 position = m.start()
         return ParseError(message, position)
 
-    # Every level returns (expression, naked_iand): the flag records an
-    # '@' consumed inside the current parentheses, and parentheses clear it.
-
-    def parse_imply(self) -> tuple[Expr, bool]:
-        left, left_naked = self.parse_or()
+    def parse_binary(self, level: int) -> Expr:
+        """An operand, then each run of an operator binding tighter than
+        ``level``, its operands read at the operator's own level."""
+        left = self.parse_not()
         texts = self.texts
-        if texts[self.index] != "->":
-            return left, left_naked
-        if left_naked:
-            raise self.error(_MIX_HINT, self.index)
-        operands = [left]
-        while texts[self.index] == "->":
-            arrow = self.index
-            self.index += 1
-            right, right_naked = self.parse_or()
-            if right_naked:
-                raise self.error(_MIX_HINT, arrow)
-            operands.append(right)
-        return imply_chain(operands), False
-
-    def parse_or(self) -> tuple[Expr, bool]:
-        first, naked = self.parse_iand()
-        texts = self.texts
-        if texts[self.index] != "|":
-            return first, naked
-        operands = [first]
-        while texts[self.index] == "|":
-            self.index += 1
-            nxt, nxt_naked = self.parse_iand()
-            naked = naked or nxt_naked
-            operands.append(nxt)
-        return Or(tuple(operands)), naked
-
-    def parse_iand(self) -> tuple[Expr, bool]:
-        first = self.parse_and()
-        texts = self.texts
-        if texts[self.index] != "@":
-            return first, False
-        operands = [first]
-        while texts[self.index] == "@":
-            self.index += 1
-            operands.append(self.parse_and())
-        return iand_chain(operands), True
-
-    def parse_and(self) -> Expr:
-        first = self.parse_not()
-        texts = self.texts
-        if texts[self.index] != "&":
-            return first
-        operands = [first]
-        while texts[self.index] == "&":
-            self.index += 1
-            operands.append(self.parse_not())
-        return And(tuple(operands))
+        while True:
+            op = texts[self.index]
+            own = _BINDS.get(op, 0)
+            if own <= level:
+                return left
+            _, node, build = BINARY_OPERATORS[own - 1]
+            operands = [left]
+            arrow = node is ImplyChain  # '@' already read may not meet '->'
+            if arrow and self.naked:
+                raise self.error(_MIX_HINT, self.index)
+            while texts[self.index] == op:
+                at = self.index
+                self.index = at + 1
+                operands.append(self.parse_binary(own))
+                if arrow and self.naked:
+                    raise self.error(_MIX_HINT, at)
+            if node is IandChain:
+                self.naked = True
+            left = build(operands)
 
     def parse_not(self) -> Expr:
         """A run of ``!`` and the atom it negates."""
@@ -178,8 +160,9 @@ class _Parser:
             raise self.error(_TOO_DEEP, start + MAX_NESTING - outer)
         if tok == "(":
             self.depth = depth + 1
-            e, _ = self.parse_imply()
-            self.depth = outer
+            naked, self.naked = self.naked, False
+            e = self.parse_binary(0)
+            self.depth, self.naked = outer, naked
             closing = self.index
             if texts[closing] != ")":
                 raise self.error("expected ')'", closing)
@@ -215,7 +198,7 @@ class _Parser:
 def parse(text: str) -> Expr:
     """Parse concrete syntax into an expression tree."""
     parser = _Parser(text)
-    expr, _ = parser.parse_imply()
+    expr = parser.parse_binary(0)
     i = parser.index
     if parser.texts[i] != _EOF:
         raise parser.error(f"trailing input {parser.texts[i]!r}", i)

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import dataclasses
 import random
+import re
 import subprocess
 import sys
 import textwrap
@@ -52,6 +53,15 @@ class TestCube:
         assert Cube("1-1").covers(0b111)
         assert not Cube("1-1").covers(0b100)
 
+    @pytest.mark.parametrize("row", [8, -1])
+    def test_covers_rejects_rows_outside_the_table(self, row):
+        # a row past the width once answered from its low bits alone
+        with pytest.raises(ValueError, match=re.escape(
+            f"minimize: row {row} is outside [0, 2**3)"
+        )):
+            Cube("1-0").covers(row)
+        assert Cube("1-0").covers(0b110) and not Cube("1-0").covers(0b111)
+
     def test_literal_count(self):
         assert Cube("--").literal_count == 0
         assert Cube("1-0").literal_count == 2
@@ -86,6 +96,16 @@ class TestCube:
             ]
         assert sorted(cubes, key=Cube.sort_key) == sorted(
             cubes, key=reference_sort_key
+        )
+
+    def test_duplicate_variable_names_are_rejected(self):
+        # ("A", "A") once gave the contradictory products (!A, A), (A, !A)
+        with pytest.raises(ValueError, match="duplicate variable names"):
+            prime_implicants([1, 2], n=2, variables=("A", "A"))
+        with pytest.raises(ValueError, match="duplicate variable names"):
+            PrimeImplicantSet(("A", "B", "A"), ())
+        assert PrimeImplicantSet(("A", "B"), (Cube("1-"),)).variables == (
+            "A", "B"
         )
 
     def test_wrong_width_is_rejected(self):

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import re
+from itertools import permutations
 
 import pytest
 from hypothesis import given, settings
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 
 from asymlogic.errors import ParseError
 from asymlogic.expr import (
+    BINARY_OPERATORS,
     And,
     Const,
     IandChain,
@@ -247,13 +249,14 @@ def _outcome(parser, text):
 
 
 class TestMatchesReference:
-    """The regex tokenizer and loop descent against a copy of the
+    """The regex tokenizer and the operator-table loop against a copy of the
     character-by-character tokenizer and the descent they replaced."""
 
     @pytest.mark.parametrize("text", [
         "0A", "1_", "01", "A - B", "A -", "A\u00a0&\tB", "\u00e9 & A",
         "\uff41", "A & \u00b2", "\u0663x", "A | \u00bd", "\u00bdA",
-        "A0 @ B", "!!!(A)", "!", ")", "(A", "A ->",
+        "A0 @ B", "!!!(A)", "!", ")", "(A", "A ->", "A @ B ->", "A @ B -> )",
+        "A -> B @ )", "(A @ B) -> C @ D", "A -> (B @ C) -> D @ E",
     ])
     def test_edge_cases(self, text):
         assert _outcome(parse, text) == _outcome(reference_parse, text)
@@ -267,3 +270,24 @@ class TestMatchesReference:
     def test_formatted_expressions(self, e):
         text = format_expr(e)
         assert parse(text) == reference_parse(text)
+
+    @settings(max_examples=500)
+    @given(expressions(), st.sampled_from(_PIECES), st.data())
+    def test_one_piece_inserted(self, e, piece, data):
+        # grammar and mixing errors inside otherwise well-formed text
+        text = format_expr(e)
+        i = data.draw(st.integers(0, len(text)))
+        text = text[:i] + piece + text[i:]
+        assert _outcome(parse, text) == _outcome(reference_parse, text)
+
+    @pytest.mark.parametrize("x, y", permutations(
+        [text for text, _, _ in BINARY_OPERATORS], 2
+    ))
+    def test_two_operators(self, x, y):
+        text = f"A {x} B {y} C"
+        outcome = _outcome(parse, text)
+        assert outcome == _outcome(reference_parse, text)
+        if {x, y} == {"@", "->"}:
+            assert outcome[0] is ParseError and "cannot mix" in outcome[1]
+        else:
+            assert parse(format_expr(outcome)) == outcome
