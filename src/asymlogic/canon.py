@@ -129,7 +129,8 @@ def _read(
     constant reads the same in both forms.  The result is the same as for
     ``normalize_not(e)``, without a walk of its own: each node the reader
     looks at (the root, each term, each operand) is peeled as it is read
-    (``peel``), which is all that ``normalize_not`` changes at its root.
+    (``peel``).  Only a double-negated chain at its chain's associative
+    end, which ``normalize_not`` splices (``!!(a @ b) @ c``), is refused.
     """
     e = peel(e)
     t = type(e)

@@ -16,7 +16,7 @@ class EvaluationError(AsymLogicError):
 
 
 class CapacityError(AsymLogicError):
-    """A size limit was exceeded (variable count, row index range)."""
+    """A size limit was exceeded: a variable cap or the cover node budget."""
 
 
 class ShapeError(AsymLogicError):

@@ -9,7 +9,9 @@ chains carry a fixed pairing direction as part of their structure:
 
 Only the associative side of a chain may be flattened: a nested IAND chain
 in first position, or a nested IMPLY chain in last position.  Flattening
-anywhere else would change the function computed.
+anywhere else would change the function computed.  The chain constructors
+flatten that side themselves, so each chain has one tree: no IandChain
+starts with an IandChain, and no ImplyChain ends with an ImplyChain.
 """
 
 from __future__ import annotations
@@ -24,6 +26,15 @@ from .errors import ArityError
 _NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
 
 Path = tuple[int, ...]
+
+
+def _check_name(name: object, where: str) -> None:
+    """Raise ``ValueError`` for module ``where`` unless ``name`` is a name."""
+    if not isinstance(name, str) or not _NAME_RE.match(name):
+        raise ValueError(
+            f"{where}: variable names are letters, digits and underscores, "
+            f"not starting with a digit; got {name!r}"
+        )
 
 
 @dataclass(frozen=True)
@@ -44,11 +55,7 @@ class Var:
     name: str
 
     def __post_init__(self) -> None:
-        if not isinstance(self.name, str) or not _NAME_RE.match(self.name):
-            raise ValueError(
-                f"expr: variable names are letters, digits and underscores, "
-                f"not starting with a digit; got {self.name!r}"
-            )
+        _check_name(self.name, "expr")
 
     def __repr__(self) -> str:
         return f"Var({self.name!r})"
@@ -93,9 +100,13 @@ class IandChain:
     operands: tuple["Expr", ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "operands", tuple(self.operands))
-        if len(self.operands) < 2:
+        ops = tuple(self.operands)
+        if len(ops) < 2:
             raise ArityError("expr: IandChain requires at least two operands")
+        # (a @ b) @ c pairs as a @ b @ c; the leading chain is flat itself
+        if type(ops[0]) is IandChain:
+            ops = ops[0].operands + ops[1:]
+        object.__setattr__(self, "operands", ops)
 
     def __repr__(self) -> str:
         return f"IandChain{self.operands!r}"
@@ -106,9 +117,13 @@ class ImplyChain:
     operands: tuple["Expr", ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "operands", tuple(self.operands))
-        if len(self.operands) < 2:
+        ops = tuple(self.operands)
+        if len(ops) < 2:
             raise ArityError("expr: ImplyChain requires at least two operands")
+        # a -> (b -> c) pairs as a -> b -> c; the last chain is flat itself
+        if type(ops[-1]) is ImplyChain:
+            ops = ops[:-1] + ops[-1].operands
+        object.__setattr__(self, "operands", ops)
 
     def __repr__(self) -> str:
         return f"ImplyChain{self.operands!r}"
@@ -121,44 +136,24 @@ FALSE = Const(0)
 
 
 def iand_chain(operands: Sequence[Expr]) -> IandChain:
-    """Build an IAND chain, flattening a nested chain in first position only.
-
-    ``(a @ b) @ c @ d`` and ``a @ b @ c @ d`` are the same pairing, so a
-    leading IandChain merges into the new chain.  Chains in later positions
-    are kept nested: ``a @ (b @ c)`` is a genuinely different function.
-    """
-    ops = list(operands)
-    if len(ops) < 2:
-        raise ArityError("expr: iand_chain requires at least two operands")
-    while isinstance(ops[0], IandChain):
-        ops[0:1] = list(ops[0].operands)
-    return IandChain(tuple(ops))
+    """``IandChain(operands)``, which flattens a chain in first position."""
+    return IandChain(tuple(operands))
 
 
 def imply_chain(operands: Sequence[Expr]) -> ImplyChain:
-    """Build an IMPLY chain, flattening a nested chain in last position only.
-
-    ``a -> b -> (c -> d)`` and ``a -> b -> c -> d`` are the same pairing, so
-    a trailing ImplyChain merges.  Chains in earlier positions are kept
-    nested: ``(a -> b) -> c`` is a different function.
-    """
-    ops = list(operands)
-    if len(ops) < 2:
-        raise ArityError("expr: imply_chain requires at least two operands")
-    while isinstance(ops[-1], ImplyChain):
-        ops[-1:] = list(ops[-1].operands)
-    return ImplyChain(tuple(ops))
+    """``ImplyChain(operands)``, which flattens a chain in last position."""
+    return ImplyChain(tuple(operands))
 
 
 # The binary operators, loosest binding first: each row is the operator's
-# text, its node type and the constructor that joins a run of its operands.
+# text and its node type, whose constructor joins a run of its operands.
 # The parser climbs this table and the printer reads its binding levels and
 # separators from it; '!' binds tighter than every row.
 BINARY_OPERATORS = (
-    ("->", ImplyChain, imply_chain),
-    ("|", Or, Or),
-    ("@", IandChain, iand_chain),
-    ("&", And, And),
+    ("->", ImplyChain),
+    ("|", Or),
+    ("@", IandChain),
+    ("&", And),
 )
 
 
@@ -179,8 +174,8 @@ def children(e: Expr) -> tuple[Expr, ...]:
 def rebuild(e: Expr, kids: tuple[Expr, ...]) -> Expr:
     """Reconstruct a node of the same kind around new children.
 
-    Structural edit only: chain constructors' flattening is deliberately
-    not applied, so rewrites never silently change pairing.
+    A chain's constructor flattens its associative end, so a rewrite that
+    puts a chain there gives the flat tree; the pairing never changes.
     """
     t = type(e)
     if t is Var or t is Const:
@@ -220,7 +215,8 @@ def negate(e: Expr) -> Expr:
 
 def peel(e: Expr) -> Expr:
     """``e`` as ``normalize_not`` leaves its root: ``Not`` pairs collapsed
-    and a negated constant folded.  Nothing below the root is read, and a
+    and a negated constant folded.  Nothing below the root is read (so a
+    chain keeps an operand ``normalize_not`` would splice into it), and a
     root with nothing to change comes back as the same object."""
     while type(e) is Not and type(e.child) in (Not, Const):
         e = negate(e.child)
@@ -297,11 +293,11 @@ def operator_count(e: Expr) -> int:
 
 # Printing precedence from the table, loosest first: -> < | < @ < & < !
 _LEVEL: dict[type, int] = {
-    node: 10 * i for i, (_, node, _) in enumerate(BINARY_OPERATORS, 1)
+    node: 10 * i for i, (_, node) in enumerate(BINARY_OPERATORS, 1)
 }
 _LEVEL.update({Not: 50, Var: 60, Const: 60})
 # the operator between the children of each n-ary node
-_SEPARATOR = {node: f" {text} " for text, node, _ in BINARY_OPERATORS}
+_SEPARATOR = {node: f" {text} " for text, node in BINARY_OPERATORS}
 
 
 def format_expr(e: Expr) -> str:
@@ -310,8 +306,8 @@ def format_expr(e: Expr) -> str:
     Minimal parentheses, except that any chain deviating from its default
     pairing is fully parenthesized and an IAND chain used directly as an
     IMPLY operand is parenthesized (the grammar refuses bare mixing).
-    ``parse(format_expr(e)) == e`` for expressions built with the smart
-    constructors and normalize_not.
+    ``parse(format_expr(e)) == e`` for every tree, since the chain
+    constructors leave one tree per chain.
     """
     return _fmt(e, 0)
 

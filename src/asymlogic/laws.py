@@ -31,8 +31,6 @@ from .expr import (
     Var,
     children,
     format_expr,
-    iand_chain,
-    imply_chain,
     iter_subexpressions,
     literal_count,
     negate,
@@ -287,14 +285,9 @@ def _bind(name: str, value: Expr, binding: dict[str, Expr]) -> bool:
 
 
 def substitute(pattern: Expr, binding: dict[str, Expr]) -> Expr:
-    t = type(pattern)
-    if t is Var:
+    if type(pattern) is Var:
         return binding[pattern.name]
     kids = tuple(substitute(k, binding) for k in children(pattern))
-    if t is IandChain:
-        return iand_chain(kids)
-    if t is ImplyChain:
-        return imply_chain(kids)
     return rebuild(pattern, kids)
 
 
@@ -518,7 +511,8 @@ def demorgan_dual_expr(e: Expr) -> Expr:
 
     The resulting function is NOT f applied to the complemented operands in
     reversed order, which is exactly the table-level operand-reversing dual
-    when the operands are distinct variables.
+    when the operands are distinct variables.  The new chain flattens its
+    associative end: ``(p @ q) -> x`` gives ``p @ q @ x``.
     """
     t = type(e)
     if t is IandChain:

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from typing import Iterable, Iterator
 
 from .errors import CapacityError
-from .expr import Expr
+from .expr import Expr, _check_name
 from .semantics import (
     TruthTable,
     check_oracle,
@@ -121,6 +121,8 @@ class PrimeImplicantSet:
     cubes: tuple[Cube, ...]
 
     def __post_init__(self) -> None:
+        for name in self.variables:
+            _check_name(name, "minimize")
         if len(set(self.variables)) != len(self.variables):
             raise ValueError("minimize: duplicate variable names")
         for q in self.cubes:

@@ -8,7 +8,7 @@ Grammar::
 
 The binary operators are the rows of ``expr.BINARY_OPERATORS``, loosest
 binding first: ``->``, ``|``, ``@``, ``&``.  A run of one operator is one
-node, joined by its row's constructor, so ``a @ b @ c`` is one IAND chain
+node, built by its row's node type, so ``a @ b @ c`` is one IAND chain
 (pairing left to right) and ``a -> b -> c`` one IMPLY chain (pairing right
 to left).  One loop reads every level by precedence climbing:
 ``parse_binary(level)`` reads an operand, then each run of an operator
@@ -75,7 +75,7 @@ _MIX_HINT = (
 _TOKEN_RE = re.compile(r"[!&@|()]|->|[A-Za-z0-9_]+|\S")
 # a binary operator's level is its row in the table, counting the loosest
 # as 1; any other token is at level 0 and ends every run
-_BINDS = {text: i for i, (text, _, _) in enumerate(BINARY_OPERATORS, 1)}
+_BINDS = {text: i for i, (text, _) in enumerate(BINARY_OPERATORS, 1)}
 _OPERATORS = frozenset(_BINDS).union("!()")
 _DIGITS = "0123456789"
 _NAME_START = frozenset(
@@ -128,7 +128,7 @@ class _Parser:
             own = _BINDS.get(op, 0)
             if own <= level:
                 return left
-            _, node, build = BINARY_OPERATORS[own - 1]
+            _, node = BINARY_OPERATORS[own - 1]
             operands = [left]
             arrow = node is ImplyChain  # '@' already read may not meet '->'
             if arrow and self.naked:
@@ -141,7 +141,7 @@ class _Parser:
                     raise self.error(_MIX_HINT, at)
             if node is IandChain:
                 self.naked = True
-            left = build(operands)
+            left = node(tuple(operands))
 
     def parse_not(self) -> Expr:
         """A run of ``!`` and the atom it negates."""

@@ -653,6 +653,16 @@ def reference_netlist_stats(netlist: Netlist) -> dict[str, int]:
     }
 
 
+def one_chain_tree(e: Expr) -> bool:
+    """Whether no IandChain in ``e`` has an IandChain as its first operand
+    and no ImplyChain an ImplyChain as its last."""
+    return not any(
+        (type(n) is IandChain and type(n.operands[0]) is IandChain)
+        or (type(n) is ImplyChain and type(n.operands[-1]) is ImplyChain)
+        for _, n in iter_subexpressions(e)
+    )
+
+
 def reference_normalize_not(e: Expr) -> Expr:
     """``normalize_not`` that rebuilds every operator node."""
     if isinstance(e, Not):
@@ -675,8 +685,8 @@ def reference_normalize_not(e: Expr) -> Expr:
 def reference_rebuild(e: Expr, kids: tuple[Expr, ...]) -> Expr:
     """Reconstruct a node of the same kind around new children.
 
-    Structural edit only: chain constructors' flattening is deliberately
-    not applied, so rewrites never silently change pairing.
+    A chain's constructor flattens its associative end, as for every
+    other builder; no arm here changes the pairing.
     """
     match e:
         case Const() | Var():

@@ -13,8 +13,8 @@ from asymlogic.expr import (
     Not,
     Or,
     Var,
-    iand_chain,
-    imply_chain,
+    children,
+    rebuild,
 )
 
 NAMES = ("A", "B", "C", "D")
@@ -27,15 +27,15 @@ literals_st = st.sampled_from(
 
 
 def _extend(inner: st.SearchStrategy[Expr]) -> st.SearchStrategy[Expr]:
-    # chains go through the smart constructors so the structures generated
-    # here are the canonical (flattened) pairings the parser also produces
+    # a chain may hold a chain at any position; its constructor flattens
+    # the associative end, as the parser's does
     kids = st.lists(inner, min_size=2, max_size=4).map(tuple)
     return st.one_of(
         inner.map(Not),
         kids.map(And),
         kids.map(Or),
-        kids.map(iand_chain),
-        kids.map(imply_chain),
+        kids.map(IandChain),
+        kids.map(ImplyChain),
     )
 
 
@@ -43,6 +43,40 @@ def expressions(max_leaves: int = 12) -> st.SearchStrategy[Expr]:
     return st.recursive(
         st.one_of(variables_st, constants_st), _extend, max_leaves=max_leaves
     )
+
+
+def _nest(chain, operands, inner, i) -> Expr:
+    return chain((*operands[:i], inner, *operands[i:]))
+
+
+def nested_chains(max_leaves: int = 8) -> st.SearchStrategy[Expr]:
+    """A chain built by its raw constructor, holding a chain of either kind
+    at a drawn position (first, inside or last) among ``expressions``."""
+    part = expressions(max_leaves)
+    chain = st.sampled_from((IandChain, ImplyChain))
+    operands = st.lists(part, min_size=1, max_size=3)
+    inner = st.builds(
+        lambda c, ops: c(tuple(ops)),
+        chain, st.lists(part, min_size=2, max_size=3),
+    )
+    return st.builds(_nest, chain, operands, inner, st.integers(0, 3))
+
+
+@st.composite
+def stacked_nots(draw, base: st.SearchStrategy[Expr]) -> Expr:
+    """An expression from ``base`` with 0 to 3 ``Not`` stacked on every
+    node, so that double negations and negated constants stand at the root,
+    at terms, at operands and below them."""
+
+    def stack(e):
+        kids = children(e)
+        if kids:
+            e = rebuild(e, tuple(map(stack, kids)))
+        for _ in range(draw(st.integers(0, 3))):
+            e = Not(e)
+        return e
+
+    return stack(draw(base))
 
 
 def var_expressions(max_leaves: int = 12) -> st.SearchStrategy[Expr]:

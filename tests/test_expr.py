@@ -34,11 +34,12 @@ from asymlogic.expr import (
 from asymlogic.errors import ArityError
 from asymlogic.parser import parse
 
-from .helpers import reference_normalize_not
+from .helpers import one_chain_tree, reference_normalize_not
 from .strategies import (
     expressions,
     noi_exprs_with_constants,
     soi_exprs_with_constants,
+    stacked_nots,
 )
 
 A, B, C, D = Var("A"), Var("B"), Var("C"), Var("D")
@@ -57,7 +58,9 @@ class TestConstruction:
         with pytest.raises(ValueError):
             Const(value)
 
-    @pytest.mark.parametrize("ctor", [And, Or, IandChain, ImplyChain])
+    @pytest.mark.parametrize(
+        "ctor", [And, Or, IandChain, ImplyChain, iand_chain, imply_chain]
+    )
     def test_arity_minimum_two(self, ctor):
         with pytest.raises(ArityError):
             ctor((A,))
@@ -69,6 +72,58 @@ class TestConstruction:
         assert IandChain((A, B)) == IandChain((A, B))
         assert hash(Not(A)) == hash(Not(A))
         assert And((A, B)) != Or((A, B))
+
+
+class TestOneTreePerChain:
+    """The chain constructors flatten their associative end, so no code
+    path builds a second tree for one chain."""
+
+    def test_leading_iand_chain_is_spliced(self):
+        assert IandChain((IandChain((A, B)), C)).operands == (A, B, C)
+        deep = IandChain((IandChain((IandChain((A, B)), C)), D))
+        assert deep.operands == (A, B, C, D)
+
+    def test_trailing_imply_chain_is_spliced(self):
+        assert ImplyChain((A, ImplyChain((B, C)))).operands == (A, B, C)
+        deep = ImplyChain((A, ImplyChain((B, ImplyChain((C, D))))))
+        assert deep.operands == (A, B, C, D)
+
+    @pytest.mark.parametrize("outer, inner, at", [
+        (IandChain, IandChain, 1),  # a @ (b @ c) is another function
+        (IandChain, IandChain, -1),
+        (ImplyChain, ImplyChain, 0),  # (a -> b) -> c is another function
+        (ImplyChain, ImplyChain, 1),
+        (IandChain, ImplyChain, 0),  # another operator never splices
+        (ImplyChain, IandChain, -1),
+        (IandChain, Or, 0),
+        (ImplyChain, And, -1),
+    ])
+    def test_other_positions_stay_nested(self, outer, inner, at):
+        operands = [A, B, C]
+        operands[at] = inner((B, D))
+        assert outer(tuple(operands)).operands == tuple(operands)
+
+    def test_arity_is_checked_before_splicing(self):
+        with pytest.raises(ArityError):
+            IandChain((IandChain((A, B)),))
+        with pytest.raises(ArityError):
+            ImplyChain((ImplyChain((A, B)),))
+
+    def test_every_builder_gives_the_flat_chain(self):
+        flat = IandChain((A, B, C))
+        assert replace_at(IandChain((D, C)), (0,), IandChain((A, B))) == flat
+        assert rebuild(flat, (IandChain((A, B)), C)) == flat
+        head = Not(Not(IandChain((A, B))))
+        assert normalize_not(IandChain((head, C))) == flat
+        assert normalize_not(parse("!!(a @ b) @ c")) == parse("a @ b @ c")
+        tail = ImplyChain((A, Not(Not(ImplyChain((B, C))))))
+        assert normalize_not(tail) == ImplyChain((A, B, C))
+
+    @given(stacked_nots(expressions(max_leaves=8)))
+    def test_normalize_not_round_trips(self, e):
+        normal = normalize_not(e)
+        assert one_chain_tree(normal)
+        assert parse(format_expr(normal)) == normal
 
 
 class TestChainHelpers:

@@ -55,6 +55,7 @@ from asymlogic.semantics import (
 from .helpers import (
     assignments,
     naive_eval,
+    one_chain_tree,
     reference_dual,
     reference_format_expr,
     reference_match_pattern,
@@ -586,10 +587,36 @@ class TestTreeWalksMatchReference:
                 )
 
 
+class TestRewritesKeepOneTree:
+    """A rewrite that puts a chain at its chain's associative end gives the
+    flat chain, which prints as text that parses back to it."""
+
+    def test_rewrite_into_the_leading_operand(self):
+        rule = next(r for r in catalog() if r.name == "demorgan-or-to-iand")
+        out = rewrite_once(parse("!(!a | b) @ c"), rule, (0,))
+        assert out == IandChain((Var("a"), Var("b"), Var("c")))
+
+    @settings(deadline=None)
+    @given(_TREES)
+    def test_every_rewrite_round_trips(self, e):
+        for path, node in iter_subexpressions(e):
+            for rule in _ALL_RULES:
+                if match_pattern(rule.lhs, node) is not None:
+                    out = rewrite_once(e, rule, path)
+                    assert one_chain_tree(out)
+                    assert parse(format_expr(out)) == out
+
+
 class TestDemorganDualExpr:
     def test_chain_swap(self):
         assert demorgan_dual_expr(parse("A @ B @ C")) == parse("A -> B -> C")
         assert demorgan_dual_expr(parse("A -> B")) == parse("A @ B")
+
+    def test_swapped_chain_is_flat(self):
+        # (p @ q) -> x once gave the nested (p @ q) @ x
+        out = demorgan_dual_expr(parse("(p @ q) -> x"))
+        assert out == parse("p @ q @ x")
+        assert parse(format_expr(out)) == out
 
     def test_rejects_non_chains(self):
         with pytest.raises(ShapeError):

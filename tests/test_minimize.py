@@ -108,6 +108,31 @@ class TestCube:
             "A", "B"
         )
 
+    @pytest.mark.parametrize("name", ["1x", "a-b", "", "x y", 3])
+    def test_names_that_are_not_names_are_rejected(self, name):
+        # prime_implicants once returned a set over "1x", and the error
+        # surfaced only when a product built Var("1x")
+        want = "minimize: variable names are letters"
+        with pytest.raises(ValueError, match=want):
+            prime_implicants([1], n=1, variables=(name,))
+        with pytest.raises(ValueError, match=want):
+            PrimeImplicantSet(("A", name), ())
+
+    @pytest.mark.parametrize("argv", [
+        ["minimize", "--form", "soi"],
+        ["minimize", "--form", "noi"],
+        ["compile", "--target", "memristor"],
+        ["compile", "--target", "spindiode"],
+    ])
+    @pytest.mark.parametrize("bits", ["01", "00"])
+    def test_cli_rejects_a_bad_header(self, tmp_path, capsys, argv, bits):
+        # the all-zero table once compiled to a netlist with input "1x"
+        path = tmp_path / "bad.tbl"
+        path.write_text(f"1x\n{bits}\n")
+        assert main([*argv, "--table-file", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: minimize: variable names are letters")
+
     def test_wrong_width_is_rejected(self):
         # a narrow cube once "covered" rows of a wider table, and a wide
         # one rows of a narrower table, by zipping over the mismatch

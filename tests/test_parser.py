@@ -26,7 +26,8 @@ from asymlogic.parser import MAX_NESTING, parse
 from asymlogic.semantics import equivalent, truth_table
 
 from .helpers import reference_parse
-from .strategies import expressions
+from .helpers import one_chain_tree
+from .strategies import expressions, nested_chains
 
 A, B, C, D = Var("A"), Var("B"), Var("C"), Var("D")
 
@@ -225,6 +226,14 @@ class TestRoundTrip:
         assert parse(format_expr(raw)) == ImplyChain((A, B, C))
         raw2 = IandChain((IandChain((A, B)), C))
         assert parse(format_expr(raw2)) == IandChain((A, B, C))
+        # the constructors flatten too, so the raw trees are the flat ones
+        assert raw == ImplyChain((A, B, C))
+        assert raw2 == IandChain((A, B, C))
+
+    @given(nested_chains())
+    def test_parse_inverts_format_on_nested_chains(self, e):
+        assert one_chain_tree(e)
+        assert parse(format_expr(e)) == e
 
     def test_whitespace_insensitivity(self):
         assert parse("A@B|!C") == parse(" A  @ B |  ! C ")
@@ -281,7 +290,7 @@ class TestMatchesReference:
         assert _outcome(parse, text) == _outcome(reference_parse, text)
 
     @pytest.mark.parametrize("x, y", permutations(
-        [text for text, _, _ in BINARY_OPERATORS], 2
+        [text for text, _ in BINARY_OPERATORS], 2
     ))
     def test_two_operators(self, x, y):
         text = f"A {x} B {y} C"
