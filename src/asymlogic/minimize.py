@@ -7,7 +7,7 @@ the cube with value ``r`` and dashes ``D`` lies inside ON plus don't-cares.
 ``imp[D | p] = imp[D] & (imp[D] >> 2**p)`` over the rows with bit ``p``
 clear.  The primes with dashes ``D`` are the bits of ``imp[D]`` that no
 implicant with one more dash contains.  Covers are chosen exactly
-(essential cubes first, then an exhaustive branch over the rest) with the
+(essential cubes first, then a branch and bound over the rest) with the
 objective ordered by total literal count, then cube count, then ascending
 cube encoding.  The chosen cubes are re-emitted as SOI or NOI terms over
 only their non-dash literals.
@@ -35,9 +35,10 @@ from .semantics import (
 from .canon import Product, literals, noi_form, soi_form
 
 MAX_MINIMIZE_VARS = 12
-# Branch-and-bound nodes one cover search may visit.  The synth benchmark's
-# hardest covers take about 10**4; uniformly random 7-variable tables pass
-# 10**6 within seconds and would otherwise run for minutes.
+# Budget units one cover search may use (see ``_branch_and_bound``).  The
+# synth benchmark's hardest cover takes about 4 * 10**3; most uniformly
+# random 8-variable tables pass 10**6 within a second and would otherwise
+# run for minutes.
 MAX_COVER_NODES = 1_000_000
 
 
@@ -244,9 +245,12 @@ def minimum_cover(
     lexicographically least tuple of cube encodings.  Essential primes
     (sole cover of some row) are taken first and recorded in the trace.
     Row sets are int masks, bit ``r`` for row ``r``.  An ON row outside
-    ``[0, 2**n)`` raises ``ValueError``, as in ``prime_implicants``.  A
-    search that would visit more than ``MAX_COVER_NODES`` nodes raises
-    ``CapacityError``.
+    ``[0, 2**n)`` raises ``ValueError``, as in ``prime_implicants``.  The
+    search after the essentials prunes with a lower bound, so the cover
+    is the one optimum of this objective however it is found.  It has a
+    budget of ``MAX_COVER_NODES`` units, one per search node, one per row
+    its bound visits and one per cube of each complete cover compared on
+    the tie-break; a search that needs more raises ``CapacityError``.
     """
     return _minimum_cover(
         primes, _row_mask(onset, len(primes.variables), "ON"))
@@ -300,42 +304,84 @@ def _branch_and_bound(
 ) -> list[Cube]:
     """Least-cost cubes of ``rest`` (row mask, cube) covering ``uncovered``.
 
-    Depth first, with an explicit stack so that the depth (one level per
-    selected cube) is not bounded by the interpreter's recursion limit.
-    Each node branches on its lowest uncovered row, trying the cubes that
-    cover it in prime order.  A node is pruned when its (literals, cubes)
-    already exceeds the best cover's; ties on both go to the least tuple
-    of cube sort keys.
+    The uncovered rows are renumbered once, fewest covering cubes first and
+    then by row, so a node's lowest uncovered row is its most constrained
+    one.  The search is depth first, with an explicit stack so that the
+    depth (one level per selected cube) is not bounded by the interpreter's
+    recursion limit.  Each node branches on its lowest uncovered row,
+    trying the cubes that cover it in prime order, unless its bound prunes
+    it.
+
+    The bound, once a cover is known, takes a greedy independent set of
+    the uncovered rows, in row order: rows no cube covers two of.  Any
+    completion selects a cube of its own for each such row, with at least
+    that row's cheapest cube's literals, so it ends at no less than the
+    node's (literals, cubes) plus the set's (cheapest literals, size), and
+    so does every part of the set.  The set grows until that bound exceeds
+    the best cover's (literals, cubes), in tuple order, and the node is
+    then pruned: each completion has more literals than the best, or as
+    many and more cubes, so its key is greater whatever its sort keys.  A
+    node whose bound only ties is kept, so ties on both still go to the
+    least tuple of cube sort keys, and the cover returned is the one
+    optimum of the full objective.
+
+    The budget is ``MAX_COVER_NODES`` units: one per node, one per row the
+    bound visits, and one per cube of each complete cover whose sort keys
+    are compared; a search that needs more raises ``CapacityError``.
     """
-    # (rows, literals, sort key, cube) per cube, listed under each
-    # uncovered row it covers, in prime order
-    by_row: dict[int, list[tuple[int, int, tuple[int, int], Cube]]] = {}
-    for m, q in rest:
-        c = (m, q.literal_count, q.sort_key(), q)
+    # the indices in ``rest`` of the cubes covering each uncovered row
+    covering: dict[int, list[int]] = {}
+    for j, (m, _) in enumerate(rest):
         rows = m & uncovered
         while rows:
-            by_row.setdefault(lowest_row(rows), []).append(c)
+            covering.setdefault(lowest_row(rows), []).append(j)
             rows &= rows - 1
+    # row i below is the i-th most constrained; masks are over these rows
+    order = sorted(covering, key=lambda r: (len(covering[r]), r))
+    masks = [0] * len(rest)
+    for i, r in enumerate(order):
+        for j in covering[r]:
+            masks[j] |= 1 << i
+    # (rows, literals, sort key, cube) per cube, listed under each row it
+    # covers in prime order; per row, the rows sharing a cube with it and
+    # the literals of its cheapest cube
+    cubes = [(m, q.literal_count, q.sort_key(), q)
+             for m, (_, q) in zip(masks, rest)]
+    by_row = [[cubes[j] for j in covering[r]] for r in order]
+    near = [0] * len(order)
+    for i, b in enumerate(by_row):
+        for c in b:
+            near[i] |= c[0]
+    cheapest = [min(c[1] for c in b) for b in by_row]
     sel: list[tuple[int, int, tuple[int, int], Cube]] = []
     best: list[Cube] = []
     best_key: tuple | None = None
+    cap: tuple[int, int] | None = None  # the best cover's (literals, cubes)
     # open nodes, root first: (literals, uncovered rows, untried branches)
     frames: list[tuple[int, int, Iterator]] = []
-    lits, left, nodes = 0, uncovered, 0
+    lits, left, units = 0, (1 << len(order)) - 1, 0
     while True:
-        nodes += 1
-        if nodes > MAX_COVER_NODES:
+        units += 1
+        bound, free = (lits, len(sel)), left
+        if cap is not None:
+            while free and bound <= cap:
+                i = lowest_row(free)
+                bound = (bound[0] + cheapest[i], bound[1] + 1)
+                free &= ~near[i]
+                units += 1
+        if cap is None or bound <= cap:
+            if not left:
+                units += len(sel)
+                key = (lits, len(sel), tuple(sorted(c[2] for c in sel)))
+                if best_key is None or key < best_key:
+                    best, best_key, cap = [c[3] for c in sel], key, key[:2]
+            else:
+                frames.append((lits, left, iter(by_row[lowest_row(left)])))
+        if units > MAX_COVER_NODES:
             raise CapacityError(
                 "minimize: the cover search passed its budget of "
                 f"{MAX_COVER_NODES} nodes"
             )
-        if best_key is None or (lits, len(sel)) <= best_key[:2]:
-            if not left:
-                key = (lits, len(sel), tuple(sorted(c[2] for c in sel)))
-                if best_key is None or key < best_key:
-                    best, best_key = [c[3] for c in sel], key
-            else:
-                frames.append((lits, left, iter(by_row[lowest_row(left)])))
         # step into the next untried branch of the deepest open node
         while frames:
             f_lits, f_left, branches = frames[-1]

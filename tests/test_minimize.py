@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
+import json
 import random
 import re
 import subprocess
@@ -344,32 +345,58 @@ class TestMinimumCover:
 
 
 # not-all-equal over five variables: a cyclic core with no essential prime,
-# and the hardest cover of the synth benchmark on seeds 1-10 (11 577 nodes)
+# and the hardest cover of the synth benchmark on seeds 1-10 (3 703 budget
+# units: 1 241 nodes, 1 350 rows visited by the bound, 1 112 sorted cubes)
 NAE5 = TruthTable.from_mask(tuple("ABCDE"), (1 << 32) - 1 - 1 - (1 << 31))
+
+
+def _random_table_file(tmp_path, n: int, seed: int):
+    """A table file of ``n`` variables with seeded uniformly random rows."""
+    rng = random.Random(seed)
+    bits = "".join(rng.choice("01") for _ in range(1 << n))
+    names = " ".join(f"x{i}" for i in range(n))
+    path = tmp_path / f"random{n}.txt"
+    path.write_text(f"{names}\n{bits}\n")
+    return path
 
 
 class TestCoverBudget:
     def test_hardest_benchmark_cover_is_far_inside_the_budget(self):
         _, cover = minimize_table(NAE5)
         assert len(cover.cubes) == 5 and cover.cost == 10
-        assert minimize.MAX_COVER_NODES >= 10 * 11_577
+        assert minimize.MAX_COVER_NODES >= 10 * 3_703
 
     def test_exhausted_budget_raises(self, monkeypatch):
-        monkeypatch.setattr(minimize, "MAX_COVER_NODES", 11_576)
-        with pytest.raises(CapacityError, match="budget of 11576 nodes"):
+        monkeypatch.setattr(minimize, "MAX_COVER_NODES", 3_702)
+        with pytest.raises(CapacityError, match="budget of 3702 nodes"):
             minimize_table(NAE5)
-        monkeypatch.setattr(minimize, "MAX_COVER_NODES", 11_577)
+        monkeypatch.setattr(minimize, "MAX_COVER_NODES", 3_703)
         minimize_table(NAE5)
 
-    def test_random_seven_variable_table_fails_cleanly(self, tmp_path, capsys):
-        # a uniformly random 7-variable table whose cover search ran for
-        # about a minute unbudgeted; it now stops a few seconds in
+    def test_random_seven_variable_table_finishes(self, tmp_path, capsys):
+        # a uniformly random 7-variable table; a search without the lower
+        # bound needs about 2 * 10**7 nodes, far past the budget, to find
+        # the same cover
         bits = (
             "0011001100111000100001011111101000101111111010101001100110101001"
             "1100011100100000111001110111101101111101101001111110001111101011"
         )
         path = tmp_path / "random7.txt"
         path.write_text(f"a b c d e f g\n{bits}\n")
+        argv = ["minimize", "--form", "noi", "--table-file", str(path),
+                "--format", "structured"]
+        assert main(argv) == 0  # the CLI checks the form by the oracle
+        record = json.loads(capsys.readouterr().out)
+        assert record["cost"] == 123 and len(record["cover"]) == 25
+        t = TruthTable(tuple("abcdefg"), tuple(map(int, bits)))
+        assert truth_table(minimized_noi(t), t.variables).bits == t.bits
+
+    def test_random_eight_variable_table_fails_cleanly(
+        self, tmp_path, capsys
+    ):
+        # the lower bound does not finish every table: this one still
+        # passes the budget, and exits 2 well under a second in
+        path = _random_table_file(tmp_path, 8, 8)
         argv = ["minimize", "--form", "noi", "--table-file", str(path)]
         assert main(argv) == 2
         assert "cover search passed its budget" in capsys.readouterr().err
@@ -379,11 +406,7 @@ class TestCoverBudget:
     ):
         # at the minimization cap the search selects hundreds of cubes on
         # one path; it must run out of budget, not out of stack
-        rng = random.Random(12)
-        bits = "".join(rng.choice("01") for _ in range(1 << 12))
-        names = " ".join(f"x{i}" for i in range(12))
-        path = tmp_path / "random12.txt"
-        path.write_text(f"{names}\n{bits}\n")
+        path = _random_table_file(tmp_path, 12, 12)
         argv = ["minimize", "--form", "noi", "--table-file", str(path)]
         assert main(argv) == 2
         assert "cover search passed its budget" in capsys.readouterr().err
@@ -428,6 +451,19 @@ class TestCoverMatchesReference:
             assert cover == reference_minimum_cover(primes, ons)
             branched += any(s.startswith("selected") for s in cover.trace)
         assert branched  # the branch and bound ran, not only essentials
+
+    def test_every_four_variable_function_that_branches(self):
+        # 27 416 of the 65 536 functions have a cover that is not all
+        # essentials; the search's bound and row order decide only these
+        branched = 0
+        for value in range(1, 1 << 16):
+            ons = [r for r in range(16) if (value >> r) & 1]
+            primes = prime_implicants(ons, (), 4, ("A", "B", "C", "D"))
+            cover = minimum_cover(primes, ons)
+            if any(s.startswith("selected") for s in cover.trace):
+                branched += 1
+                assert cover == reference_minimum_cover(primes, ons), value
+        assert branched == 27_416
 
     def test_uncoverable_row_message(self):
         primes = prime_implicants([0, 1], (), 3)
