@@ -48,19 +48,12 @@ from .laws import (
     dual,
     verify_rule,
 )
-from .memristor import (
-    compile_noi,
-    program_text,
-    simulate,
-    step_count,
-    step_text,
-)
+from .memristor import compile_noi, program_text, simulate, step_count
 from .minimize import cover_form, cover_text, minimize_table
 from .parser import parse
 from .semantics import TruthTable, equivalent, truth_table
 from .spindiode import (
     compile_soi,
-    gate_text,
     netlist_stats,
     netlist_text,
     simulate_netlist,
@@ -242,7 +235,7 @@ def _cmd_compile(args: argparse.Namespace) -> _Output:
                 "registers": program.registers,
                 "inputs": [[n, r] for n, r in program.bindings],
                 "output": program.output,
-                "steps": [step_text(s) for s in program.steps],
+                "steps": memristor._lines(program),
                 "counts": step_count(program),
             }],
             lambda: program_text(program),
@@ -252,7 +245,7 @@ def _cmd_compile(args: argparse.Namespace) -> _Output:
         0,
         lambda: [{
             "inputs": list(netlist.inputs),
-            "gates": [gate_text(g) for g in netlist.gates],
+            "gates": spindiode._lines(netlist),
             "output": netlist.output,
             "stats": netlist_stats(netlist),
         }],

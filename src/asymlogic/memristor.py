@@ -18,18 +18,24 @@ and assigns registers as it emits the steps, not in a second pass: inputs
 are pinned to ``r0 .. r(k-1)``, each RESET takes the smallest free
 register, and a scratch register is free again right after its last read.
 
-Input registers are never written, so a program replays from any input
-assignment.  ``ImplyProgram.__post_init__`` resolves the steps once into
-``_plan``, a ``(read, written)`` register pair per step with ``read`` None
-for a ``RESET``, as ``Netlist`` resolves its references; it checks the
-plan with set operations and walks it step by step only to word the first
-fault.  One loop replays the plan: each register holds a mask of rows
+A program's plan is ``_plan``, a ``(read, written)`` register pair per
+step with ``read`` None for a ``RESET``.  The compiler emits that plan and
+builds its program from it (``_from_plan``); the ``ImplyProgram``
+constructor resolves hand-built steps into the same plan.  Both run one
+check over the plan (``_settle``): inputs are names on distinct registers,
+every register is in range, no IMPLY reads the register it writes, and no
+step writes an input, so a program replays from any input assignment.
+The check visits each distinct pair once and walks the plan only to word
+the first fault.  A plan-built program makes its ``steps`` on first read.
+
+One loop replays the plan: each register holds a mask of rows
 (``semantics.columns``), ``RESET r`` clears ``r`` and ``IMPLY p, q`` sets
 ``q`` to ``(full ^ p) | q``.  The compiler runs it once over all rows and
 checks the output mask against its source, a NOI expression or a table;
-``simulate`` (which takes its trace in the same loop) and
-``step_semantics`` run it over the single row ``full = 1``, and
-``step_count`` counts the plan's resets.
+``simulate`` and ``step_semantics`` run it over the single row
+``full = 1``, and ``simulate`` replays the plan again, one step at a time,
+only when its result's ``trace`` is read.  ``step_count`` counts the
+plan's resets, and ``program_text`` formats the plan.
 """
 
 from __future__ import annotations
@@ -39,7 +45,7 @@ from typing import Union
 
 from .canon import Product, _read
 from .errors import CapacityError
-from .expr import Expr, Not, Var
+from .expr import Expr, Not, Var, _check_name
 from .semantics import TruthTable, _bit, check_oracle, columns
 
 MAX_COMPILE_VARS = 16
@@ -73,48 +79,91 @@ class ImplyProgram:
     steps: tuple[Step, ...]
 
     def __post_init__(self) -> None:
-        """Check the bindings and registers, then resolve every step once
-        into ``_plan``: a ``(read, written)`` register pair per step, with
-        ``read`` ``None`` for a ``RESET``."""
-        inputs: set[int] = set()
-        names: set[str] = set()
-        for name, reg in self.bindings:
-            if not 0 <= reg < self.registers:
-                raise ValueError(
-                    f"memristor: input {name!r} bound to register r{reg} "
-                    "out of range"
-                )
-            if reg in inputs:
-                raise ValueError(f"memristor: two inputs bound to r{reg}")
-            if name in names:
-                raise ValueError(f"memristor: input {name!r} bound twice")
-            inputs.add(reg)
-            names.add(name)
-        # the same pair as step_semantics takes, inline: a call per step
-        # would cost more than the rest of the check
-        plan = tuple([(None, s.target) if type(s) is Reset else (s.cond, s.set)
-                      for s in self.steps])
-        written = {w for _, w in plan}
-        used = {r for r, _ in plan}
-        used.discard(None)
-        used |= written
-        if used and (min(used) < 0 or max(used) >= self.registers
-                     or not inputs.isdisjoint(written)):
-            _first_fault(plan, self.registers, inputs)
-        if not 0 <= self.output < self.registers:
-            raise ValueError("memristor: output register out of range")
-        object.__setattr__(self, "_plan", plan)
+        """Resolve every step once into ``_plan`` and check the plan."""
+        _settle(self, tuple(map(_pair, self.steps)))
+
+    def __getattr__(self, name: str):
+        # called only for a missing attribute: the steps of a plan-built
+        # program, made on first read
+        if name != "steps" or "_plan" not in vars(self):
+            raise AttributeError(
+                f"{type(self).__name__!r} object has no attribute {name!r}"
+            )
+        steps = tuple([Reset(w) if r is None else Imply(r, w)
+                       for r, w in self._plan])
+        object.__setattr__(self, "steps", steps)
+        return steps
+
+
+def _pair(step: Step) -> tuple[int | None, int]:
+    """A step's ``(read, written)`` plan pair."""
+    if type(step) is Reset:
+        return None, step.target
+    return step.cond, step.set
+
+
+def _from_plan(
+    registers: int, bindings: tuple[tuple[str, int], ...], output: int,
+    plan: tuple[tuple[int | None, int], ...],
+) -> ImplyProgram:
+    """The program of a plan, checked as the constructor checks it; its
+    ``steps`` are made on first read."""
+    program = object.__new__(ImplyProgram)
+    vars(program).update(registers=registers, bindings=bindings,
+                         output=output)
+    _settle(program, plan)
+    return program
+
+
+def _settle(
+    program: ImplyProgram, plan: tuple[tuple[int | None, int], ...]
+) -> None:
+    """Check the bindings, the plan and the output, then store the plan as
+    ``_plan``.  Raise ``ValueError`` unless every input is a name bound to
+    its own register, every register is in range, no IMPLY reads the
+    register it writes and no step writes an input."""
+    registers = program.registers
+    inputs: set[int] = set()
+    names: set[str] = set()
+    for name, reg in program.bindings:
+        _check_name(name, "memristor")
+        if not 0 <= reg < registers:
+            raise ValueError(
+                f"memristor: input {name!r} bound to register r{reg} "
+                "out of range"
+            )
+        if reg in inputs:
+            raise ValueError(f"memristor: two inputs bound to r{reg}")
+        if name in names:
+            raise ValueError(f"memristor: input {name!r} bound twice")
+        inputs.add(reg)
+        names.add(name)
+    # a plan repeats few distinct pairs: check each once, and walk the plan
+    # only to word the first fault
+    for read, written in set(plan):
+        if (not 0 <= written < registers or written in inputs
+                or read is not None
+                and (read == written or not 0 <= read < registers)):
+            _first_fault(plan, registers, inputs)
+    if not 0 <= program.output < registers:
+        raise ValueError("memristor: output register out of range")
+    vars(program)["_plan"] = plan
 
 
 def _first_fault(
     plan: tuple[tuple[int | None, int], ...], registers: int, inputs: set[int]
 ) -> None:
     """Raise for the first faulty step: a register out of range, its read
-    checked before its write, or a write to an input register."""
+    checked before its write, an IMPLY that reads the register it writes,
+    or a write to an input register."""
     for read, written in plan:
         for r in (written,) if read is None else (read, written):
             if not 0 <= r < registers:
                 raise ValueError(f"memristor: register r{r} out of range")
+        if read == written:
+            raise ValueError(
+                f"memristor: IMPLY condition and target must differ (r{read})"
+            )
         if written in inputs:
             raise ValueError(
                 f"memristor: program writes input register r{written}"
@@ -127,12 +176,27 @@ class SimulationResult:
     state: tuple[int, ...]
     trace: tuple[tuple[int, ...], ...]  # full state after every step
 
+    def __getattr__(self, name: str):
+        # called only for a missing attribute: the trace of a result from
+        # ``simulate``, replayed step by step on first read
+        if name != "trace" or "_start" not in vars(self):
+            raise AttributeError(
+                f"{type(self).__name__!r} object has no attribute {name!r}"
+            )
+        regs = list(self._start)
+        trace = []
+        for step in self._plan:
+            _replay((step,), regs, 1)
+            trace.append(tuple(regs))
+        trace = tuple(trace)
+        object.__setattr__(self, "trace", trace)
+        return trace
+
 
 def step_semantics(state: tuple[int, ...], step: Step) -> tuple[int, ...]:
     """One machine step applied to an immutable register state."""
     regs = list(state)
-    pair = (None, step.target) if type(step) is Reset else (step.cond, step.set)
-    _replay((pair,), regs, 1)
+    _replay((_pair(step),), regs, 1)
     return tuple(regs)
 
 
@@ -143,20 +207,18 @@ def simulate(
 
     Bound registers start at their input value, every other register at 0;
     the trace holds the full state after each step.  This is the one-row
-    case of the replay ``compile_noi`` runs over every row at once, with
-    the trace taken in the same loop.
+    case of the replay ``compile_noi`` runs over every row at once; the
+    trace is replayed from the same start on first read.
     """
     regs = [0] * program.registers
     for name, reg in program.bindings:
         regs[reg] = _bit(inputs, name, "memristor")
-    trace: list[tuple[int, ...]] = []
-    for read, written in program._plan:
-        if read is None:
-            regs[written] = 0
-        else:
-            regs[written] |= 1 ^ regs[read]
-        trace.append(tuple(regs))
-    return SimulationResult(regs[program.output], tuple(regs), tuple(trace))
+    start = tuple(regs)
+    _replay(program._plan, regs, 1)
+    result = object.__new__(SimulationResult)
+    vars(result).update(output=regs[program.output], state=tuple(regs),
+                        _start=start, _plan=program._plan)
+    return result
 
 
 def _replay(
@@ -237,14 +299,6 @@ def _compile(
     return program
 
 
-# Every step a compiled program can hold, built once: ``_lower`` uses
-# registers 0 .. nin + 3 only, and nin is at most MAX_COMPILE_VARS.
-_REGS = range(MAX_COMPILE_VARS + 4)
-_RESETS = tuple(Reset(r) for r in _REGS)
-_IMPLIES = tuple(tuple(Imply(c, s) if c != s else None for s in _REGS)
-                 for c in _REGS)
-
-
 def _lower(
     names: tuple[str, ...], products: tuple[Product, ...], peephole: bool
 ) -> ImplyProgram:
@@ -258,14 +312,14 @@ def _lower(
     src_of = {name: i for i, name in enumerate(names)}
     match products:
         case ((),):
-            return ImplyProgram(
+            return _from_plan(
                 nin + 2,
                 bindings,
                 nin + 1,
-                (Reset(nin), Reset(nin + 1), Imply(nin, nin + 1)),
+                ((None, nin), (None, nin + 1), (nin, nin + 1)),
             )
         case ((Var(name),),):
-            return ImplyProgram(nin, bindings, src_of[name], ())
+            return _from_plan(nin, bindings, src_of[name], ())
 
     # Every scratch register is free again at the end of its term, so the
     # smallest free register a RESET takes is fixed by its role: the
@@ -273,15 +327,13 @@ def _lower(
     # inverts a literal, and g, the second inversion of the textbook
     # lowering.
     out, w, f, g = nin, nin + 1, nin + 2, nin + 3
-    imply = _IMPLIES
     # a literal's steps into w: one IMPLY, after inverting a negation into f
-    positive = {name: (imply[r][w],) for name, r in src_of.items()}
+    positive = {name: ((r, w),) for name, r in src_of.items()}
     negative = {
-        name: (_RESETS[f], imply[r][f], imply[f][w])
-        for name, r in src_of.items()
+        name: ((None, f), (r, f), (f, w)) for name, r in src_of.items()
     }
 
-    steps: list[Step] = [_RESETS[out]]
+    plan: list[tuple[int | None, int]] = [(None, out)]
     top = out  # the highest register used
     for p in products:
         # the term is the IMPLY chain p1 -> ... -> p(k-1) -> !pk, that is
@@ -290,7 +342,7 @@ def _lower(
         if type(last) is Not:
             if peephole and len(p) == 1:
                 # the work register would hold NOT (NOT y), which is y
-                steps.append(imply[src_of[last.child.name]][out])
+                plan.append((src_of[last.child.name], out))
                 continue
             tail = negative[last.child.name]
             top = max(top, f)
@@ -298,27 +350,25 @@ def _lower(
             tail = positive[last.name]
             top = max(top, w)
         else:
-            r = src_of[last.name]
-            tail = (_RESETS[f], imply[r][f], _RESETS[g], imply[f][g],
-                    imply[g][w])
+            tail = ((None, f), (src_of[last.name], f), (None, g), (f, g),
+                    (g, w))
             top = g
-        steps.append(_RESETS[w])
+        plan.append((None, w))
         for x in p[:-1]:
             if type(x) is Var:
-                steps += positive[x.name]
+                plan += positive[x.name]
             else:
-                steps += negative[x.child.name]
+                plan += negative[x.child.name]
                 top = max(top, f)
-        steps += tail
-        steps.append(imply[w][out])
-    return ImplyProgram(top + 1, bindings, out, tuple(steps))
+        plan += tail
+        plan.append((w, out))
+    return _from_plan(top + 1, bindings, out, tuple(plan))
 
 
-def step_text(step: Step) -> str:
-    """One step as an interchange line, e.g. ``IMPLY r0 r2``."""
-    if isinstance(step, Reset):
-        return f"RESET r{step.target}"
-    return f"IMPLY r{step.cond} r{step.set}"
+def _lines(program: ImplyProgram) -> list[str]:
+    """One interchange line per step, e.g. ``IMPLY r0 r2``."""
+    return [f"RESET r{w}" if r is None else f"IMPLY r{r} r{w}"
+            for r, w in program._plan]
 
 
 def program_text(program: ImplyProgram) -> str:
@@ -326,5 +376,5 @@ def program_text(program: ImplyProgram) -> str:
     lines = [f"registers {program.registers}"]
     lines.extend(f"input {name} r{reg}" for name, reg in program.bindings)
     lines.append(f"output r{program.output}")
-    lines.extend(map(step_text, program.steps))
+    lines += _lines(program)
     return "\n".join(lines) + "\n"

@@ -18,17 +18,21 @@ gate ``k`` value ``2n + k``.  The compiler reads a sum of products, from a
 table's cover or from an expression by one pass of the canon reader, which
 also gives the expression's variable names (folding constant operands, as
 ``canon.soi_products`` does).  A product ``l1 .. lk`` becomes the cascade
-``l1 IAND !l2 ... IAND !lk``, emitted over value indices and given its
-reference text once, at the end.
+``l1 IAND !l2 ... IAND !lk``, emitted as ``(is_or, a, b)`` gates over
+value indices.
 
-``Netlist.__post_init__`` is the one resolver from text to indices, and
-rejects duplicate inputs and dangling references; its one plan of slots
-is what the replay and ``netlist_stats`` read.  One loop replays a
-netlist: each value is a mask of rows
+The compiler builds its netlist straight from those gates
+(``_from_plan``), and the ``Netlist`` constructor resolves the reference
+text of a hand-built one into the same gates.  Both run one check and slot
+plan over them (``_settle``): inputs are distinct names, a gate reads only
+taps and earlier gates, and the output is a value.  A plan-built netlist
+makes its ``gates`` on first read; ``netlist_text`` formats the indices.
+One loop replays the slot plan: each value is a mask of rows
 (``semantics.columns``), a tap ``!in:x`` reads ``full ^ x``, ``OR`` is
-``a | b`` and ``IAND`` is ``a & (full ^ b)``.  The compiler runs it over all rows and checks the
-output mask against its source; ``simulate_netlist`` runs it over the
-single row ``full = 1``.
+``a | b`` and ``IAND`` is ``a & (full ^ b)``.  The compiler runs it over
+all rows and checks the output mask against its source;
+``simulate_netlist`` runs it over the single row ``full = 1``, and
+``netlist_stats`` replays depth over the same plan.
 """
 
 from __future__ import annotations
@@ -37,7 +41,7 @@ from dataclasses import dataclass
 
 from .canon import Product, _read
 from .errors import EvaluationError
-from .expr import Expr, Not
+from .expr import Expr, Not, _check_name
 from .semantics import MAX_TABLE_VARS, TruthTable, _bit, check_oracle, columns
 
 
@@ -64,18 +68,10 @@ class Netlist:
     output: str
 
     def __post_init__(self) -> None:
-        """Resolve every reference to a value index once, then plan slots.
-
-        A gate writes the slot of a gate value past its last read, if there
-        is one, so a replay over all rows holds only values still to be read.
-        """
-        n = len(self.inputs)
-        if len(set(self.inputs)) != n:
-            raise ValueError("spindiode: duplicate input names")
-        base = 2 * n  # gate k is value base + k
-        end = len(self.gates)
-        value = {r: v for v, r in enumerate(_references(self.inputs, end))}
-        last = [end] * (base + end)  # each value's last reader
+        """Resolve every reference to a value index once, then check and
+        plan the result as ``_from_plan`` does."""
+        value = {r: v for v, r in
+                 enumerate(_references(self.inputs, len(self.gates)))}
         ops = []
         for k, g in enumerate(self.gates):
             if g.gid != k:
@@ -83,45 +79,115 @@ class Netlist:
                     f"spindiode: gate {k} is numbered g{g.gid}; "
                     f"gates must be g0, g1, ... in order"
                 )
-            a = value.get(g.in_a, base + k)
-            b = value.get(g.in_b, base + k)
-            if max(a, b) >= base + k:  # unknown, this gate or a later one
-                bad = g.in_a if a >= base + k else g.in_b
-                raise ValueError(
-                    f"spindiode: g{k} reads {bad!r}, which is neither a "
-                    f"declared input tap nor an earlier gate"
-                )
-            last[a] = last[b] = k
+            a, b = value.get(g.in_a), value.get(g.in_b)
+            if a is None or b is None:
+                raise _bad_read(k, g.in_a if a is None else g.in_b)
             ops.append((g.kind == "OR", a, b))
         out = value.get(self.output)
         if out is None:
-            raise ValueError(
-                f"spindiode: output {self.output!r} is neither a declared "
-                f"input tap nor a gate"
+            raise _bad_output(self.output)
+        _settle(self, tuple(ops), out)
+
+    def __getattr__(self, name: str):
+        # called only for a missing attribute: the gates of a plan-built
+        # netlist, made on first read
+        if name != "gates" or "_ops" not in vars(self):
+            raise AttributeError(
+                f"{type(self).__name__!r} object has no attribute {name!r}"
             )
-        last[out] = end
-        where = list(range(base))  # the slot of each value
-        free: list[int] = []
-        size = base
-        plan = []
-        for k, (is_or, a, b) in enumerate(ops):
-            if a >= base and last[a] == k:
-                free.append(where[a])
-            if b >= base and b != a and last[b] == k:
-                free.append(where[b])
-            if free:
-                where.append(free.pop())
-            else:
-                where.append(size)
-                size += 1
-            plan.append((is_or, where[a], where[b], where[-1]))
-        object.__setattr__(self, "_plan", (size, tuple(plan), where[out]))
+        text = _references(self.inputs, len(self._ops))
+        gates = tuple([Gate(k, _KIND[is_or], text[a], text[b])
+                       for k, (is_or, a, b) in enumerate(self._ops)])
+        object.__setattr__(self, "gates", gates)
+        return gates
+
+
+_KIND = ("IAND", "OR")  # a gate's kind, indexed by its is_or flag
+
+
+def _from_plan(
+    inputs: tuple[str, ...], ops: tuple[tuple[bool, int, int], ...], out: int
+) -> Netlist:
+    """The netlist of ``(is_or, a, b)`` gates over value indices with
+    output value ``out``, checked as the constructor checks it; its
+    ``gates`` are made on first read."""
+    netlist = object.__new__(Netlist)
+    vars(netlist).update(inputs=inputs, output=_reference(inputs, out))
+    _settle(netlist, ops, out)
+    return netlist
+
+
+def _settle(
+    netlist: Netlist, ops: tuple[tuple[bool, int, int], ...], out: int
+) -> None:
+    """Check the inputs and a plan of gates over value indices, then plan
+    slots: a gate writes the slot of a gate value past its last read, if
+    there is one, so a replay over all rows holds only values still to be
+    read.  Raise ``ValueError`` for a duplicate input or one that is not a
+    name, a gate that reads itself or a later value, or an output that is
+    no value."""
+    inputs = netlist.inputs
+    n = len(inputs)
+    if len(set(inputs)) != n:
+        raise ValueError("spindiode: duplicate input names")
+    for name in inputs:
+        _check_name(name, "spindiode")
+    base = 2 * n  # gate k is value base + k
+    end = len(ops)
+    last = [end] * (base + end)  # each value's last reader
+    for k, (_, a, b) in enumerate(ops):
+        if not (0 <= a < base + k and 0 <= b < base + k):
+            bad = b if 0 <= a < base + k else a
+            raise _bad_read(k, _reference(inputs, bad))
+        last[a] = last[b] = k
+    if not 0 <= out < base + end:
+        raise _bad_output(_reference(inputs, out))
+    last[out] = end
+    where = list(range(base))  # the slot of each value
+    free: list[int] = []
+    size = base
+    plan = []
+    for k, (is_or, a, b) in enumerate(ops):
+        if a >= base and last[a] == k:
+            free.append(where[a])
+        if b >= base and b != a and last[b] == k:
+            free.append(where[b])
+        if free:
+            where.append(free.pop())
+        else:
+            where.append(size)
+            size += 1
+        plan.append((is_or, where[a], where[b], where[-1]))
+    vars(netlist).update(_ops=ops, _plan=(size, tuple(plan), where[out]))
+
+
+def _bad_read(k: int, ref: str) -> ValueError:
+    return ValueError(
+        f"spindiode: g{k} reads {ref!r}, which is neither a declared input "
+        f"tap nor an earlier gate"
+    )
+
+
+def _bad_output(ref: str) -> ValueError:
+    return ValueError(
+        f"spindiode: output {ref!r} is neither a declared input tap nor a "
+        f"gate"
+    )
 
 
 def _references(inputs: tuple[str, ...], gates: int) -> list[str]:
     """The reference text of every value, indexed by value."""
     return ([f"in:{x}" for x in inputs] + [f"!in:{x}" for x in inputs]
             + [f"g{k}" for k in range(gates)])
+
+
+def _reference(inputs: tuple[str, ...], v: int) -> str:
+    """The reference text of value ``v``; a value past the taps, or below
+    0, reads as a gate."""
+    n = len(inputs)
+    if 0 <= v < 2 * n:
+        return f"!in:{inputs[v - n]}" if v >= n else f"in:{inputs[v]}"
+    return f"g{v - 2 * n}"
 
 
 def compile_soi(e: Expr, inputs: tuple[str, ...] | None = None) -> Netlist:
@@ -190,10 +256,7 @@ def _compile(
             refs = nxt
         out = refs[0]
 
-    text = _references(names, len(ops))
-    netlist = Netlist(names, tuple(
-        Gate(k, "OR" if is_or else "IAND", text[a], text[b])
-        for k, (is_or, a, b) in enumerate(ops)), text[out])
+    netlist = _from_plan(names, tuple(ops), out)
     if n <= MAX_TABLE_VARS:
         mask = _replay(netlist, columns(n), (1 << (1 << n)) - 1)
         check_oracle(want, TruthTable.from_mask(names, mask), "spindiode")
@@ -231,14 +294,16 @@ def netlist_stats(netlist: Netlist) -> dict[str, int]:
             "iands": len(plan) - ors, "ors": ors}
 
 
-def gate_text(g: Gate) -> str:
-    """One gate as an interchange line: ``g<i> = <KIND> <a> <b>``."""
-    return f"{g.ref} = {g.kind} {g.in_a} {g.in_b}"
+def _lines(netlist: Netlist) -> list[str]:
+    """One interchange line per gate: ``g<i> = <KIND> <a> <b>``."""
+    text = _references(netlist.inputs, len(netlist._ops))
+    return [f"g{k} = {_KIND[is_or]} {text[a]} {text[b]}"
+            for k, (is_or, a, b) in enumerate(netlist._ops)]
 
 
 def netlist_text(netlist: Netlist) -> str:
     """Interchange text: inputs header, one gate per line, output footer."""
     lines = ["inputs " + " ".join(netlist.inputs)]
-    lines.extend(map(gate_text, netlist.gates))
+    lines += _lines(netlist)
     lines.append(f"output {netlist.output}")
     return "\n".join(lines) + "\n"

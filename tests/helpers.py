@@ -16,9 +16,11 @@ from its binding and builds only the ones that can win.  The machine
 simulators' references step one row at a time, copying the register file
 at every step and resolving each netlist reference string on every row,
 where the production simulators run one bit-parallel replay loop over
-steps resolved once into register pairs.  The program validator's
+steps resolved once into register pairs, and the interchange texts'
+references format the step and gate objects, where the production code
+formats the plan.  The program validator's
 reference checks one step at a time, where the production constructor
-checks the resolved plan with set operations.  The
+checks each distinct pair of the resolved plan once.  The
 prime generator's reference merges cubes pairwise within each care group
 and sorts trit strings, where the production code takes one shift-AND per
 dash set over the table's mask and sorts int cubes.  The parser's reference
@@ -651,6 +653,30 @@ def reference_netlist_stats(netlist: Netlist) -> dict[str, int]:
         "iands": sum(1 for g in netlist.gates if g.kind == "IAND"),
         "ors": sum(1 for g in netlist.gates if g.kind == "OR"),
     }
+
+
+def reference_program_text(program: ImplyProgram) -> str:
+    """Interchange text formatted from the step objects, one line each:
+    the text ``program_text`` must match byte for byte."""
+    lines = [f"registers {program.registers}"]
+    lines += [f"input {name} r{reg}" for name, reg in program.bindings]
+    lines.append(f"output r{program.output}")
+    for step in program.steps:
+        match step:
+            case Reset(target):
+                lines.append(f"RESET r{target}")
+            case Imply(cond, set=target):
+                lines.append(f"IMPLY r{cond} r{target}")
+    return "\n".join(lines) + "\n"
+
+
+def reference_netlist_text(netlist: Netlist) -> str:
+    """Interchange text formatted from the gate objects, one line each:
+    the text ``netlist_text`` must match byte for byte."""
+    lines = ["inputs " + " ".join(netlist.inputs)]
+    lines += [f"{g.ref} = {g.kind} {g.in_a} {g.in_b}" for g in netlist.gates]
+    lines.append(f"output {netlist.output}")
+    return "\n".join(lines) + "\n"
 
 
 def one_chain_tree(e: Expr) -> bool:

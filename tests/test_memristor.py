@@ -137,7 +137,7 @@ def _raised(build):
 
 
 class TestValidationMatchesReference:
-    """The constructor checks its resolved plan with set operations; the
+    """The constructor checks each distinct pair of its plan once; the
     message is the one the per-step reference raises, for the first fault."""
 
     BINDINGS = (("p", 0), ("q", 1))

@@ -1,0 +1,251 @@
+"""Plan-built programs and netlists against the public constructors.
+
+The compilers build ``ImplyProgram`` and ``Netlist`` straight from their
+plans and ``simulate`` replays without a trace; ``steps``, ``gates`` and
+``trace`` are made on first read.  These tests hold the plan-built objects
+to the ones the constructors build from those fields, the texts to the
+ones formatted from the step and gate objects, and the compile path to
+building no step or gate object at all.
+"""
+
+from __future__ import annotations
+
+import copy
+import dataclasses
+from itertools import product
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from asymlogic import cli, memristor, spindiode
+from asymlogic.cli import main
+from asymlogic.memristor import (
+    Imply,
+    ImplyProgram,
+    Reset,
+    compile_noi,
+    program_text,
+    simulate,
+)
+from asymlogic.parser import parse
+from asymlogic.spindiode import (
+    Gate,
+    Netlist,
+    compile_soi,
+    netlist_text,
+    simulate_netlist,
+)
+
+from .helpers import (
+    assignments,
+    reference_netlist_text,
+    reference_program_text,
+    reference_simulate,
+)
+from .strategies import (
+    noi_exprs,
+    noi_exprs_with_constants,
+    soi_exprs,
+    soi_exprs_with_constants,
+)
+
+NOI = "!((A -> !B) & (A -> !C) & (B -> !C))"
+SOI = "A @ !B | B @ C | !A"
+
+
+def _same_program(prog: ImplyProgram) -> None:
+    """``prog``, built from its plan, against the constructor's rebuild of
+    a copy: ``prog`` meets it before its own steps are read."""
+    twin = copy.copy(prog)
+    rebuilt = ImplyProgram(twin.registers, twin.bindings, twin.output,
+                           twin.steps)
+    assert "steps" not in vars(prog)
+    assert prog == rebuilt
+    assert hash(prog) == hash(rebuilt)
+    assert repr(prog) == repr(rebuilt)
+    assert prog._plan == rebuilt._plan
+    assert program_text(prog) == program_text(rebuilt) == (
+        reference_program_text(rebuilt)
+    )
+
+
+def _same_netlist(net: Netlist) -> None:
+    """``net``, built from its plan, against the constructor's rebuild of
+    a copy: ``net`` meets it before its own gates are read."""
+    twin = copy.copy(net)
+    rebuilt = Netlist(twin.inputs, twin.gates, twin.output)
+    assert "gates" not in vars(net)
+    assert net == rebuilt
+    assert hash(net) == hash(rebuilt)
+    assert repr(net) == repr(rebuilt)
+    assert (net._ops, net._plan) == (rebuilt._ops, rebuilt._plan)
+    assert netlist_text(net) == netlist_text(rebuilt) == (
+        reference_netlist_text(rebuilt)
+    )
+
+
+def _same_traces(prog: ImplyProgram) -> None:
+    for env in assignments(tuple(name for name, _ in prog.bindings)):
+        got, want = simulate(prog, env), reference_simulate(prog, env)
+        assert "trace" not in vars(got)
+        assert got.trace == want.trace
+        assert got == want and repr(got) == repr(want)
+
+
+class TestCompiledMatchesRebuilt:
+    @settings(max_examples=150, deadline=None)
+    @given(st.one_of(noi_exprs, noi_exprs_with_constants), st.booleans())
+    def test_programs(self, e, peephole):
+        prog = compile_noi(e, peephole=peephole)
+        assert prog == compile_noi(e, peephole=peephole)
+        _same_program(compile_noi(e, peephole=peephole))
+        _same_traces(prog)
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.one_of(soi_exprs, soi_exprs_with_constants))
+    def test_netlists(self, e):
+        net = compile_soi(e, inputs=("A", "B", "C", "D"))
+        assert net == compile_soi(e, inputs=("A", "B", "C", "D"))
+        _same_netlist(compile_soi(e, inputs=("A", "B", "C", "D")))
+
+    def test_every_three_variable_table_on_the_cli_route(self, tmp_path):
+        parser = cli.build_parser()
+        for bits in product("01", repeat=8):
+            path = tmp_path / "t.tbl"
+            path.write_text("A B C\n" + "".join(bits) + "\n")
+            for target in ("memristor", "spindiode"):
+                args = parser.parse_args(
+                    ["compile", "--target", target, "--table-file", str(path)])
+                if target == "memristor":
+                    prog, _ = cli._build_memristor(args)
+                    _same_program(prog)
+                    _same_traces(prog)
+                else:
+                    _same_netlist(cli._build_spindiode(args))
+
+    def test_lazy_fields_replace_like_fields(self):
+        prog = compile_noi(parse(NOI))
+        wider = dataclasses.replace(prog, registers=prog.registers + 1)
+        assert wider.steps == prog.steps and wider._plan == prog._plan
+        net = compile_soi(parse(SOI))
+        assert dataclasses.replace(net, output="in:A").gates == net.gates
+        result = simulate(prog, {"A": 1, "B": 0, "C": 1})
+        assert dataclasses.replace(result, output=9).trace == result.trace
+
+    def test_missing_attributes_still_raise(self):
+        prog = compile_noi(parse(NOI))
+        net = compile_soi(parse(SOI))
+        result = simulate(prog, {"A": 1, "B": 0, "C": 1})
+        for obj in (prog, net, result):
+            with pytest.raises(AttributeError, match="no attribute 'nope'"):
+                obj.nope
+
+
+class TestNoStepOrGateObjects:
+    """The compile path builds no ``Reset``, ``Imply`` or ``Gate``: the
+    steps and gates are made only where a caller reads them."""
+
+    @pytest.fixture()
+    def made(self, monkeypatch):
+        made: list[str] = []
+        for cls in (Reset, Imply, Gate):
+            real = cls.__init__
+
+            def counting(self, *args, real=real, name=cls.__name__, **kw):
+                made.append(name)
+                real(self, *args, **kw)
+
+            monkeypatch.setattr(cls, "__init__", counting)
+        return made
+
+    def test_library_calls(self, made):
+        prog = compile_noi(parse(NOI))
+        net = compile_soi(parse(SOI))
+        program_text(prog)
+        netlist_text(net)
+        for env in assignments(("A", "B", "C")):
+            simulate(prog, env).output
+            simulate_netlist(net, env)
+        assert made == []
+        # the count sees a read field
+        prog.steps
+        assert made.count("Reset") == 4 and made.count("Imply") == 9
+
+    def test_cli_compile(self, made, capsys, tmp_path):
+        path = tmp_path / "carry.tbl"
+        path.write_text("A B C\n00010111\n")
+        table = ["--table-file", str(path)]
+        for target, source in (("memristor", [NOI]), ("spindiode", [SOI]),
+                               ("memristor", table), ("spindiode", table)):
+            argv = ["compile", "--target", target, *source,
+                    "--format", "structured"]
+            assert main(argv) == 0
+        capsys.readouterr()
+        assert made == []
+
+
+class TestInputNames:
+    """Input names are checked like variable names, so the interchange
+    text reads back: a space or a ``!`` in a name is a ``ValueError``."""
+
+    @pytest.mark.parametrize("name", ["a b", "", "1x", "!A", "in:A"])
+    def test_program_bindings(self, name):
+        with pytest.raises(ValueError, match="^memristor: variable names"):
+            ImplyProgram(3, ((name, 0),), 2, (Reset(2),))
+        with pytest.raises(ValueError, match="^memristor: variable names"):
+            memristor._from_plan(3, ((name, 0),), 2, ((None, 2),))
+
+    @pytest.mark.parametrize("name", ["x y", "", "1x", "!A", "in:A"])
+    def test_netlist_inputs(self, name):
+        gates = (Gate(0, "OR", "in:A", f"in:{name}"),)
+        with pytest.raises(ValueError, match="^spindiode: variable names"):
+            Netlist(("A", name), gates, "g0")
+        with pytest.raises(ValueError, match="^spindiode: variable names"):
+            spindiode._from_plan(("A", name), ((True, 0, 1),), 4)
+
+    def test_compile_soi_declared_inputs(self):
+        with pytest.raises(ValueError, match="^spindiode: variable names"):
+            compile_soi(parse("A | B"), inputs=("A", "B", "x y"))
+
+    def test_cli_exits_2(self, monkeypatch, capsys):
+        # the CLI reads names through the parser; a bad name reaching the
+        # compiler is an input error, not an internal one
+        real = spindiode._compile
+        monkeypatch.setattr(spindiode, "_compile",
+                            lambda names, *rest: real(names + ("x y",), *rest))
+        assert main(["compile", "--target", "spindiode", "A | B"]) == 2
+        assert "variable names" in capsys.readouterr().err
+
+
+class TestPlanChecks:
+    """The checks the constructors make also hold for a plan handed over
+    by a compiler."""
+
+    def test_imply_reads_what_it_writes(self):
+        with pytest.raises(ValueError, match="must differ .r2."):
+            memristor._from_plan(3, (("p", 0),), 2, ((None, 2), (2, 2)))
+
+    @pytest.mark.parametrize("plan, message", [
+        (((None, 5),), "register r5 out of range"),
+        (((None, 0),), "program writes input register r0"),
+        (((7, 2),), "register r7 out of range"),
+    ])
+    def test_program_faults(self, plan, message):
+        with pytest.raises(ValueError, match=f"^memristor: {message}$"):
+            memristor._from_plan(3, (("p", 0),), 2, plan)
+
+    @pytest.mark.parametrize("ops, out, message", [
+        (((True, 0, 2),), 2, "g0 reads 'g0'"),
+        (((True, 0, 1), (False, 3, 2)), 3, "g1 reads 'g1'"),
+        (((True, -1, 1),), 2, "g0 reads 'g-3'"),
+        (((True, 0, 1),), 3, "output 'g1'"),
+        ((), 2, "output 'g0'"),
+    ])
+    def test_netlist_faults(self, ops, out, message):
+        with pytest.raises(ValueError, match=f"^spindiode: {message}"):
+            spindiode._from_plan(("A",), ops, out)
+
+    def test_duplicate_inputs(self):
+        with pytest.raises(ValueError, match="^spindiode: duplicate input"):
+            spindiode._from_plan(("A", "A"), (), 0)

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import dataclasses
 import subprocess
 import sys
 import textwrap
@@ -374,15 +373,15 @@ class TestStatsMatchReference:
         assert netlist_stats(net) == reference_netlist_stats(net) == want
 
 
-def _flip_first_tap(netlist_type):
-    """A ``Netlist`` constructor whose first gate reads the complement of
-    the tap it was given."""
+def _flip_first_tap(from_plan):
+    """A plan entry whose first gate reads the complement of the input tap
+    it was given."""
 
-    def corrupted(inputs, gates, output):
-        g = gates[0]
-        tap = g.in_b[1:] if g.in_b.startswith("!") else "!" + g.in_b
-        gates = (dataclasses.replace(g, in_b=tap),) + gates[1:]
-        return netlist_type(inputs, gates, output)
+    def corrupted(inputs, ops, out):
+        is_or, a, b = ops[0]
+        n = len(inputs)
+        return from_plan(inputs, ((is_or, a, (b + n) % (2 * n)),) + ops[1:],
+                         out)
 
     return corrupted
 
@@ -394,7 +393,8 @@ class TestOracleCatchesWrongNetlists:
 
     @pytest.fixture()
     def corrupt(self, monkeypatch):
-        monkeypatch.setattr(spindiode, "Netlist", _flip_first_tap(Netlist))
+        monkeypatch.setattr(spindiode, "_from_plan",
+                            _flip_first_tap(spindiode._from_plan))
 
     @pytest.mark.parametrize("form", [minimized_soi, soi_from_tt])
     def test_compile_raises(self, corrupt, form):
@@ -413,13 +413,13 @@ class TestOracleCatchesWrongNetlists:
             from asymlogic.cli import main
             if __debug__:
                 sys.exit(9)
-            real = spindiode.Netlist
-            def corrupted(inputs, gates, output):
-                g = gates[0]
-                tap = g.in_b[1:] if g.in_b.startswith("!") else "!" + g.in_b
-                head = spindiode.Gate(0, g.kind, g.in_a, tap)
-                return real(inputs, (head,) + gates[1:], output)
-            spindiode.Netlist = corrupted
+            real = spindiode._from_plan
+            def corrupted(inputs, ops, out):
+                is_or, a, b = ops[0]
+                n = len(inputs)
+                head = (is_or, a, (b + n) % (2 * n))
+                return real(inputs, (head,) + ops[1:], out)
+            spindiode._from_plan = corrupted
             sys.exit(main(["compile", "--target", "spindiode", "A @ B"]))
             """
         )
