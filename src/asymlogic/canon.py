@@ -69,15 +69,25 @@ def complement(x: Expr) -> Expr:
     raise ShapeError(f"canon: expected a literal, got {t.__name__}")
 
 
-def literals(names: tuple[str, ...], value: int, care: int) -> Product:
-    """A cube's literals: each of ``names`` (the first is the MSB) whose
-    ``care`` bit is set, complemented where its ``value`` bit is clear.
-    A minterm cares for every variable: ``care = -1``."""
+LiteralTable = tuple[tuple[int, tuple[Not, Var]], ...]
+
+
+def literal_table(names: tuple[str, ...]) -> LiteralTable:
+    """The ``2n`` literals of a variable order, each built once: per name
+    (the first is the MSB) its row bit and its pair ``(Not(v), v)``, so
+    the literal of polarity ``p`` is ``pair[p]``.  Every product built
+    from one table shares these nodes."""
     n = len(names)
     return tuple(
-        Var(name) if value >> (n - 1 - i) & 1 else Not(Var(name))
-        for i, name in enumerate(names) if care >> (n - 1 - i) & 1
+        (n - 1 - i, (Not(v), v)) for i, v in enumerate(map(Var, names))
     )
+
+
+def literals(table: LiteralTable, value: int, care: int) -> Product:
+    """A cube's literals, picked from ``table``: each variable whose
+    ``care`` bit is set, complemented where its ``value`` bit is clear.
+    A minterm cares for every variable: ``care = -1``."""
+    return tuple(pair[value >> b & 1] for b, pair in table if care >> b & 1)
 
 
 def soi_term(literals: Product) -> Expr:
@@ -196,7 +206,8 @@ def _require_vars(t: TruthTable, what: str) -> None:
 
 
 def _minterms(t: TruthTable) -> tuple[Product, ...]:
-    return tuple(literals(t.variables, r, -1) for r in rows_of(t.mask))
+    table = literal_table(t.variables)
+    return tuple(literals(table, r, -1) for r in rows_of(t.mask))
 
 
 def soi_from_tt(t: TruthTable) -> Expr:
@@ -233,15 +244,16 @@ def noi_to_soi(e: Expr) -> Expr:
     return result
 
 
-def _maxterm_sum(names: tuple[str, ...], row: int) -> Expr:
-    """Full-support sum that is false exactly at ``row``."""
-    lits = tuple(map(complement, literals(names, row, -1)))
+def _maxterm_sum(table: LiteralTable, row: int) -> Expr:
+    """Full-support sum that is false exactly at ``row``: the complement
+    of each literal of its minterm, the literals of ``~row``."""
+    lits = literals(table, ~row, -1)
     return lits[0] if len(lits) == 1 else Or(lits)
 
 
-def _minterm_nand(names: tuple[str, ...], row: int) -> Expr:
+def _minterm_nand(table: LiteralTable, row: int) -> Expr:
     """Negated full-support product that is false exactly at ``row``."""
-    lits = literals(names, row, -1)
+    lits = literals(table, row, -1)
     body = lits[0] if len(lits) == 1 else And(lits)
     return negate(body)
 
@@ -262,9 +274,8 @@ def ios_from_tt(t: TruthTable) -> Expr | Unsupported:
         )
     p = t.mask.bit_length() - 1
     off = lowest_row(~t.mask)
-    result = IandChain(
-        (_maxterm_sum(t.variables, off), _maxterm_sum(t.variables, p))
-    )
+    table = literal_table(t.variables)
+    result = IandChain((_maxterm_sum(table, off), _maxterm_sum(table, p)))
     check_oracle(result, t, "canon")
     return result
 
@@ -280,19 +291,20 @@ def ion_from_tt(t: TruthTable) -> Expr | Unsupported:
     _require_vars(t, "ion_from_tt")
     top = (1 << len(t.variables)) - 1
     offs = ((1 << (top + 1)) - 1) ^ t.mask
-    if not offs:
-        nand = _minterm_nand(t.variables, top)
-        result = ImplyChain((nand, nand))
-        check_oracle(result, t, "canon")
-        return result
-    if offs.bit_count() != 1:
+    if offs.bit_count() > 1:
         return Unsupported(
             "an IMPLY of full-support minterm-NANDs denotes a function with "
             f"at most one OFF row; this table has {offs.bit_count()} OFF rows"
         )
+    table = literal_table(t.variables)
+    if not offs:
+        nand = _minterm_nand(table, top)
+        result = ImplyChain((nand, nand))
+        check_oracle(result, t, "canon")
+        return result
     p = offs.bit_length() - 1
-    n1 = _minterm_nand(t.variables, t.mask.bit_length() - 1)
-    n2 = _minterm_nand(t.variables, p)
+    n1 = _minterm_nand(table, t.mask.bit_length() - 1)
+    n2 = _minterm_nand(table, p)
     result = ImplyChain((n1, n2))
     check_oracle(result, t, "canon")
     return result

@@ -38,7 +38,7 @@ from .canon import (
     soi_to_noi,
 )
 from .errors import AsymLogicError
-from .expr import Expr, format_expr, variables
+from .expr import Expr, Not, format_expr
 from .laws import (
     RuleReport,
     catalog,
@@ -212,7 +212,8 @@ def _build_memristor(args: argparse.Namespace):
         t = _source_table(args)
         products = minimize_table(t)[1].products(t.variables)
         names = tuple(dict.fromkeys(
-            v for p in products for x in p for v in variables(x)))
+            x.child.name if type(x) is Not else x.name
+            for p in products for x in p))
         return memristor._compile(names, products, t, True), t.variables
     program = compile_noi(_source_expr(args))
     return program, tuple(n for n, _ in program.bindings)

@@ -32,7 +32,7 @@ from .semantics import (
     lowest_row,
     rows_of,
 )
-from .canon import Product, literals, noi_form, soi_form
+from .canon import Product, literal_table, literals, noi_form, soi_form
 
 MAX_MINIMIZE_VARS = 12
 # Budget units one cover search may use (see ``_branch_and_bound``).  The
@@ -105,8 +105,9 @@ class Cube:
         return (self.value, self.care)
 
     def literals(self, names: tuple[str, ...]) -> Product:
+        """The cube as a product of ``names``, the table's variables."""
         self._check_width(len(names))
-        return literals(names, self.value, self.care)
+        return literals(literal_table(names), self.value, self.care)
 
     def _check_width(self, n: int) -> None:
         if self.width != n:
@@ -137,8 +138,13 @@ class CoverSolution:
     trace: tuple[str, ...]
 
     def products(self, names: tuple[str, ...]) -> tuple[Product, ...]:
-        """The cubes as products of ``names``, the table's variables."""
-        return tuple(q.literals(names) for q in self.cubes)
+        """The cubes as products of ``names``, the table's variables.  The
+        literals come from one ``canon.literal_table`` of ``names``, so
+        each variable is one ``Var`` and one ``Not`` across all products."""
+        table = literal_table(names)
+        for q in self.cubes:
+            q._check_width(len(names))
+        return tuple(literals(table, q.value, q.care) for q in self.cubes)
 
 
 def _check_size(n: int) -> None:

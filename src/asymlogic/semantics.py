@@ -27,6 +27,7 @@ from .expr import (
     Not,
     Or,
     Var,
+    _check_name,
     variables,
 )
 
@@ -62,6 +63,13 @@ class TruthTable:
         object.__setattr__(self, "mask", mask)
 
     @classmethod
+    def _of(cls, names: tuple[str, ...], mask: int) -> "TruthTable":
+        """The table over checked ``names`` with a mask in range."""
+        t = cls.__new__(cls)
+        t._set(names, mask)
+        return t
+
+    @classmethod
     def from_mask(cls, names: Iterable[str], mask: int) -> "TruthTable":
         """The table whose row ``r`` is bit ``r`` of ``mask``."""
         names = _check_order(names)
@@ -69,9 +77,7 @@ class TruthTable:
             raise ValueError(
                 f"semantics: mask has bits beyond row {(1 << len(names)) - 1}"
             )
-        t = cls.__new__(cls)
-        t._set(names, mask)
-        return t
+        return cls._of(names, mask)
 
     @classmethod
     def from_string(cls, names: tuple[str, ...], bits: str) -> "TruthTable":
@@ -79,7 +85,7 @@ class TruthTable:
             raise ValueError("semantics: table string must contain only 0/1")
         names = _check_order(names)
         _check_row_count(names, len(bits))
-        return cls.from_mask(names, int(bits[::-1], 2))
+        return cls._of(names, int(bits[::-1], 2))
 
     @property
     def bits(self) -> tuple[int, ...]:
@@ -93,6 +99,8 @@ class TruthTable:
 
 
 def _check_order(names: Iterable[str]) -> tuple[str, ...]:
+    """``names`` as a tuple: at most ``MAX_TABLE_VARS`` of them, each a
+    name, none repeated."""
     names = tuple(names)
     n = len(names)
     if n > MAX_TABLE_VARS:
@@ -100,6 +108,8 @@ def _check_order(names: Iterable[str]) -> tuple[str, ...]:
             f"semantics: truth tables support at most {MAX_TABLE_VARS} "
             f"variables, got {n}"
         )
+    for name in names:
+        _check_name(name, "semantics")
     if len(set(names)) != n:
         raise ValueError("semantics: duplicate variable in table order")
     return names
@@ -240,7 +250,7 @@ def truth_table(e: Expr, names: tuple[str, ...] | None = None) -> TruthTable:
                 f"semantics: variable order omits {sorted(missing)}"
             )
     names = _check_order(names)
-    return TruthTable.from_mask(names, _table_masks(names, e)[0])
+    return TruthTable._of(names, _table_masks(names, e)[0])
 
 
 @dataclass(frozen=True)

@@ -33,7 +33,11 @@ code returns unchanged subtrees as they are.  The pattern matcher,
 printer are copies with one class-pattern ``match`` arm per node type,
 where the production walks dispatch through ``children`` and ``rebuild``;
 the simplifier's reference matches, substitutes and replaces with these
-copies.
+copies.  The cube-to-product reference builds a fresh ``Var``, or
+``Not(Var)``, for every literal of every cube and reads a program's
+binding order back with ``variables``, where the production code picks
+each literal from one table of ``2n`` nodes per variable order and reads
+the names off the literals.
 """
 
 from __future__ import annotations
@@ -236,6 +240,57 @@ def reference_minimum_cover(
     chosen.sort(key=reference_sort_key)
     cost = sum(q.literal_count for q in chosen)
     return CoverSolution(tuple(chosen), cost, tuple(trace))
+
+
+def reference_literals(
+    names: tuple[str, ...], value: int, care: int
+) -> tuple[Expr, ...]:
+    """A cube's literals, one new node per literal: each of ``names`` (the
+    first is the MSB) whose ``care`` bit is set, complemented where its
+    ``value`` bit is clear."""
+    n = len(names)
+    return tuple(
+        Var(name) if value >> (n - 1 - i) & 1 else Not(Var(name))
+        for i, name in enumerate(names) if care >> (n - 1 - i) & 1
+    )
+
+
+def reference_products(
+    cover: CoverSolution, names: tuple[str, ...]
+) -> tuple[tuple[Expr, ...], ...]:
+    """``CoverSolution.products`` built literal by literal."""
+    return tuple(
+        reference_literals(names, q.value, q.care) for q in cover.cubes
+    )
+
+
+def reference_binding_order(
+    products: tuple[tuple[Expr, ...], ...]
+) -> tuple[str, ...]:
+    """The names of the products' literals in first-appearance order,
+    read with ``variables`` one literal at a time."""
+    return tuple(dict.fromkeys(
+        v for p in products for x in p for v in variables(x)))
+
+
+def shared_literals(
+    products: tuple[tuple[Expr, ...], ...]
+) -> dict[tuple[str, int], Expr]:
+    """The one node each (name, polarity) has across ``products``,
+    polarity 1 plain and 0 complemented; raises ``AssertionError`` if a
+    literal is built twice, or if a ``Not`` does not hold the plain
+    literal's own ``Var``."""
+    seen: dict[tuple[str, int], Expr] = {}
+    for p in products:
+        for x in p:
+            key = (x.child.name, 0) if type(x) is Not else (x.name, 1)
+            if seen.setdefault(key, x) is not x:
+                raise AssertionError(f"{key} built twice")
+    for (name, polarity), x in seen.items():
+        plain = seen.get((name, 1))
+        if polarity == 0 and plain is not None and x.child is not plain:
+            raise AssertionError(f"{name}: two Vars")
+    return seen
 
 
 def _check_rows(rows: Iterable[int], n: int, what: str) -> set[int]:

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from asymlogic.canon import (
     Unsupported,
+    _minterms,
     _read,
     complement,
     ion_from_tt,
@@ -40,6 +41,7 @@ from asymlogic.expr import (
 from asymlogic.parser import parse
 from asymlogic.semantics import TruthTable, equivalent, truth_table
 
+from .helpers import reference_literals, shared_literals
 from .strategies import (
     expressions,
     noi_exprs,
@@ -255,6 +257,21 @@ class TestProducts:
     def test_noi_conversion_reverses_each_product(self, noi):
         soi = noi_to_soi(noi)
         assert soi_products(soi) == tuple(p[::-1] for p in noi_products(noi))
+
+
+class TestMinterms:
+    def test_equal_the_per_literal_construction(self):
+        # one literal table per call: every minterm shares its 2n nodes
+        for m in range(256):
+            rows = [r for r in range(8) if m >> r & 1]
+            got = _minterms(TruthTable.from_mask(NAMES3, m))
+            assert got == tuple(
+                reference_literals(NAMES3, r, -1) for r in rows
+            ), m
+            # a literal per variable and polarity that some ON row reads
+            assert len(shared_literals(got)) == sum(
+                len({r >> b & 1 for r in rows}) for b in range(3)
+            )
 
 
 def _peeled(e):

@@ -16,10 +16,12 @@ import pytest
 from asymlogic import cli, memristor, minimize, semantics, spindiode
 from asymlogic.cli import load_table_file, main
 from asymlogic.memristor import compile_noi
-from asymlogic.minimize import minimized_noi, minimized_soi
+from asymlogic.minimize import minimize_table, minimized_noi, minimized_soi
 from asymlogic.parser import MAX_NESTING
 from asymlogic.semantics import TruthTable
 from asymlogic.spindiode import compile_soi
+
+from .helpers import reference_binding_order, reference_products
 
 CARRY_BITS = "00010111"
 GOLDEN_CLI = Path(__file__).parent / "golden" / "cli"
@@ -442,6 +444,24 @@ class TestTableRoute:
             # binding in header order would fail these: 145 tables, 136 of
             # them over all three inputs (e.g. 11001000 binds B, C, A)
             assert permuted == 145
+
+    @pytest.mark.parametrize(
+        "tables", [TABLES3, _cube_tables(23, 40)], ids=["all3", "cubes4-8"]
+    )
+    def test_inputs_in_first_appearance_order(self, capsys, tmp_path, tables):
+        # the program binds the names its products read, in the order they
+        # first read them, as ``variables`` gives it literal by literal
+        for t in tables:
+            path = self.source(tmp_path, t).table_file
+            code, out, _ = run(
+                capsys, "compile", "--target", "memristor", "--table-file",
+                path, "--format", "structured",
+            )
+            products = reference_products(minimize_table(t)[1], t.variables)
+            want = reference_binding_order(products)
+            assert code == 0
+            inputs = json.loads(out)["inputs"]
+            assert inputs == [[n, r] for r, n in enumerate(want)], t
 
     @pytest.mark.parametrize("target", ["memristor", "spindiode"])
     def test_simulate_agrees_on_every_row(self, capsys, tmp_path, target):

@@ -20,6 +20,7 @@ from asymlogic.cli import main
 from asymlogic.errors import CapacityError
 from asymlogic.expr import Const, Not, Var, format_expr
 from asymlogic.minimize import (
+    CoverSolution,
     Cube,
     PrimeImplicantSet,
     cover_form,
@@ -30,16 +31,19 @@ from asymlogic.minimize import (
     minimum_cover,
     prime_implicants,
 )
-from asymlogic.semantics import TruthTable, columns, truth_table
+from asymlogic.semantics import TruthTable, columns, rows_of, truth_table
 
 from .helpers import (
     reference_minimum_cover,
     reference_prime_implicants,
+    reference_products,
     reference_sort_key,
+    shared_literals,
 )
 
 CARRY = TruthTable(("A", "B", "C"), (0, 0, 0, 1, 0, 1, 1, 1))
 SUM3 = TruthTable(("A", "B", "C"), (0, 1, 1, 0, 1, 0, 0, 1))
+NAMES3 = ("A", "B", "C")
 
 
 class TestCube:
@@ -124,15 +128,26 @@ class TestCube:
         ["minimize", "--form", "noi"],
         ["compile", "--target", "memristor"],
         ["compile", "--target", "spindiode"],
+        ["table"],
+        ["canon", "--form", "soi"],
     ])
     @pytest.mark.parametrize("bits", ["01", "00"])
     def test_cli_rejects_a_bad_header(self, tmp_path, capsys, argv, bits):
-        # the all-zero table once compiled to a netlist with input "1x"
+        # the all-zero table once compiled to a netlist with input "1x",
+        # and table and canon once echoed the header with exit 0; the
+        # table file's reader refuses it for every command
         path = tmp_path / "bad.tbl"
         path.write_text(f"1x\n{bits}\n")
         assert main([*argv, "--table-file", str(path)]) == 2
         err = capsys.readouterr().err
-        assert err.startswith("error: minimize: variable names are letters")
+        assert err.startswith("error: semantics: variable names are letters")
+
+    @pytest.mark.parametrize("argv", [["table"], ["canon", "--form", "noi"]])
+    def test_cli_rejects_a_bad_vars_order(self, capsys, argv):
+        # table once printed the header "a 1b" with exit 0
+        assert main([*argv, "a", "--vars", "a,1b"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: semantics: variable names are letters")
 
     def test_wrong_width_is_rejected(self):
         # a narrow cube once "covered" rows of a wider table, and a wide
@@ -143,6 +158,57 @@ class TestCube:
             PrimeImplicantSet(("A",), (Cube("11"),))
         with pytest.raises(ValueError, match="cube 1-0 has 3 trits for 2"):
             Cube("1-0").literals(("A", "B"))
+
+
+def _seeded_prime_covers():
+    """Seeded uniformly random 5- to 8-variable tables, each with all of
+    its primes as one cover: an exact cover of such an 8-variable table
+    may pass the search budget, and ``products`` reads only cubes."""
+    rng = random.Random(5)
+    for n in (5, 6, 7, 8):
+        for _ in range(3):
+            names = tuple(rng.sample([f"v{i}" for i in range(12)], n))
+            mask = rng.getrandbits(1 << n)
+            primes = prime_implicants(rows_of(mask), n=n, variables=names)
+            cost = sum(q.literal_count for q in primes.cubes)
+            yield names, CoverSolution(primes.cubes, cost, ())
+
+
+class TestProducts:
+    """``CoverSolution.products`` picks every literal from one table per
+    call: equal to building each literal anew, one node per literal."""
+
+    COVERS3 = [
+        (NAMES3, minimize_table(TruthTable.from_mask(NAMES3, m))[1])
+        for m in range(256)
+    ]
+
+    @pytest.mark.parametrize("covers", [COVERS3, list(_seeded_prime_covers())],
+                             ids=["all3", "primes5-8"])
+    def test_equals_the_per_literal_construction(self, covers):
+        for names, cover in covers:
+            products = cover.products(names)
+            assert products == reference_products(cover, names), cover
+            shared_literals(products)
+        # some covers read every variable in both polarities
+        assert any(len(shared_literals(c.products(n))) == 2 * len(n)
+                   for n, c in covers)
+
+    def test_one_node_per_literal_across_products(self):
+        # three cubes read A and !A; all three share one node of each,
+        # and the Not holds the Var the plain literal is
+        cover = CoverSolution((Cube("1-0"), Cube("01-"), Cube("1-1")), 6, ())
+        p = cover.products(NAMES3)
+        assert p[0][0] is p[2][0] and p[0][0] == Var("A")
+        assert p[1][0] == Not(Var("A")) and p[1][0].child is p[0][0]
+        assert p[0][1] == Not(Var("C")) and p[0][1].child is p[2][1]
+
+    def test_checks_stay(self):
+        with pytest.raises(ValueError, match="cube 1-0 has 3 trits for 2"):
+            CoverSolution((Cube("1-0"),), 2, ()).products(("A", "B"))
+        with pytest.raises(ValueError, match="expr: variable names are"):
+            CoverSolution((Cube("1"),), 1, ()).products(("1x",))
+        assert CoverSolution((), 0, ()).products(NAMES3) == ()
 
 
 class TestPrimeImplicants:

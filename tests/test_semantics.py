@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from asymlogic import semantics
 from asymlogic.canon import noi_term, soi_term
 from asymlogic.errors import CapacityError, EvaluationError
 from asymlogic.expr import (
@@ -133,6 +134,32 @@ class TestTruthTable:
             TruthTable(("A",), (0, 2))  # non-bit
         with pytest.raises(CapacityError):
             TruthTable(tuple(f"v{i}" for i in range(25)), (0,) * (1 << 25))
+
+    @pytest.mark.parametrize("name", ["1b", "a-b", "", "x y", 3])
+    def test_names_that_are_not_names_are_rejected(self, name):
+        # a table once held any string as a name, and the CLI's table
+        # command printed it back as a header with exit 0
+        builds = (
+            lambda: TruthTable(("a", name), (0, 0, 0, 1)),
+            lambda: TruthTable.from_mask(("a", name), 1),
+            lambda: TruthTable.from_string(("a", name), "0001"),
+            lambda: truth_table(A, ("A", name)),
+        )
+        for build in builds:
+            with pytest.raises(ValueError, match="semantics: variable names"):
+                build()
+
+    def test_from_string_checks_the_order_once(self, monkeypatch):
+        calls = []
+        real = semantics._check_order
+
+        def counting(names):
+            calls.append(names)
+            return real(names)
+
+        monkeypatch.setattr(semantics, "_check_order", counting)
+        assert TruthTable.from_string(("A", "B"), "0110").mask == 0b0110
+        assert calls == [("A", "B")]
 
     def test_string_roundtrip(self):
         t = TruthTable.from_string(("A", "B"), "0110")
