@@ -190,16 +190,18 @@ def rebuild(e: Expr, kids: tuple[Expr, ...]) -> Expr:
 def variables(e: Expr) -> tuple[str, ...]:
     """Variable names in first-appearance (preorder) order."""
     seen: dict[str, None] = {}
-
-    def walk(node: Expr) -> None:
-        if isinstance(node, Var):
-            seen.setdefault(node.name, None)
-            return
-        for c in children(node):
-            walk(c)
-
-    walk(e)
+    _names(e, seen)
     return tuple(seen)
+
+
+def _names(e: Expr, seen: dict[str, None]) -> None:
+    # a module-level walk: a nested one would refer to itself through its
+    # closure and leave a reference cycle behind on every call
+    if isinstance(e, Var):
+        seen.setdefault(e.name, None)
+        return
+    for c in children(e):
+        _names(c, seen)
 
 
 def negate(e: Expr) -> Expr:

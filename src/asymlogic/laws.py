@@ -16,6 +16,7 @@ import json
 from dataclasses import dataclass
 from functools import cache
 from itertools import repeat
+from typing import Iterable
 
 from .errors import NoMatchError, ShapeError
 from .expr import (
@@ -35,8 +36,8 @@ from .expr import (
     literal_count,
     negate,
     normalize_not,
+    peel,
     rebuild,
-    replace_at,
     subexpr_at,
     variables,
 )
@@ -304,12 +305,30 @@ def rewrite_once(e: Expr, rule: Rule, position: Path) -> Expr:
         raise NoMatchError(
             f"laws: rule {rule.name!r} does not match at position {position}"
         )
-    return _rewrite(e, position, rule, binding)
+    return normalize_not(_rewrite(e, position, rule, binding))
 
 
 def _rewrite(e: Expr, path: Path, rule: Rule, binding: dict) -> Expr:
-    """The one rewrite step: ``rule`` at ``path`` under ``binding``."""
-    return normalize_not(replace_at(e, path, substitute(rule.rhs, binding)))
+    """The one rewrite step: ``rule`` at ``path`` under ``binding``.
+
+    The substituted right side is Not-normalized, and each node rebuilt
+    above it is ``peel``ed, bottom up.  On a Not-normal ``e`` that is all
+    that ``normalize_not`` of the whole result would change: only a
+    rebuilt ``Not`` can come to stand over a ``Not`` or a constant, and a
+    rebuilt chain's constructor flattens a chain put at its associative
+    end.  So the result is Not-normal, and every subtree off the path is
+    the object it was in ``e``.  ``rewrite_once`` normalizes the result
+    whole, for any ``e``.
+    """
+    new = normalize_not(substitute(rule.rhs, binding))
+    above = []
+    for i in path:
+        above.append(e)
+        e = children(e)[i]
+    for node, i in zip(reversed(above), reversed(path)):
+        kids = children(node)
+        new = peel(rebuild(node, (*kids[:i], new, *kids[i + 1:])))
+    return new
 
 
 @dataclass(frozen=True)
@@ -338,71 +357,116 @@ def simplify(
     A match is scored from its binding (``_literal_delta``); only a match
     that can still win is built and has its operators counted.
 
-    A node's matches are found once per call and kept in one memo by node
-    identity.  A rewrite rebuilds only the nodes on one path, and
-    ``normalize_not`` returns every other subtree as the same object, so
-    each round matches only the nodes that are new: the rewritten path
-    and the replacement.  Operator counts are kept per node the same way.
-    Both memos hold their nodes, so no id is reused while they live, and
-    both end with the call.
+    Each node has one record per call, kept by node identity: its matches
+    that cut literals, scored, its literal and operator counts, and the
+    least score anywhere in its subtree (``_record``).  The rules tried on
+    a node are those its root type and operand kinds admit (``_Index``).
+    A rewrite rebuilds only the nodes on one path and keeps every other
+    subtree as the same object, so each round records only the new nodes.
+    A round descends from the root only into subtrees whose least score
+    can still tie or beat the best match so far.  The records hold their
+    nodes, so no id is reused while they live, and they end with the call.
     """
     if budget < 0:
         raise ValueError("laws: simplify budget must be >= 0")
     index = _default_index() if rules is None else _index(rules)
-    anywhere = index[_ANYWHERE]
-
-    def reductions(node: Expr) -> list[tuple[int, Rule, dict[str, Expr]]]:
-        """``(delta, rule, binding)`` for each match that cuts literals."""
-        found = []
-        for rule, const, weights in index.get(_shape(node), anywhere):
-            binding = match_pattern(rule.lhs, node)
-            if binding is None:
-                continue
-            delta = const
-            for name, w in weights:
-                delta += w * literal_count(binding[name])
-            if delta < 0:
-                found.append((delta, rule, binding))
-        return found
-
-    counts: dict[int, tuple[Expr, int]] = {}
-
-    def operators(node: Expr) -> int:
-        hit = counts.get(id(node))
-        if hit is None:
-            n = 0
-            if not isinstance(node, (Const, Var)):
-                n = 1 + sum(map(operators, children(node)))
-            hit = counts[id(node)] = (node, n)
-        return hit[1]
-
-    matches: dict[int, tuple[Expr, list]] = {}
+    records: dict[int, _Record] = {}
     current = normalize_not(e)
     steps: list[SimplifyStep] = []
-    base = literal_count(current)
     for _ in range(budget):
+        top = _record(current, records, index)
+        base = top[1]
         best: tuple[tuple, Rule, Path, Expr] | None = None
-        most = base - 1  # a contender has at most this many literals
-        for path, node in iter_subexpressions(current):
-            entry = matches.get(id(node))
-            if entry is None:
-                entry = matches[id(node)] = (node, reductions(node))
-            for delta, rule, binding in entry[1]:
-                lits = base + delta
-                if lits > most:
+        reach = -1  # a contender's delta is at most this
+        stack = [(top, ())]
+        while stack:
+            (node, _, _, found, least), path = stack.pop()
+            if least > reach:
+                continue
+            for delta, rule, binding in found:
+                if delta > reach:
                     continue
                 candidate = _rewrite(current, path, rule, binding)
-                key = (lits, operators(candidate), rule.name, path)
+                ops = _operators(candidate, records)
+                key = (base + delta, ops, rule.name, path)
                 if best is None or key < best[0]:
                     best = (key, rule, path, candidate)
-                    most = lits
+                    reach = delta
+            kids = children(node)
+            for i in range(len(kids) - 1, -1, -1):
+                rec = records[id(kids[i])]
+                if rec[4] <= reach:
+                    stack.append((rec, path + (i,)))
         if best is None:
             break
-        key, rule, path, current = best
-        base = key[0]  # exact, see ``_literal_delta``
+        _, rule, path, current = best
         steps.append(SimplifyStep(rule.name, path, current))
     check_oracle(current, e, "simplify")
     return SimplifyResult(current, tuple(steps))
+
+
+# (node, literals, operators, reductions, least delta) as ``_record`` makes it
+_Record = tuple[Expr, int, int, list, int]
+
+
+def _record(node: Expr, records: dict[int, _Record], index: _Index) -> _Record:
+    """``node``'s record in ``records``, made with those of its subtrees
+    that have none.
+
+    Its reductions are ``(delta, rule, binding)`` for each match that cuts
+    literals, in the index's rule order, with ``delta`` the
+    ``_literal_delta`` sum over the bound subtrees' literal counts.  Its
+    least delta is the least of its own and its subtrees', 0 if none cuts.
+    """
+    rec = records.get(id(node))
+    if rec is not None:
+        return rec
+    kids = children(node)
+    lits, ops, least = (0, 1, 0) if kids else (1, 0, 0)
+    for kid in kids:
+        _, k_lits, k_ops, _, k_least = _record(kid, records, index)
+        lits += k_lits
+        ops += k_ops
+        if k_least < least:
+            least = k_least
+    found = []
+    for rule, const, weights in index.rules(node):
+        binding = match_pattern(rule.lhs, node)
+        if binding is None:
+            continue
+        delta = const
+        for name, w in weights:
+            delta += w * _literals(binding[name], records)
+        if delta < 0:
+            found.append((delta, rule, binding))
+            if delta < least:
+                least = delta
+    rec = records[id(node)] = (node, lits, ops, found, least)
+    return rec
+
+
+def _literals(value: Expr, records: dict[int, _Record]) -> int:
+    """The literal count of a bound subtree, read from its record or, for
+    the ``Not`` a complement binding puts over a node, from the node's."""
+    rec = records.get(id(value))
+    if rec is None and type(value) is Not:
+        rec = records.get(id(value.child))
+    return literal_count(value) if rec is None else rec[1]
+
+
+def _operators(node: Expr, records: dict[int, _Record]) -> int:
+    """The operator count of a tree, read from the records of its subtrees
+    that have one."""
+    rec = records.get(id(node))
+    if rec is not None:
+        return rec[2]
+    kids = children(node)
+    if not kids:
+        return 0
+    n = 1
+    for kid in kids:
+        n += _operators(kid, records)
+    return n
 
 
 def _literal_delta(rule: Rule) -> tuple[int, tuple[tuple[str, int], ...]]:
@@ -437,34 +501,84 @@ def _can_reduce(const: int, weights: tuple[tuple[str, int], ...]) -> bool:
     return const + sum(w for _, w in weights) < 0
 
 
-def _shape(e: Expr) -> tuple[type, int]:
-    return type(e), len(children(e))
-
-
-# a bare-metavariable lhs has this shape, and it matches every node
-_ANYWHERE = (Var, 0)
-
 # (rule, constant, weights) as ``_literal_delta`` gives them
 _Scored = tuple[Rule, int, tuple[tuple[str, int], ...]]
-_Index = dict[tuple[type, int], tuple[_Scored, ...]]
+
+
+class _Index:
+    """Scored rules, and the ones to try on a node, narrowed by the node's
+    root type and the kind of each operand (``_kind``).
+
+    A pattern operand that is a constant matches only that constant; a
+    metavariable or ``!A`` matches any operand; any other pattern only an
+    operand of its own type.  So whether a rule can match a node depends on
+    the node's type and its operands' kinds alone, and the list for each
+    such key is made the first time a node with it is met, then kept.  A
+    node whose type and arity no ``lhs`` has gets only the rules whose
+    ``lhs`` matches every node (``_wild``), so the keys are bounded by the
+    rules' arities.  Every list keeps the given rule order.
+    """
+
+    def __init__(self, scored: Iterable[_Scored]) -> None:
+        self.scored = tuple(scored)
+        self.shapes = {
+            (type(s[0].lhs), len(children(s[0].lhs))) for s in self.scored
+        }
+        self.anywhere = tuple(s for s in self.scored if _wild(s[0].lhs))
+        self.narrowed: dict[tuple, tuple[_Scored, ...]] = {}
+
+    def rules(self, node: Expr) -> tuple[_Scored, ...]:
+        t = type(node)
+        kids = children(node)
+        if (t, len(kids)) not in self.shapes:
+            return self.anywhere
+        key = (t, *map(_kind, kids))
+        hit = self.narrowed.get(key)
+        if hit is None:
+            hit = self.narrowed[key] = tuple(
+                s for s in self.scored if _admits(s[0].lhs, key)
+            )
+        return hit
+
+
+def _kind(e: Expr) -> int | type:
+    """An operand's kind for the index: a constant's value, else its type."""
+    return e.value if type(e) is Const else type(e)
+
+
+def _admits(pattern: Expr, key: tuple) -> bool:
+    """Whether ``pattern`` can match a node with the root type and operand
+    kinds of ``key``."""
+    if _wild(pattern):
+        return True
+    operands = children(pattern)
+    return (
+        type(pattern) is key[0]
+        and len(operands) == len(key) - 1
+        and all(map(_takes, operands, key[1:]))
+    )
+
+
+def _takes(pattern: Expr, kind: int | type) -> bool:
+    """Whether an operand pattern can match an operand of ``kind``."""
+    if _wild(pattern):
+        return True
+    if type(pattern) is Const:
+        return kind == pattern.value
+    return kind is type(pattern)
+
+
+def _wild(pattern: Expr) -> bool:
+    """Whether a pattern matches every node: a metavariable, or ``!A``,
+    which binds the complement of a node that is not a ``Not``."""
+    t = type(pattern)
+    return t is Var or t is Not and type(pattern.child) is Var
 
 
 def _index(rules: tuple[Rule, ...]) -> _Index:
-    """The rules that can cut literals, by the root type and arity of their
-    ``lhs``; each entry also holds the bare-metavariable rules, and all
-    keep the given rule order."""
-    kept = []
-    for rule in rules:
-        const, weights = _literal_delta(rule)
-        if _can_reduce(const, weights):
-            kept.append((rule, const, weights))
-    shapes = {_shape(s[0].lhs) for s in kept} | {_ANYWHERE}
-    return {
-        shape: tuple(
-            s for s in kept if _shape(s[0].lhs) in (shape, _ANYWHERE)
-        )
-        for shape in shapes
-    }
+    """The index of the rules that can cut literals, in the given order."""
+    scored = ((rule, *_literal_delta(rule)) for rule in rules)
+    return _Index(s for s in scored if _can_reduce(s[1], s[2]))
 
 
 @cache

@@ -42,6 +42,7 @@ the names off the literals.
 
 from __future__ import annotations
 
+import gc
 import heapq
 from dataclasses import dataclass
 from itertools import product
@@ -742,6 +743,21 @@ def one_chain_tree(e: Expr) -> bool:
         or (type(n) is ImplyChain and type(n.operands[-1]) is ImplyChain)
         for _, n in iter_subexpressions(e)
     )
+
+
+def cyclic_garbage(fn, *args) -> int:
+    """How many unreachable objects one call ``fn(*args)`` leaves to the
+    cyclic collector: the call runs with the collector off, and
+    ``gc.collect`` then counts what only it could free."""
+    gc.collect()
+    was_on = gc.isenabled()
+    gc.disable()
+    try:
+        fn(*args)
+        return gc.collect()
+    finally:
+        if was_on:
+            gc.enable()
 
 
 def reference_normalize_not(e: Expr) -> Expr:

@@ -34,7 +34,11 @@ from asymlogic.expr import (
 from asymlogic.errors import ArityError
 from asymlogic.parser import parse
 
-from .helpers import one_chain_tree, reference_normalize_not
+from .helpers import (
+    cyclic_garbage,
+    one_chain_tree,
+    reference_normalize_not,
+)
 from .strategies import (
     expressions,
     noi_exprs_with_constants,
@@ -149,6 +153,10 @@ class TestTraversal:
     def test_variables_first_appearance(self):
         e = Or((IandChain((B, A)), And((C, B))))
         assert variables(e) == ("B", "A", "C")
+
+    def test_variables_leaves_no_cyclic_garbage(self):
+        e = parse("(a @ !b) | c & (d -> a)")
+        assert cyclic_garbage(variables, e) == 0
 
     def test_iter_subexpressions_preorder(self):
         e = Or((Not(A), B))

@@ -7,7 +7,7 @@ import random
 import time
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from asymlogic import laws
@@ -26,6 +26,7 @@ from asymlogic.expr import (
     literal_count,
     normalize_not,
     replace_at,
+    subexpr_at,
     variables,
 )
 from asymlogic.laws import (
@@ -54,6 +55,7 @@ from asymlogic.semantics import (
 
 from .helpers import (
     assignments,
+    cyclic_garbage,
     naive_eval,
     one_chain_tree,
     reference_dual,
@@ -67,6 +69,7 @@ from .strategies import (
     expressions,
     noi_exprs_with_constants,
     soi_exprs_with_constants,
+    stacked_nots,
 )
 
 A, B, C = Var("A"), Var("B"), Var("C")
@@ -271,6 +274,12 @@ class TestSimplify:
         with pytest.raises(ValueError):
             simplify(A, budget=-1)
 
+    def test_leaves_no_cyclic_garbage(self):
+        e = parse("(a @ a) | (b -> 1) | (!c & c) | (d @ !d)")
+        for rules in (None, catalog()):
+            assert simplify(e, rules).steps
+            assert cyclic_garbage(simplify, e, rules) == 0
+
     def test_leftmost_site_wins_ties(self):
         result = simplify(parse("(A @ A) | (B @ B)"))
         assert result.steps[0].position == (0,)
@@ -370,6 +379,18 @@ class TestSimplifyMatchesReference:
             assert simplify(e, rules, budget) == reference_simplify(
                 e, rules, budget
             )
+
+    @given(expressions(max_leaves=6))
+    def test_negated_metavariable_lhs(self, x):
+        # ``!A`` binds the complement of any node that is not a Not, so it
+        # matches every node too; this rule holds only on contradictions,
+        # so it is applied to x @ x
+        rules = (Rule("contradiction", "contradictions", Not(A), Const(0)),)
+        e = IandChain((x, x))
+        for budget in (1, 64):
+            result = simplify(e, rules, budget)
+            assert result == reference_simplify(e, rules, budget)
+            assert result.expression == Const(0)
 
     @pytest.mark.parametrize("n", [8, 12, 16])
     def test_planted_redundancy(self, n):
@@ -585,6 +606,88 @@ class TestTreeWalksMatchReference:
                 assert replace_at(e, path, new) == reference_replace_at(
                     e, path, new
                 )
+
+
+def _rule(name: str) -> Rule:
+    return next(r for r in _ALL_RULES if r.name == name)
+
+
+class TestRuleIndex:
+    """The rules ``simplify`` tries on a node, narrowed by the node's root
+    type and the kind of each operand."""
+
+    RULES = _ALL_RULES + demonstrations()
+    # every rule, scored alike, so that none is dropped before narrowing
+    INDEX = laws._Index((rule, 0, ()) for rule in RULES)
+
+    @settings(deadline=None)
+    @given(_TREES)
+    @example(parse("(!p @ p) | (p -> !p) | !p & p"))  # complement-bound !A
+    @example(parse("(p @ 1) | (0 @ p) | (1 -> p) | p & 0 | 1 | p"))
+    @example(parse("!(a @ b @ c) | (a @ b) & c | (a -> b | c) | (a | b) @ c"))
+    def test_narrowing_drops_no_match(self, e):
+        for _, node in iter_subexpressions(e):
+            tried = {s[0].name for s in self.INDEX.rules(node)}
+            for rule in self.RULES:
+                if match_pattern(rule.lhs, node) is not None:
+                    assert rule.name in tried, (rule.name, format_expr(node))
+
+    def test_operand_kinds_narrow_the_list(self):
+        index = laws._default_index()
+        tried = {s[0].name for s in index.rules(parse("p @ q"))}
+        assert "null-idempotency-iand" in tried
+        # each needs a constant operand
+        assert not tried & {"annulment-iand-right", "identity-iand"}
+        tried = {s[0].name for s in index.rules(parse("p @ 1"))}
+        assert "annulment-iand-right" in tried
+        assert "identity-iand" not in tried
+
+
+class TestPathLocalRewrite:
+    """A rewrite normalizes only the substituted right side and peels each
+    node rebuilt above it, which on a Not-normal tree is the whole tree's
+    normalization; ``rewrite_once`` still normalizes any input whole."""
+
+    @staticmethod
+    def _whole(e: Expr, path, rule: Rule, binding) -> Expr:
+        return normalize_not(replace_at(e, path, substitute(rule.rhs, binding)))
+
+    @settings(max_examples=50, deadline=None)
+    @given(_TREES)
+    def test_every_default_rule_at_every_match(self, e):
+        e = normalize_not(e)
+        for path, node in iter_subexpressions(e):
+            for rule in _ALL_RULES:
+                binding = match_pattern(rule.lhs, node)
+                if binding is not None:
+                    got = laws._rewrite(e, path, rule, binding)
+                    assert got == self._whole(e, path, rule, binding)
+
+    def test_double_negation_above_collapses(self):
+        e = parse("(a & b) | !(1 @ p)")
+        rule, path = _rule("inversion-iand"), (1, 0)  # 1 @ A => !A
+        binding = match_pattern(rule.lhs, subexpr_at(e, path))
+        got = laws._rewrite(e, path, rule, binding)
+        assert got == parse("a & b | p") == self._whole(e, path, rule, binding)
+        assert got.children[0] is e.children[0]  # off the path: kept
+
+    def test_chain_in_the_leading_operand_flattens(self):
+        e = parse("!(!a | b) @ c")
+        rule, path = _rule("demorgan-or-to-iand"), (0,)  # !(A | B) => !A @ B
+        binding = match_pattern(rule.lhs, subexpr_at(e, path))
+        got = laws._rewrite(e, path, rule, binding)
+        assert got == IandChain((Var("a"), Var("b"), Var("c")))
+        assert got == self._whole(e, path, rule, binding)
+
+    @settings(max_examples=50, deadline=None)
+    @given(stacked_nots(expressions(max_leaves=6)))
+    def test_rewrite_once_normalizes_any_input(self, e):
+        for path, node in iter_subexpressions(e):
+            for rule in _ALL_RULES:
+                binding = match_pattern(rule.lhs, node)
+                if binding is not None:
+                    got = rewrite_once(e, rule, path)
+                    assert got == self._whole(e, path, rule, binding)
 
 
 class TestRewritesKeepOneTree:
