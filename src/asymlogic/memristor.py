@@ -30,12 +30,17 @@ the first fault.  A plan-built program makes its ``steps`` on first read.
 
 One loop replays the plan: each register holds a mask of rows
 (``semantics.columns``), ``RESET r`` clears ``r`` and ``IMPLY p, q`` sets
-``q`` to ``(full ^ p) | q``.  The compiler runs it once over all rows and
-checks the output mask against its source, a NOI expression or a table;
-``simulate`` and ``step_semantics`` run it over the single row
-``full = 1``, and ``simulate`` replays the plan again, one step at a time,
-only when its result's ``trace`` is read.  ``step_count`` counts the
-plan's resets, and ``program_text`` formats the plan.
+``q`` to ``(full ^ p) | q``.  The compiler runs it once over all rows,
+checks the output mask against its source, a NOI expression or a table,
+and keeps that checked column on the program with the register of each
+name of its row order: 2^n bits for n variables, 8 KB at the 16-variable
+cap.  ``simulate`` of a compiled program reads its output from that
+column; a program built by the constructor or by ``dataclasses.replace``
+has none, and ``simulate`` runs the loop over the single row ``full = 1``,
+as ``step_semantics`` does for one step.  A result's ``state`` and
+``trace`` are replayed from its start only when they are first read.
+``step_count`` counts the plan's resets, and ``program_text`` formats the
+plan, each distinct pair once.
 """
 
 from __future__ import annotations
@@ -172,25 +177,34 @@ def _first_fault(
 
 @dataclass(frozen=True)
 class SimulationResult:
+    """A run of a program: the output bit, the final register state and
+    the state after every step.  A result from ``simulate`` replays
+    ``state`` (when it read its output from a compiled column) and
+    ``trace`` from its start on first read."""
+
     output: int
     state: tuple[int, ...]
     trace: tuple[tuple[int, ...], ...]  # full state after every step
 
     def __getattr__(self, name: str):
-        # called only for a missing attribute: the trace of a result from
-        # ``simulate``, replayed step by step on first read
-        if name != "trace" or "_start" not in vars(self):
+        # called only for a missing attribute: the state and trace of a
+        # result from ``simulate``, replayed from its start on first read
+        if name not in ("state", "trace") or "_start" not in vars(self):
             raise AttributeError(
                 f"{type(self).__name__!r} object has no attribute {name!r}"
             )
         regs = list(self._start)
-        trace = []
-        for step in self._plan:
-            _replay((step,), regs, 1)
-            trace.append(tuple(regs))
-        trace = tuple(trace)
-        object.__setattr__(self, "trace", trace)
-        return trace
+        if name == "state":
+            _replay(self._plan, regs, 1)
+            value = tuple(regs)
+        else:
+            trace = []
+            for step in self._plan:
+                _replay((step,), regs, 1)
+                trace.append(tuple(regs))
+            value = tuple(trace)
+        object.__setattr__(self, name, value)
+        return value
 
 
 def step_semantics(state: tuple[int, ...], step: Step) -> tuple[int, ...]:
@@ -203,21 +217,33 @@ def step_semantics(state: tuple[int, ...], step: Step) -> tuple[int, ...]:
 def simulate(
     program: ImplyProgram, inputs: dict[str, int]
 ) -> SimulationResult:
-    """Replay a program from an input assignment.
+    """Run a program from an input assignment.
 
     Bound registers start at their input value, every other register at 0;
-    the trace holds the full state after each step.  This is the one-row
-    case of the replay ``compile_noi`` runs over every row at once; the
-    trace is replayed from the same start on first read.
+    the trace holds the full state after each step.  A program from
+    ``compile_noi`` or the table route keeps the output column its compiler
+    checked over every row (2^n bits for n variables), and its ``output``
+    is that column's bit on the row of ``inputs``.  Any other program, one
+    built by the constructor or by ``dataclasses.replace``, replays its
+    plan over the single row ``full = 1``, the one-row case of the
+    compiler's replay.  Either way ``state`` and ``trace`` are replayed
+    from the same start on first read.
     """
     regs = [0] * program.registers
     for name, reg in program.bindings:
         regs[reg] = _bit(inputs, name, "memristor")
-    start = tuple(regs)
-    _replay(program._plan, regs, 1)
     result = object.__new__(SimulationResult)
-    vars(result).update(output=regs[program.output], state=tuple(regs),
-                        _start=start, _plan=program._plan)
+    vars(result).update(_start=tuple(regs), _plan=program._plan)
+    column = vars(program).get("_column")
+    if column is None:
+        _replay(program._plan, regs, 1)
+        vars(result).update(output=regs[program.output], state=tuple(regs))
+    else:
+        order, mask = column
+        row = 0
+        for reg in order:  # an unbound name is on no register: it reads 0
+            row = row << 1 | (0 if reg is None else regs[reg])
+        vars(result)["output"] = mask >> row & 1
     return result
 
 
@@ -295,7 +321,11 @@ def _compile(
     """``_lower``'s program, replayed and checked against ``want``."""
     program = _lower(names, products, peephole)
     order = want.variables if isinstance(want, TruthTable) else names
-    check_oracle(want, _table(program, order), "memristor")
+    table = _table(program, order)
+    check_oracle(want, table, "memristor")
+    # checked: ``simulate`` reads its output from this column
+    reg = dict(program.bindings)
+    vars(program)["_column"] = (tuple(map(reg.get, order)), table.mask)
     return program
 
 
@@ -366,9 +396,11 @@ def _lower(
 
 
 def _lines(program: ImplyProgram) -> list[str]:
-    """One interchange line per step, e.g. ``IMPLY r0 r2``."""
-    return [f"RESET r{w}" if r is None else f"IMPLY r{r} r{w}"
-            for r, w in program._plan]
+    """One interchange line per step, e.g. ``IMPLY r0 r2``; a plan repeats
+    few distinct pairs, so each is formatted once."""
+    text = {(r, w): f"RESET r{w}" if r is None else f"IMPLY r{r} r{w}"
+            for r, w in set(program._plan)}
+    return list(map(text.__getitem__, program._plan))
 
 
 def program_text(program: ImplyProgram) -> str:

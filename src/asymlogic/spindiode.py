@@ -30,9 +30,13 @@ makes its ``gates`` on first read; ``netlist_text`` formats the indices.
 One loop replays the slot plan: each value is a mask of rows
 (``semantics.columns``), a tap ``!in:x`` reads ``full ^ x``, ``OR`` is
 ``a | b`` and ``IAND`` is ``a & (full ^ b)``.  The compiler runs it over
-all rows and checks the output mask against its source;
-``simulate_netlist`` runs it over the single row ``full = 1``, and
-``netlist_stats`` replays depth over the same plan.
+all rows, checks the output mask against its source and keeps that
+checked column on the netlist: 2^n bits for n inputs, 2 MiB at the
+24-input table cap.  ``simulate_netlist`` of a compiled netlist reads its
+output from that column; a netlist built by the constructor or by
+``dataclasses.replace``, or over more than ``MAX_TABLE_VARS`` inputs, has
+none, and ``simulate_netlist`` runs the loop over the single row
+``full = 1``.  ``netlist_stats`` replays depth over the same plan.
 """
 
 from __future__ import annotations
@@ -260,17 +264,30 @@ def _compile(
     if n <= MAX_TABLE_VARS:
         mask = _replay(netlist, columns(n), (1 << (1 << n)) - 1)
         check_oracle(want, TruthTable.from_mask(names, mask), "spindiode")
+        # checked: ``simulate_netlist`` reads its output from this column
+        vars(netlist)["_column"] = mask
     return netlist
 
 
 def simulate_netlist(netlist: Netlist, inputs: dict[str, int]) -> int:
     """Evaluate the netlist on one assignment of every declared input.
 
-    This is the one-row case of the replay ``compile_soi`` runs over every
-    row at once.
+    A netlist from ``compile_soi`` or the table route, over at most
+    ``MAX_TABLE_VARS`` inputs, keeps the output column its compiler checked
+    over every row (2^n bits for n inputs), and the result is that
+    column's bit on the row of ``inputs``.  Any other netlist, one built by
+    the constructor, by ``dataclasses.replace`` or over more inputs,
+    replays its gates over the single row ``full = 1``, the one-row case
+    of the compiler's replay.
     """
     bits = [_bit(inputs, name, "spindiode") for name in netlist.inputs]
-    return _replay(netlist, bits, 1)
+    column = vars(netlist).get("_column")
+    if column is None:
+        return _replay(netlist, bits, 1)
+    row = 0
+    for bit in bits:
+        row = row << 1 | bit
+    return column >> row & 1
 
 
 def _replay(netlist: Netlist, cols: list[int], full: int) -> int:

@@ -1,11 +1,12 @@
 """Plan-built programs and netlists against the public constructors.
 
 The compilers build ``ImplyProgram`` and ``Netlist`` straight from their
-plans and ``simulate`` replays without a trace; ``steps``, ``gates`` and
-``trace`` are made on first read.  These tests hold the plan-built objects
-to the ones the constructors build from those fields, the texts to the
-ones formatted from the step and gate objects, and the compile path to
-building no step or gate object at all.
+plans and keep the output column they checked; ``simulate`` reads that
+column, and ``steps``, ``gates``, ``state`` and ``trace`` are made on
+first read.  These tests hold the plan-built objects to the ones the
+constructors build from those fields, which replay, the texts to the ones
+formatted from the step and gate objects, and the compile path to building
+no step or gate object at all.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ from hypothesis import strategies as st
 
 from asymlogic import cli, memristor, spindiode
 from asymlogic.cli import main
+from asymlogic.errors import EvaluationError
 from asymlogic.memristor import (
     Imply,
     ImplyProgram,
@@ -29,6 +31,7 @@ from asymlogic.memristor import (
     simulate,
 )
 from asymlogic.parser import parse
+from asymlogic.semantics import MAX_TABLE_VARS
 from asymlogic.spindiode import (
     Gate,
     Netlist,
@@ -42,6 +45,7 @@ from .helpers import (
     reference_netlist_text,
     reference_program_text,
     reference_simulate,
+    reference_simulate_netlist,
 )
 from .strategies import (
     noi_exprs,
@@ -249,3 +253,151 @@ class TestPlanChecks:
     def test_duplicate_inputs(self):
         with pytest.raises(ValueError, match="^spindiode: duplicate input"):
             spindiode._from_plan(("A", "A"), (), 0)
+
+
+def _table_route(tmp_path, bits: str, target: str):
+    """The CLI's program or netlist for the table ``bits`` over A B C."""
+    path = tmp_path / "t.tbl"
+    path.write_text(f"A B C\n{bits}\n")
+    args = cli.build_parser().parse_args(
+        ["compile", "--target", target, "--table-file", str(path)])
+    if target == "memristor":
+        return cli._build_memristor(args)[0]
+    return cli._build_spindiode(args)
+
+
+def _program_twin(prog: ImplyProgram) -> ImplyProgram:
+    twin = ImplyProgram(prog.registers, prog.bindings, prog.output,
+                        prog.steps)
+    assert "_column" in vars(prog) and "_column" not in vars(twin)
+    return twin
+
+
+def _netlist_twin(net: Netlist) -> Netlist:
+    twin = Netlist(net.inputs, net.gates, net.output)
+    assert "_column" in vars(net) and "_column" not in vars(twin)
+    return twin
+
+
+def _same_runs(prog: ImplyProgram, names: tuple[str, ...]) -> None:
+    """On every row over ``names``, the column's answer against the replay
+    of the constructor-built twin and the stepwise reference."""
+    twin = _program_twin(prog)
+    for env in assignments(names):
+        got = simulate(prog, env)
+        assert "state" not in vars(got) and "trace" not in vars(got)
+        for want in (simulate(twin, env), reference_simulate(prog, env)):
+            assert got.output == want.output
+            assert got.state == want.state
+            assert got.trace == want.trace
+
+
+def _same_netlist_runs(net: Netlist) -> None:
+    twin = _netlist_twin(net)
+    for env in assignments(net.inputs):
+        assert simulate_netlist(net, env) == simulate_netlist(twin, env) == (
+            reference_simulate_netlist(net, env)
+        )
+
+
+class TestColumnMatchesReplay:
+    """A compiled object answers ``simulate`` from the column its compiler
+    checked; the constructor-built twin, which has no column, replays."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.one_of(noi_exprs, noi_exprs_with_constants), st.booleans())
+    def test_programs(self, e, peephole):
+        _same_runs(compile_noi(e, peephole=peephole), ("A", "B", "C", "D"))
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.one_of(soi_exprs, soi_exprs_with_constants))
+    def test_netlists(self, e):
+        _same_netlist_runs(compile_soi(e, inputs=("A", "B", "C", "D")))
+
+    def test_every_three_variable_table(self, tmp_path):
+        for bits in map("".join, product("01", repeat=8)):
+            _same_runs(_table_route(tmp_path, bits, "memristor"),
+                       ("A", "B", "C"))
+            _same_netlist_runs(_table_route(tmp_path, bits, "spindiode"))
+
+    def test_unbound_header_names(self, tmp_path):
+        # f = A over (A, B, C): the cover binds A alone, and B and C are
+        # in the column's row order on no register
+        prog = _table_route(tmp_path, "00001111", "memristor")
+        assert prog.bindings == (("A", 0),)
+        _same_runs(prog, ("A", "B", "C"))
+        for a in (0, 1):
+            assert simulate(prog, {"A": a}).output == a
+
+    def test_no_column_beyond_the_table_cap(self):
+        names = tuple(f"x{i}" for i in range(MAX_TABLE_VARS + 1))
+        net = compile_soi(parse("x0 @ x1"), inputs=names)
+        assert "_column" not in vars(net)
+        env = dict.fromkeys(names, 0) | {"x0": 1}
+        assert simulate_netlist(net, env) == 1
+        assert simulate_netlist(net, env | {"x1": 1}) == 0
+
+
+def _outcome(run, *args):
+    """What a run returns, or the text of the ``EvaluationError`` it
+    raises."""
+    try:
+        result = run(*args)
+    except EvaluationError as err:
+        return str(err)
+    if isinstance(result, int):
+        return result
+    return result.output, result.state, result.trace
+
+
+# assignments over (A, B, C) that a program bound to A alone, or to all
+# three, must check as before
+_ENVS = [
+    {"A": 1, "B": 0},  # C missing
+    {"A": 1, "B": 2, "C": 0},
+    {"A": True, "B": 0, "C": True},
+    {"A": 1, "B": 0, "C": 1, "D": 1, "E": 7},  # extra names
+    {"A": 1},  # B and C missing
+    {"A": 1.0, "B": 0, "C": 0},
+]
+
+
+class TestInputsCheckedAsBefore:
+    """A compiled object and its constructor-built twin give the same
+    result or the same error text on every assignment."""
+
+    @pytest.mark.parametrize("bits", ["00001111", "00010111"],
+                             ids=["A alone", "carry"])
+    def test_programs(self, tmp_path, bits):
+        prog = _table_route(tmp_path, bits, "memristor")
+        twin = _program_twin(prog)
+        for env in _ENVS:
+            got = _outcome(simulate, prog, env)
+            assert got == _outcome(simulate, twin, env), env
+        if bits == "00010111":
+            assert _outcome(simulate, prog, {"A": 1, "B": 0}) == (
+                "memristor: unbound input 'C'")
+
+    @pytest.mark.parametrize("bits", ["00001111", "00010111"],
+                             ids=["A alone", "carry"])
+    def test_netlists(self, tmp_path, bits):
+        # a netlist reads every declared input, bound by its gates or not
+        net = _table_route(tmp_path, bits, "spindiode")
+        twin = _netlist_twin(net)
+        for env in _ENVS:
+            got = _outcome(simulate_netlist, net, env)
+            assert got == _outcome(simulate_netlist, twin, env), env
+        assert _outcome(simulate_netlist, net, {"A": 1}) == (
+            "spindiode: unbound input 'B'")
+
+    def test_replace_carries_no_column(self):
+        prog = compile_noi(parse(NOI))
+        moved = dataclasses.replace(prog, output=0)  # the output is A
+        assert "_column" not in vars(moved)
+        net = compile_soi(parse(SOI))
+        tapped = dataclasses.replace(net, output="!in:B")
+        assert "_column" not in vars(tapped)
+        for env in assignments(("A", "B", "C")):
+            assert simulate(moved, env) == reference_simulate(moved, env)
+            assert simulate(moved, env).output == env["A"]
+            assert simulate_netlist(tapped, env) == 1 - env["B"]
