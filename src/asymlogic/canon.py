@@ -286,7 +286,8 @@ def ion_from_tt(t: TruthTable) -> Expr | Unsupported:
 
     ``N1 -> N2`` is ``NOT N1 OR N2``; with full-support NAND operands that
     is false on exactly one row.  N1 is built from the highest-index ON row
-    and N2 from the single OFF row.
+    and N2 from the single OFF row, or from the top row when there is none,
+    which gives ``N -> N``.
     """
     _require_vars(t, "ion_from_tt")
     top = (1 << len(t.variables)) - 1
@@ -297,12 +298,7 @@ def ion_from_tt(t: TruthTable) -> Expr | Unsupported:
             f"at most one OFF row; this table has {offs.bit_count()} OFF rows"
         )
     table = literal_table(t.variables)
-    if not offs:
-        nand = _minterm_nand(table, top)
-        result = ImplyChain((nand, nand))
-        check_oracle(result, t, "canon")
-        return result
-    p = offs.bit_length() - 1
+    p = (offs or 1 << top).bit_length() - 1
     n1 = _minterm_nand(table, t.mask.bit_length() - 1)
     n2 = _minterm_nand(table, p)
     result = ImplyChain((n1, n2))

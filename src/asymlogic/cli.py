@@ -38,7 +38,7 @@ from .canon import (
     soi_to_noi,
 )
 from .errors import AsymLogicError
-from .expr import Expr, Not, format_expr
+from .expr import Expr, format_expr
 from .laws import (
     RuleReport,
     catalog,
@@ -206,15 +206,11 @@ def _cmd_minimize(args: argparse.Namespace) -> _Output:
 def _build_memristor(args: argparse.Namespace):
     """The program, and the input order that ``--inputs`` reads: the table
     file's header, or first appearance in the expression, which is also
-    the order of the program's bindings.  A table's program binds the
-    inputs of its minimum cover's products in first-appearance order."""
+    the order of the program's bindings."""
     if args.table_file is not None:
         t = _source_table(args)
         products = minimize_table(t)[1].products(t.variables)
-        names = tuple(dict.fromkeys(
-            x.child.name if type(x) is Not else x.name
-            for p in products for x in p))
-        return memristor._compile(names, products, t, True), t.variables
+        return memristor._compile(t.variables, products, t, True), t.variables
     program = compile_noi(_source_expr(args))
     return program, tuple(n for n, _ in program.bindings)
 

@@ -268,17 +268,6 @@ class NoPathError(LookupError):
         super().__init__(f"expr: no subexpression at {path} in {e!r}")
 
 
-def replace_at(e: Expr, path: Path, replacement: Expr) -> Expr:
-    if not path:
-        return replacement
-    kids = list(children(e))
-    i = path[0]
-    if not 0 <= i < len(kids):
-        raise NoPathError(path, e)
-    kids[i] = replace_at(kids[i], path[1:], replacement)
-    return rebuild(e, tuple(kids))
-
-
 def literal_count(e: Expr) -> int:
     """Number of variable and constant leaves (the rewrite cost measure)."""
     if isinstance(e, (Const, Var)):

@@ -18,6 +18,12 @@ and assigns registers as it emits the steps, not in a second pass: inputs
 are pinned to ``r0 .. r(k-1)``, each RESET takes the smallest free
 register, and a scratch register is free again right after its last read.
 
+Three sources reach that one compiler (``_compile``): a NOI expression
+(``compile_noi``), bound in first-appearance order; a table's minimum
+cover (the CLI's table route), checked over the table's header and bound
+in the order its products first read each name; and the NAND of two names
+(``compile_nand``), whose schedule is ``RESET s; IMPLY p, s; IMPLY q, s``.
+
 A program's plan is ``_plan``, a ``(read, written)`` register pair per
 step with ``read`` None for a ``RESET``.  The compiler emits that plan and
 builds its program from it (``_from_plan``); the ``ImplyProgram``
@@ -38,7 +44,7 @@ cap.  ``simulate`` of a compiled program reads its output from that
 column; a program built by the constructor or by ``dataclasses.replace``
 has none, and ``simulate`` runs the loop over the single row ``full = 1``,
 as ``step_semantics`` does for one step.  A result's ``state`` and
-``trace`` are replayed from its start only when they are first read.
+``trace`` are replayed together from its start when either is first read.
 ``step_count`` counts the plan's resets, and ``program_text`` formats the
 plan, each distinct pair once.
 """
@@ -50,7 +56,7 @@ from typing import Union
 
 from .canon import Product, _read
 from .errors import CapacityError
-from .expr import Expr, Not, Var, _check_name
+from .expr import And, Expr, Not, Var, _check_name
 from .semantics import TruthTable, _bit, check_oracle, columns
 
 MAX_COMPILE_VARS = 16
@@ -178,9 +184,9 @@ def _first_fault(
 @dataclass(frozen=True)
 class SimulationResult:
     """A run of a program: the output bit, the final register state and
-    the state after every step.  A result from ``simulate`` replays
-    ``state`` (when it read its output from a compiled column) and
-    ``trace`` from its start on first read."""
+    the state after every step.  A result from ``simulate`` replays its
+    plan once from its start, for ``state`` and ``trace`` both, when either
+    is first read."""
 
     output: int
     state: tuple[int, ...]
@@ -188,23 +194,18 @@ class SimulationResult:
 
     def __getattr__(self, name: str):
         # called only for a missing attribute: the state and trace of a
-        # result from ``simulate``, replayed from its start on first read
+        # result from ``simulate``, replayed together from its start
         if name not in ("state", "trace") or "_start" not in vars(self):
             raise AttributeError(
                 f"{type(self).__name__!r} object has no attribute {name!r}"
             )
         regs = list(self._start)
-        if name == "state":
-            _replay(self._plan, regs, 1)
-            value = tuple(regs)
-        else:
-            trace = []
-            for step in self._plan:
-                _replay((step,), regs, 1)
-                trace.append(tuple(regs))
-            value = tuple(trace)
-        object.__setattr__(self, name, value)
-        return value
+        trace = []
+        for step in self._plan:
+            _replay((step,), regs, 1)
+            trace.append(tuple(regs))
+        vars(self).update(state=tuple(regs), trace=tuple(trace))
+        return vars(self)[name]
 
 
 def step_semantics(state: tuple[int, ...], step: Step) -> tuple[int, ...]:
@@ -280,16 +281,16 @@ def step_count(program: ImplyProgram) -> dict[str, int]:
     }
 
 
-def compile_nand(in1: str, in2: str, work: int = 2) -> ImplyProgram:
-    """The classic three-step NAND: RESET s; IMPLY p, s; IMPLY q, s."""
-    if work < 2:
-        raise ValueError("memristor: work register collides with an input")
-    return ImplyProgram(
-        registers=work + 1,
-        bindings=((in1, 0), (in2, 1)),
-        output=work,
-        steps=(Reset(work), Imply(0, work), Imply(1, work)),
-    )
+def compile_nand(in1: str, in2: str) -> ImplyProgram:
+    """The classic three-step NAND: RESET s; IMPLY p, s; IMPLY q, s.
+
+    The compiler emits it as it does ``compile_noi``'s program for
+    ``!(in1 & in2)``, replays it over every row and checks it against the
+    NAND.  Two equal names raise ``ValueError``.
+    """
+    a, b = Var(in1), Var(in2)
+    return _compile((in1, in2), ((Not(a),), (Not(b),)), Not(And((a, b))),
+                    True)
 
 
 def compile_noi(e: Expr, *, peephole: bool = True) -> ImplyProgram:
@@ -318,14 +319,20 @@ def _compile(
     names: tuple[str, ...], products: tuple[Product, ...],
     want: Expr | TruthTable, peephole: bool,
 ) -> ImplyProgram:
-    """``_lower``'s program, replayed and checked against ``want``."""
-    program = _lower(names, products, peephole)
-    order = want.variables if isinstance(want, TruthTable) else names
-    table = _table(program, order)
+    """``_lower``'s program, replayed over every row of ``names`` and checked
+    against ``want``.  An expression's program binds ``names``; a table's
+    binds the names its products read, in first-read order."""
+    bound = names
+    if isinstance(want, TruthTable):
+        bound = tuple(dict.fromkeys(
+            x.child.name if type(x) is Not else x.name
+            for p in products for x in p))
+    program = _lower(bound, products, peephole)
+    table = _table(program, names)
     check_oracle(want, table, "memristor")
     # checked: ``simulate`` reads its output from this column
     reg = dict(program.bindings)
-    vars(program)["_column"] = (tuple(map(reg.get, order)), table.mask)
+    vars(program)["_column"] = (tuple(map(reg.get, names)), table.mask)
     return program
 
 

@@ -29,15 +29,17 @@ production parser takes the token texts from one regex ``findall`` and
 finds positions only on error, and
 the ``normalize_not`` reference rebuilds every node, where the production
 code returns unchanged subtrees as they are.  The pattern matcher,
-``substitute``, ``rebuild``, ``replace_at``, the structural dual and the
-printer are copies with one class-pattern ``match`` arm per node type,
-where the production walks dispatch through ``children`` and ``rebuild``;
-the simplifier's reference matches, substitutes and replaces with these
-copies.  The cube-to-product reference builds a fresh ``Var``, or
-``Not(Var)``, for every literal of every cube and reads a program's
-binding order back with ``variables``, where the production code picks
-each literal from one table of ``2n`` nodes per variable order and reads
-the names off the literals.
+``substitute``, ``rebuild``, the structural dual and the printer are
+copies with one class-pattern ``match`` arm per node type, where the
+production walks dispatch through ``children`` and ``rebuild``; the
+simplifier's reference matches, substitutes and replaces with these
+copies, replacing a subtree by ``reference_replace_at`` where the
+production splices the rewritten path in ``laws._rewrite``.  The
+cube-to-product reference builds a fresh ``Var``, or ``Not(Var)``, for
+every literal of every cube and reads a program's binding order back with
+``variables``, where the production code picks each literal from one
+table of ``2n`` nodes per variable order and reads the names off the
+literals.
 """
 
 from __future__ import annotations

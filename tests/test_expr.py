@@ -27,7 +27,6 @@ from asymlogic.expr import (
     normalize_not,
     operator_count,
     rebuild,
-    replace_at,
     subexpr_at,
     variables,
 )
@@ -115,7 +114,6 @@ class TestOneTreePerChain:
 
     def test_every_builder_gives_the_flat_chain(self):
         flat = IandChain((A, B, C))
-        assert replace_at(IandChain((D, C)), (0,), IandChain((A, B))) == flat
         assert rebuild(flat, (IandChain((A, B)), C)) == flat
         head = Not(Not(IandChain((A, B))))
         assert normalize_not(IandChain((head, C))) == flat
@@ -166,14 +164,13 @@ class TestTraversal:
         assert ((0, 0), A) in walk
         assert ((1,), B) in walk
 
-    def test_subexpr_at_and_replace_at(self):
+    def test_subexpr_at(self):
         e = Or((Not(A), B))
         assert subexpr_at(e, (0, 0)) == A
-        assert replace_at(e, (1,), C) == Or((Not(A), C))
         with pytest.raises(NoPathError):
             subexpr_at(e, (5,))
         with pytest.raises(NoPathError):
-            replace_at(e, (0, 0, 0), C)
+            subexpr_at(e, (0, 0, 0))
 
     @given(expressions())
     def test_rebuild_roundtrip(self, e):

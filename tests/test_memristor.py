@@ -38,6 +38,7 @@ from asymlogic.memristor import (
     step_semantics,
 )
 from asymlogic.minimize import minimized_noi
+from asymlogic.parser import parse
 from asymlogic.semantics import TruthTable, evaluate
 
 from .helpers import (
@@ -245,12 +246,6 @@ class TestNand:
         assert tuple(state[2] for state in r.trace) == s_column
         assert r.output == result
 
-    def test_custom_work_register(self):
-        p = compile_nand("p", "q", work=4)
-        assert p.output == 4 and p.registers == 5
-        with pytest.raises(ValueError):
-            compile_nand("p", "q", work=1)
-
     def test_golden_text(self):
         assert program_text(compile_nand("p", "q")) == (
             GOLDEN / "nand_program.txt"
@@ -259,6 +254,28 @@ class TestNand:
     def test_nand_noi_collapses_to_same_schedule(self):
         prog = compile_noi(Not(And((Var("p"), Var("q")))))
         assert prog.steps == (Reset(2), Imply(0, 2), Imply(1, 2))
+        assert compile_nand("p", "q") == prog
+        for env in assignments(("p", "q")):
+            assert (simulate(compile_nand("p", "q"), env).trace
+                    == simulate(prog, env).trace)
+
+    def test_checked_by_the_oracle_once(self, monkeypatch):
+        calls = []
+
+        def recording(*args):
+            calls.append(args)
+            return real(*args)
+
+        real = memristor.check_oracle
+        monkeypatch.setattr(memristor, "check_oracle", recording)
+        compile_nand("p", "q")
+        assert len(calls) == 1
+
+    def test_names_are_checked(self):
+        with pytest.raises(ValueError, match="^memristor: input 'p' bound"):
+            compile_nand("p", "p")
+        with pytest.raises(ValueError, match="^expr: variable names"):
+            compile_nand("p", "1q")
 
 
 class TestCompileNoi:
@@ -467,6 +484,38 @@ class TestSimulate:
         assert simulate(compile_nand("p", "q"), {"p": True, "q": True}).output == 0
 
 
+class TestLazyReplay:
+    """A result's ``state`` and ``trace`` come from one replay of the plan,
+    whichever is read first."""
+
+    @pytest.mark.parametrize("first", ["state", "trace"])
+    @pytest.mark.parametrize("text", ["a", "!(a & !b)", "!((a -> !b) & c)"])
+    def test_either_field_first(self, first, text):
+        prog = compile_noi(parse(text))
+        for env in assignments(variables(parse(text))):
+            r = simulate(prog, env)
+            getattr(r, first)
+            assert r == reference_simulate(prog, env)
+
+    def test_empty_plan(self):
+        r = simulate(compile_noi(parse("a")), {"a": 1})
+        assert r.trace == () and r.state == (1,) and r.output == 1
+
+    def test_each_step_replays_once(self, monkeypatch):
+        prog = compile_noi(parse("!((a -> !b) & (b -> c))"))
+        calls = []
+
+        def counting(plan, regs, full):
+            calls.append(plan)
+            real(plan, regs, full)
+
+        real = memristor._replay
+        monkeypatch.setattr(memristor, "_replay", counting)
+        r = simulate(prog, {"a": 1, "b": 0, "c": 1})
+        assert r.state == r.trace[-1]
+        assert len(calls) == len(prog._plan)
+
+
 class TestMatchesStepwiseReference:
     """``simulate`` and ``step_semantics`` are the one-row case of the
     bit-parallel replay; they return what the copy-per-step reference
@@ -527,6 +576,10 @@ class TestOracleCatchesWrongSchedules:
         e = form(table)
         with pytest.raises(AssertionError, match="memristor"):
             compile_noi(e)
+
+    def test_nand_raises(self, mutate):
+        with pytest.raises(AssertionError, match="memristor"):
+            compile_nand("p", "q")
 
     def test_cli_exits_3(self, mutate, tmp_path, capsys):
         path = tmp_path / "carry.tbl"
