@@ -25,8 +25,9 @@ converting between the forms reverses each product.  The reader folds
 constant operands with the chain identity laws: a literal that is 1 drops
 out, a 0 drops its product, and the empty product makes the whole form 1.
 It reads every term and operand even so, and raises ShapeError for any of
-the wrong shape, wherever it stands.  It peels each node it reads with
-``expr.peel``, and literals and terms are complemented with ``negate``.
+the wrong shape, wherever it stands.  It reads a ``Var`` or ``Not(Var)``
+operand as it stands and peels every other node it reads with
+``expr.peel``; literals and terms are complemented with ``negate``.
 
 Canonical terms are ordered by ascending minterm index.
 """
@@ -139,8 +140,10 @@ def _read(
     constant reads the same in both forms.  The result is the same as for
     ``normalize_not(e)``, without a walk of its own: each node the reader
     looks at (the root, each term, each operand) is peeled as it is read
-    (``peel``).  Only a double-negated chain at its chain's associative
-    end, which ``normalize_not`` splices (``!!(a @ b) @ c``), is refused.
+    (``peel``), except that a ``Var`` or ``Not(Var)`` operand, which has
+    nothing to peel, is read inline.  Only a double-negated chain at its
+    chain's associative end, which ``normalize_not`` splices
+    (``!!(a @ b) @ c``), is refused.
     """
     e = peel(e)
     t = type(e)
@@ -155,8 +158,10 @@ def _read(
     names: list[str] = []
     products: list[Product] = []
     for term in terms:
-        term = peel(term)
         t = type(term)
+        if t is Not:
+            term = peel(term)
+            t = type(term)
         if t is chain:
             ops = term.operands
         elif t is Var or t is Const or (t is Not and type(term.child) is Var):
@@ -168,12 +173,18 @@ def _read(
         kept: list[Expr] = []
         zero = False
         for i, x in enumerate(ops):
-            x = peel(x)
             t = type(x)
+            if t is Not:  # a literal as it stands, or peeled
+                v = x.child
+                if type(v) is not Var:
+                    x = peel(x)
+                    t = type(x)
+                    v = x.child if t is Not else x
+            else:
+                v = x
             if t is Const:  # as read: a 1 drops out, a 0 drops the product
                 zero |= x.value == (i >= cut)
                 continue
-            v = x.child if t is Not else x
             if type(v) is not Var:
                 raise ShapeError(
                     "canon: chain operands must be literals, "

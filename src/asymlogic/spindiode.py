@@ -227,34 +227,29 @@ def _compile(
     n = len(names)
     tap = {x: i for i, x in enumerate(names)}
     ops: list[tuple[bool, int, int]] = []  # (is_or, a, b) over value indices
-
-    def emit(is_or: bool, a: int, b: int) -> int:
-        ops.append((is_or, a, b))
-        return 2 * n + len(ops) - 1
-
-    def literal(x: Expr, invert: bool = False) -> int:
-        if type(x) is Not:
-            x, invert = x.child, not invert
-        return tap[x.name] + n * invert
-
+    last = 2 * n - 1  # the value of the last gate is last + len(ops)
     if products in ((), ((),)):  # 1 is x OR NOT x, 0 is x IAND x
         if not names:
             raise ValueError(
                 "spindiode: a constant netlist needs at least one input"
             )
-        out = emit(True, 0, n) if products else emit(False, 0, 0)
+        ops.append((True, 0, n) if products else (False, 0, 0))
+        out = last + 1
     else:
         refs = []
-        for p in products:
-            acc = literal(p[0])
+        for p in products:  # l1 IAND !l2 ... IAND !lk, from the taps
+            x = p[0]
+            acc = tap[x.child.name] + n if type(x) is Not else tap[x.name]
             for x in p[1:]:
-                acc = emit(False, acc, literal(x, True))
+                b = tap[x.child.name] if type(x) is Not else tap[x.name] + n
+                ops.append((False, acc, b))
+                acc = last + len(ops)
             refs.append(acc)
         while len(refs) > 1:  # balanced OR tree by adjacent pairing
-            nxt = [
-                emit(True, refs[i], refs[i + 1])
-                for i in range(0, len(refs) - 1, 2)
-            ]
+            nxt = []
+            for a, b in zip(refs[::2], refs[1::2]):
+                ops.append((True, a, b))
+                nxt.append(last + len(ops))
             if len(refs) % 2:
                 nxt.append(refs[-1])
             refs = nxt

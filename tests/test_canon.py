@@ -383,6 +383,39 @@ class TestReaderPeelsAsItReads:
             _read(e, noi)
         assert _read_outcome(e, noi) == _read_outcome(normalize_not(e), noi)
 
+    # operands a literal reads past (None) or refuses (the error's node)
+    _OPERANDS = {
+        "double Not": (Not(Not(B)), None),
+        "Not 0": (Not(Const(0)), None),
+        "Not 1": (Not(Const(1)), None),
+        "triple Not": (Not(Not(Not(B))), None),
+        "triple Not over a chain": (Not(Not(Not(IandChain((B, C))))), "Not"),
+        "IAND chain": (IandChain((B, C)), "IandChain"),
+        "IMPLY chain": (ImplyChain((B, C)), "ImplyChain"),
+    }
+
+    @pytest.mark.parametrize("noi", [False, True])
+    @pytest.mark.parametrize("at", [0, 1, 2])
+    @pytest.mark.parametrize("kind", list(_OPERANDS))
+    def test_operand_at_head_middle_and_tail(self, noi, at, kind):
+        operand, refused = self._OPERANDS[kind]
+        chain = ImplyChain if noi else IandChain
+        ops = [A, Not(C), B]
+        ops[at] = operand
+        terms = (Not(C), chain(tuple(ops)), chain((C, Not(A))))
+        e = Not(And(terms)) if noi else Or(terms)
+        got = _read_outcome(e, noi)
+        assert got == _read_outcome(normalize_not(e), noi)
+        # a chain at its own associative end is spliced by its constructor
+        spliced = type(operand) is chain and at == (2 if noi else 0)
+        if refused is None or spliced:
+            assert got[0] is not ShapeError
+        else:
+            assert got == (
+                ShapeError,
+                f"canon: chain operands must be literals, got {refused}",
+            )
+
 
 class TestConstantOperands:
     @given(soi_exprs_with_constants)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import random
 import re
 from itertools import permutations
 
@@ -9,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from asymlogic.canon import literal_table, literals, noi_form, soi_form
 from asymlogic.errors import ParseError
 from asymlogic.expr import (
     BINARY_OPERATORS,
@@ -19,7 +21,9 @@ from asymlogic.expr import (
     Not,
     Or,
     Var,
+    children,
     format_expr,
+    iter_subexpressions,
 )
 from asymlogic.laws import simplify
 from asymlogic.parser import MAX_NESTING, parse
@@ -300,3 +304,66 @@ class TestMatchesReference:
             assert outcome[0] is ParseError and "cannot mix" in outcome[1]
         else:
             assert parse(format_expr(outcome)) == outcome
+
+
+def _one_node_per_atom(e):
+    """Whether ``e`` holds one ``Var`` per name and one ``Not`` per name
+    negated once, and each such ``Not`` holds its name's ``Var``."""
+    nodes = {}
+    for _, n in iter_subexpressions(e):
+        if type(n) is Var:
+            key = n.name
+        elif type(n) is Not and type(n.child) is Var:
+            key = "!" + n.child.name
+        else:
+            continue
+        if nodes.setdefault(key, n) is not n:
+            return False
+    return all(n.child is nodes[k[1:]] for k, n in nodes.items() if k[0] == "!")
+
+
+def _random_products(seed, n, cubes):
+    """``cubes`` seeded products over ``n`` variables, 2 to 6 literals each."""
+    rng = random.Random(seed)
+    table = literal_table(tuple(f"x{i}" for i in range(n)))
+    products = []
+    for _ in range(cubes):
+        care = sum(1 << b for b in rng.sample(range(n), rng.randint(2, 6)))
+        products.append(literals(table, rng.getrandbits(n), care))
+    return tuple(products)
+
+
+class TestAtWorkloadScale:
+    """Two-level texts at the sizes the compilers take, long runs of each
+    operator and a text at the nesting bound, against the reference."""
+
+    @pytest.mark.parametrize("form", [soi_form, noi_form])
+    @pytest.mark.parametrize("seed, n, cubes", [
+        (1, 8, 16), (2, 10, 64), (3, 12, 128), (4, 16, 512),
+    ])
+    def test_two_level_texts(self, form, seed, n, cubes):
+        text = format_expr(form(_random_products(seed, n, cubes)))
+        e = parse(text)
+        assert e == reference_parse(text)
+        assert _one_node_per_atom(e)
+
+    @pytest.mark.parametrize("op, node", BINARY_OPERATORS)
+    def test_long_runs(self, op, node):
+        operands = [f"x{k % 97}" if k % 3 else f"!x{k % 89}"
+                    for k in range(20_000)]
+        text = f" {op} ".join(operands)
+        e = parse(text)
+        assert type(e) is node and len(children(e)) == 20_000
+        assert e == reference_parse(text)
+        assert _one_node_per_atom(e)
+
+    @pytest.mark.parametrize("text", [
+        "(" * MAX_NESTING + "A" + ")" * MAX_NESTING,
+        "!" * MAX_NESTING + "A",
+        "!(" * (MAX_NESTING // 2) + "A @ B" + ")" * (MAX_NESTING // 2),
+        "(" * (MAX_NESTING - 1) + "!A -> (B @ A)" + ")" * (MAX_NESTING - 1),
+    ])
+    def test_at_the_nesting_bound(self, text):
+        e = parse(text)
+        assert e == reference_parse(text)
+        assert _one_node_per_atom(e)
