@@ -27,7 +27,9 @@ out, a 0 drops its product, and the empty product makes the whole form 1.
 It reads every term and operand even so, and raises ShapeError for any of
 the wrong shape, wherever it stands.  It reads a ``Var`` or ``Not(Var)``
 operand as it stands and peels every other node it reads with
-``expr.peel``; literals and terms are complemented with ``negate``.
+``expr.peel``.  The reader and both writers complement with
+``expr.negate``, the one negation rule; the writers take their products
+as literals, as the reader, ``literals`` and the minimizer make them.
 
 Canonical terms are ordered by ascending minterm index.
 """
@@ -62,14 +64,6 @@ class Unsupported:
 Product = tuple[Expr, ...]  # literals: each a Var or a Not(Var)
 
 
-def complement(x: Expr) -> Expr:
-    """The complement of a literal."""
-    t = type(x)
-    if t is Var or (t is Not and type(x.child) is Var):
-        return negate(x)
-    raise ShapeError(f"canon: expected a literal, got {t.__name__}")
-
-
 LiteralTable = tuple[tuple[int, tuple[Not, Var]], ...]
 
 
@@ -97,7 +91,7 @@ def soi_term(literals: Product) -> Expr:
         return Const(1)
     if len(literals) == 1:
         return literals[0]
-    return IandChain((literals[0], *map(complement, literals[1:])))
+    return IandChain((literals[0], *map(negate, literals[1:])))
 
 
 def noi_term(literals: Product) -> Expr:
@@ -105,8 +99,8 @@ def noi_term(literals: Product) -> Expr:
     if not literals:
         return Const(0)
     if len(literals) == 1:
-        return complement(literals[0])
-    return ImplyChain((*literals[:-1], complement(literals[-1])))
+        return negate(literals[0])
+    return ImplyChain((*literals[:-1], negate(literals[-1])))
 
 
 def soi_form(products: tuple[Product, ...]) -> Expr:

@@ -74,13 +74,17 @@ def load_table_file(path: str) -> TruthTable:
     return TruthTable.from_string(_split_names(lines[0]), lines[1])
 
 
-def _add_source(p: argparse.ArgumentParser) -> None:
+def _add_source(p: argparse.ArgumentParser, order: bool = True) -> None:
+    """An expression or a table file, and with ``order`` a ``--vars`` order;
+    the compilers bind in their own order, so they take no ``--vars``."""
     p.add_argument("expr", nargs="?", help="expression text")
     p.add_argument("--table-file", help="truth-table file (names, then bits)")
-    p.add_argument(
-        "--vars",
-        help="variable order for an expression source, e.g. 'A,B,C'",
-    )
+    p.set_defaults(vars=None)
+    if order:
+        p.add_argument(
+            "--vars",
+            help="variable order for an expression source, e.g. 'A,B,C'",
+        )
 
 
 def _source_table(args: argparse.Namespace) -> TruthTable:
@@ -332,7 +336,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("compile", help="compile to a hardware schedule")
     p.add_argument("--target", choices=("memristor", "spindiode"),
                    required=True)
-    _add_source(p)
+    _add_source(p, order=False)
     p.set_defaults(func=_cmd_compile)
 
     p = sub.add_parser("simulate", help="compile and run on given inputs")
@@ -341,7 +345,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--inputs", required=True,
                    help="one bit per input: in the table file's column order, "
                    "or in first-appearance order for an expression")
-    _add_source(p)
+    _add_source(p, order=False)
     p.set_defaults(func=_cmd_simulate)
 
     p = sub.add_parser("verify", help="check two expressions for equivalence")

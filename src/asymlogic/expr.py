@@ -74,7 +74,7 @@ class And:
     children: tuple["Expr", ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "children", tuple(self.children))
+        vars(self)["children"] = tuple(self.children)
         if len(self.children) < 2:
             raise ArityError("expr: And requires at least two operands")
 
@@ -87,7 +87,7 @@ class Or:
     children: tuple["Expr", ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "children", tuple(self.children))
+        vars(self)["children"] = tuple(self.children)
         if len(self.children) < 2:
             raise ArityError("expr: Or requires at least two operands")
 
@@ -106,7 +106,7 @@ class IandChain:
         # (a @ b) @ c pairs as a @ b @ c; the leading chain is flat itself
         if type(ops[0]) is IandChain:
             ops = ops[0].operands + ops[1:]
-        object.__setattr__(self, "operands", ops)
+        vars(self)["operands"] = ops
 
     def __repr__(self) -> str:
         return f"IandChain{self.operands!r}"
@@ -123,7 +123,7 @@ class ImplyChain:
         # a -> (b -> c) pairs as a -> b -> c; the last chain is flat itself
         if type(ops[-1]) is ImplyChain:
             ops = ops[:-1] + ops[-1].operands
-        object.__setattr__(self, "operands", ops)
+        vars(self)["operands"] = ops
 
     def __repr__(self) -> str:
         return f"ImplyChain{self.operands!r}"

@@ -31,8 +31,9 @@ constructor resolves hand-built steps into the same plan.  Both run one
 check over the plan (``_settle``): inputs are names on distinct registers,
 every register is in range, no IMPLY reads the register it writes, and no
 step writes an input, so a program replays from any input assignment.
-The check visits each distinct pair once and walks the plan only to word
-the first fault.  A plan-built program makes its ``steps`` on first read.
+One rule finds a step's fault (``_fault``); the check applies it to each
+distinct pair once, and walks the plan in order only to word the first
+fault.  A plan-built program makes its ``steps`` on first read.
 
 One loop replays the plan: each register holds a mask of rows
 (``semantics.columns``), ``RESET r`` clears ``r`` and ``IMPLY p, q`` sets
@@ -102,7 +103,7 @@ class ImplyProgram:
             )
         steps = tuple([Reset(w) if r is None else Imply(r, w)
                        for r, w in self._plan])
-        object.__setattr__(self, "steps", steps)
+        vars(self)["steps"] = steps
         return steps
 
 
@@ -152,33 +153,28 @@ def _settle(
     # a plan repeats few distinct pairs: check each once, and walk the plan
     # only to word the first fault
     for read, written in set(plan):
-        if (not 0 <= written < registers or written in inputs
-                or read is not None
-                and (read == written or not 0 <= read < registers)):
-            _first_fault(plan, registers, inputs)
+        if _fault(read, written, registers, inputs):
+            raise ValueError(next(filter(None, (
+                _fault(r, w, registers, inputs) for r, w in plan))))
     if not 0 <= program.output < registers:
         raise ValueError("memristor: output register out of range")
     vars(program)["_plan"] = plan
 
 
-def _first_fault(
-    plan: tuple[tuple[int | None, int], ...], registers: int, inputs: set[int]
-) -> None:
-    """Raise for the first faulty step: a register out of range, its read
+def _fault(
+    read: int | None, written: int, registers: int, inputs: set[int]
+) -> str | None:
+    """The fault of one step, or None: a register out of range, its read
     checked before its write, an IMPLY that reads the register it writes,
     or a write to an input register."""
-    for read, written in plan:
-        for r in (written,) if read is None else (read, written):
-            if not 0 <= r < registers:
-                raise ValueError(f"memristor: register r{r} out of range")
-        if read == written:
-            raise ValueError(
-                f"memristor: IMPLY condition and target must differ (r{read})"
-            )
-        if written in inputs:
-            raise ValueError(
-                f"memristor: program writes input register r{written}"
-            )
+    for r in (written,) if read is None else (read, written):
+        if not 0 <= r < registers:
+            return f"memristor: register r{r} out of range"
+    if read == written:
+        return f"memristor: IMPLY condition and target must differ (r{read})"
+    if written in inputs:
+        return f"memristor: program writes input register r{written}"
+    return None
 
 
 @dataclass(frozen=True)

@@ -62,17 +62,12 @@ class Cube:
             raise ValueError(f"minimize: bad cube string {trits!r}")
         value = int(trits.replace("-", "0"), 2)
         care = int(trits.replace("0", "1").replace("-", "0"), 2)
-        self._set(value, care, len(trits))
-
-    def _set(self, value: int, care: int, width: int) -> None:
-        object.__setattr__(self, "value", value)
-        object.__setattr__(self, "care", care)
-        object.__setattr__(self, "width", width)
+        vars(self).update(value=value, care=care, width=len(trits))
 
     @classmethod
     def _of(cls, value: int, care: int, width: int) -> "Cube":
-        q = cls.__new__(cls)
-        q._set(value, care, width)
+        q = object.__new__(cls)
+        vars(q).update(value=value, care=care, width=width)
         return q
 
     def __repr__(self) -> str:

@@ -56,17 +56,13 @@ class TruthTable:
         if not all(b in (0, 1) for b in bits):
             raise ValueError("semantics: table bits must be 0 or 1")
         digits = "".join("1" if b else "0" for b in reversed(bits))
-        self._set(names, int(digits, 2))
-
-    def _set(self, names: tuple[str, ...], mask: int) -> None:
-        object.__setattr__(self, "variables", names)
-        object.__setattr__(self, "mask", mask)
+        vars(self).update(variables=names, mask=int(digits, 2))
 
     @classmethod
     def _of(cls, names: tuple[str, ...], mask: int) -> "TruthTable":
         """The table over checked ``names`` with a mask in range."""
-        t = cls.__new__(cls)
-        t._set(names, mask)
+        t = object.__new__(cls)
+        vars(t).update(variables=names, mask=mask)
         return t
 
     @classmethod
@@ -270,12 +266,7 @@ def equivalent(e1: Expr, e2: Expr) -> Verdict:
     The variable order is first appearance in ``e1`` then ``e2``; the
     counterexample, if any, is the lowest-index differing row.
     """
-    order = _union_order(e1, e2)
-    if len(order) > MAX_TABLE_VARS:
-        raise CapacityError(
-            f"semantics: equivalence supports at most {MAX_TABLE_VARS} "
-            f"variables, got {len(order)}"
-        )
+    order = _check_order(_union_order(e1, e2))
     m1, m2 = _table_masks(order, e1, e2)
     diff = m1 ^ m2
     if not diff:

@@ -102,7 +102,7 @@ class Netlist:
         text = _references(self.inputs, len(self._ops))
         gates = tuple([Gate(k, _KIND[is_or], text[a], text[b])
                        for k, (is_or, a, b) in enumerate(self._ops)])
-        object.__setattr__(self, "gates", gates)
+        vars(self)["gates"] = gates
         return gates
 
 

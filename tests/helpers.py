@@ -68,11 +68,12 @@ from asymlogic.expr import (
     imply_chain,
     iter_subexpressions,
     literal_count,
+    negate,
     normalize_not,
     operator_count,
     variables,
 )
-from asymlogic.canon import complement, noi_products
+from asymlogic.canon import noi_products
 from asymlogic.laws import (
     Rule,
     SimplifyResult,
@@ -438,7 +439,7 @@ def reference_compile_noi(e: Expr, *, peephole: bool = True) -> ImplyProgram:
         steps.append(Reset(w))
         for x in p[:-1]:
             steps.append(Imply(literal_source(x), w))
-        last = literal_source(complement(p[-1]))
+        last = literal_source(negate(p[-1]))
         n = fresh()
         steps.append(Reset(n))
         steps.append(Imply(last, n))

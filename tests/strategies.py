@@ -79,11 +79,6 @@ def stacked_nots(draw, base: st.SearchStrategy[Expr]) -> Expr:
     return stack(draw(base))
 
 
-def var_expressions(max_leaves: int = 12) -> st.SearchStrategy[Expr]:
-    """Expressions without constants (useful where tables must be nontrivial)."""
-    return st.recursive(variables_st, _extend, max_leaves=max_leaves)
-
-
 chains_st = st.one_of(
     st.lists(literals_st, min_size=2, max_size=4).map(tuple).map(IandChain),
     st.lists(literals_st, min_size=2, max_size=4).map(tuple).map(ImplyChain),

@@ -12,7 +12,6 @@ from asymlogic.canon import (
     Unsupported,
     _minterms,
     _read,
-    complement,
     ion_from_tt,
     ios_from_tt,
     noi_form,
@@ -296,11 +295,6 @@ class TestPeel:
             while type(below[-1]) is Not:
                 below.append(below[-1].child)
             assert any(node is p for node in below)
-
-    def test_complement_takes_only_literals(self):
-        assert complement(A) == Not(A) and complement(Not(A)) is A
-        with pytest.raises(ShapeError, match="expected a literal, got Not"):
-            complement(Not(Not(Var("a"))))
 
 
 def _spliced_by_normalize_not(e):

@@ -80,6 +80,18 @@ class TestSourceErrors:
         )
         assert code == 2 and "expression sources" in err
 
+    @pytest.mark.parametrize("target", ["memristor", "spindiode"])
+    @pytest.mark.parametrize(
+        "command", [["compile"], ["simulate", "--inputs", "01"]]
+    )
+    def test_compilers_take_no_vars(self, capsys, command, target):
+        # both once accepted --vars and ignored it
+        code, out, err = run(
+            capsys, *command, "--target", target, "a @ b", "--vars", "b,a"
+        )
+        assert code == 2 and out == ""
+        assert "unrecognized arguments: --vars b,a" in err
+
     def test_missing_file(self, capsys):
         code, _, err = run(capsys, "table", "--table-file", "/nonexistent.tbl")
         assert code == 2 and err.startswith("error:")

@@ -316,6 +316,19 @@ class TestTableCap:
         assert not v.equal
         assert list(v.counterexample.items()) == list(planted.items())
 
+    def test_one_cap_for_tables_and_equivalence(self):
+        # equivalence once raised its own wording of the cap
+        x = [Var(f"x{i}") for i in range(MAX_TABLE_VARS + 1)]
+        message = (
+            f"semantics: truth tables support at most {MAX_TABLE_VARS} "
+            f"variables, got {MAX_TABLE_VARS + 1}"
+        )
+        with pytest.raises(CapacityError) as table:
+            truth_table(And(tuple(x)))
+        with pytest.raises(CapacityError) as verdict:
+            equivalent(And(tuple(x[:13])), And(tuple(x[13:])))
+        assert str(table.value) == str(verdict.value) == message
+
 
 class TestClassicalDual:
     def test_and_or_swap(self):
