@@ -65,7 +65,9 @@ def _split_names(text: str) -> tuple[str, ...]:
 
 
 def load_table_file(path: str) -> TruthTable:
-    with open(path, encoding="utf-8") as fh:
+    """The table in a file of names then bits; a UTF-8 byte-order mark, as
+    some editors write, is not part of the first name."""
+    with open(path, encoding="utf-8-sig") as fh:
         lines = [line.strip() for line in fh if line.strip()]
     if len(lines) != 2:
         raise ValueError(

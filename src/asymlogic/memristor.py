@@ -35,9 +35,12 @@ One rule finds a step's fault (``_fault``); the check applies it to each
 distinct pair once, and walks the plan in order only to word the first
 fault.  A plan-built program makes its ``steps`` on first read.
 
-One loop replays the plan: each register holds a mask of rows
-(``semantics.columns``), ``RESET r`` clears ``r`` and ``IMPLY p, q`` sets
-``q`` to ``(full ^ p) | q``.  The compiler runs it once over all rows,
+One loop replays the plan: each register holds a mask of rows, an input
+starting from its column of the table's rails (``semantics._rails``),
+``RESET r`` clears ``r`` and ``IMPLY p, q`` sets ``q`` to ``(full ^ p) | q``.
+An IMPLY that reads an input takes that XOR too: a lookup of the input's
+complement in the rails, and the test that picks it, cost more than the
+XOR of a 12-variable column.  The compiler runs it once over all rows,
 checks the output mask against its source, a NOI expression or a table,
 and keeps that checked column on the program with the register of each
 name of its row order: 2^n bits for n variables, 8 KB at the 16-variable
@@ -58,7 +61,7 @@ from typing import Union
 from .canon import Product, _read
 from .errors import CapacityError
 from .expr import And, Expr, Not, Var, _check_name
-from .semantics import TruthTable, _bit, check_oracle, columns
+from .semantics import TruthTable, _bit, _rails, check_oracle
 
 MAX_COMPILE_VARS = 16
 
@@ -258,11 +261,12 @@ def _replay(
 
 def _table(program: ImplyProgram, names: tuple[str, ...]) -> TruthTable:
     """The output over every row of ``names``, which hold the inputs."""
-    col = dict(zip(names, columns(len(names))))
+    cols, _, full = _rails(len(names))
+    col = dict(zip(names, cols))
     regs = [0] * program.registers
     for name, reg in program.bindings:
         regs[reg] = col[name]
-    _replay(program._plan, regs, (1 << (1 << len(names))) - 1)
+    _replay(program._plan, regs, full)
     return TruthTable.from_mask(names, regs[program.output])
 
 

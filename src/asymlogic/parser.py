@@ -24,17 +24,21 @@ run of ``->`` checks ``naked``, set once an ``@`` run closes inside the
 current parentheses, before its first arrow and after each operand, and
 reports the arrow before the operand.
 
-One ``findall`` of a compiled regex splits the text into tokens: a
-one-character operator or parenthesis, ``->``, a word (a run of ASCII
-letters, digits and underscores), or any other non-space character, which
-is an error.  Whitespace between tokens is skipped.  A word is ``0``, ``1``
-or a name, which starts with a letter or underscore; any other word is an
-error.  So a token that starts like a name is one, and as a run has two
-operands or more, nodes are built by ``object.__new__``, without the
-constructors' checks.  Positions are found only when the parse fails: the
-error path runs the regex again, reports the first bad token if there is
-one (so a token error wins over a grammar error, wherever it stands) and
-otherwise the grammar error at its token's position.
+The tokens are the pieces of one ``str.split()``, after each operator,
+parenthesis and ``->`` is padded with spaces by ``str.replace``.  So a
+token is one of those, or a run of other non-space characters, which is
+``0``, ``1``, a name (an ASCII letter or underscore, then ASCII letters,
+digits and underscores) or an error.  A token not yet read as an atom is
+checked to be a name once, by one regex ``fullmatch``, when the parser
+first meets it; as a run has two operands or more, nodes are built by
+``object.__new__``, without the constructors' checks.  Positions are found
+only when the parse fails: the error path splits the text again by the
+regex ``_TOKEN_RE``, where every other non-space character is a token of
+its own, reports the first bad token if there is one (so a token error
+wins over a grammar error, wherever it stands) and otherwise the grammar
+error at its token's position.  The two splits give the same tokens
+wherever the text has no bad token, and where it has one the parse fails
+and reports it.
 
 The parser keeps one ``Var`` for each name and one ``Not`` for each name
 written with a single ``!``, so ``!a & !a`` holds one ``Not(Var('a'))``
@@ -68,11 +72,13 @@ _MIX_HINT = (
     "add parentheses, e.g. (A @ B) -> C or A @ (B -> C)"
 )
 
-# Operators, then ASCII words, then any other non-space character (an
-# error), so a letter such as ``\u00e9`` is an error at its own position.
-# The whitespace that ``findall`` skips is ``str.isspace``, character for
-# character, so a no-break space is a space.
+# The error path's tokens: operators, then ASCII words, then any other
+# non-space character (an error), so a letter such as ``\u00e9`` is an
+# error at its own position.  The whitespace that ``finditer`` skips is
+# ``str.isspace``, character for character, as for ``str.split``, so a
+# no-break space is a space.
 _TOKEN_RE = re.compile(r"[!&@|()]|->|[A-Za-z0-9_]+|\S")
+_NAME = re.compile(r"[A-Za-z_][A-Za-z0-9_]*").fullmatch
 # a binary operator's level is its row in the table, counting the loosest
 # as 1; any other token is at level 0 and ends every run
 _BINDS = {text: i for i, (text, _) in enumerate(BINARY_OPERATORS, 1)}
@@ -113,7 +119,9 @@ def _error(text: str, message: str, index: int) -> ParseError:
 
 def parse(text: str) -> Expr:
     """Parse concrete syntax into an expression tree."""
-    texts = _TOKEN_RE.findall(text)
+    texts = (text.replace("->", " -> ").replace("(", " ( ")
+             .replace(")", " ) ").replace("!", " ! ").replace("&", " & ")
+             .replace("@", " @ ").replace("|", " | ").split())
     texts.append(_EOF)
     binds = _BINDS.get
     # one node per atom: the constants and each name, and each negated
@@ -149,7 +157,7 @@ def parse(text: str) -> Expr:
                 continue
             e = atoms.get(tok)
             if e is None:
-                if tok[:1] not in _NAME_START:  # a bad token: see _error
+                if not _NAME(tok):  # a bad token, or holds one: see _error
                     message = _NO_ATOM.get(tok, f"unexpected token {tok!r}")
                     raise _error(text, message, i)
                 e = atoms[tok] = _new(Var)

@@ -9,7 +9,10 @@ Expressions are evaluated once over whole variable columns (the bit-sliced
 tables of ABC's ``Abc_Tt*`` routines): NOT is XOR with the all-ones mask,
 AND and OR are ``&`` and ``|``, and a chain takes one complement, as
 ``x1 & NOT (x2 | ... | xn)`` for IAND and ``NOT (x1 & ... & x(n-1)) | xn``
-for IMPLY.
+for IMPLY.  The columns of an ``n``-variable table, their complements and
+the all-ones mask are its rails (``_rails``): built once per width and kept
+up to 16 variables, they are what the oracle and both compilers' replays
+start from, and a negated name reads its complement from them.
 """
 
 from __future__ import annotations
@@ -145,6 +148,28 @@ def columns(n: int) -> list[int]:
     return out
 
 
+# each width's rails, filled on first use: an entry is immutable once made,
+# so every caller may share it
+_RAILS: dict[int, tuple[tuple[int, ...], tuple[int, ...], int]] = {}
+_RAILS_KEPT = 16  # the widest table whose rails stay cached
+
+
+def _rails(n: int) -> tuple[tuple[int, ...], tuple[int, ...], int]:
+    """``(columns, complements, full)`` of an ``n``-variable table: each
+    variable's row mask, its complement within ``full``, and the all-ones
+    mask, as tuples.  Kept after the first call for ``n <= 16``, about
+    0.5 MiB over all such ``n``; a wider table's rails (0.5 MiB at 17
+    variables, 98 MiB at 24) are built per call and freed with it."""
+    rails = _RAILS.get(n)
+    if rails is None:
+        cols = tuple(columns(n))
+        full = (1 << (1 << n)) - 1
+        rails = cols, tuple([full ^ c for c in cols]), full
+        if n <= _RAILS_KEPT:
+            _RAILS[n] = rails
+    return rails
+
+
 def rows_of(mask: int) -> list[int]:
     """Indices of the set bits of ``mask``, ascending."""
     return [r for r, c in enumerate(format(mask, "b")[::-1]) if c == "1"]
@@ -164,7 +189,7 @@ def evaluate(e: Expr, assignment: Assignment) -> int:
     """
     env = {name: _bit(assignment, name, "semantics")  # _eval names the unbound
            for name in variables(e) if name in assignment}
-    return _eval(e, env, 1)
+    return _eval(e, env, {name: 1 ^ bit for name, bit in env.items()}, 1)
 
 
 def _bit(assignment: Assignment, name: str, who: str) -> int:
@@ -179,12 +204,17 @@ def _bit(assignment: Assignment, name: str, who: str) -> int:
     return bit
 
 
-def _eval(e: Expr, env: dict[str, int], full: int) -> int:
+def _eval(
+    e: Expr, env: dict[str, int], neg: dict[str, int], full: int
+) -> int:
     """Evaluate over bit-sliced values: ``env`` maps names to masks within
-    ``full``, and the result is the mask of rows where ``e`` is true.
+    ``full`` and ``neg`` maps them to their complements, and the result is
+    the mask of rows where ``e`` is true.
 
     Dispatches on the exact node type, leaves and chains first: they are
-    the nodes of every two-level form the oracle checks."""
+    the nodes of every two-level form the oracle checks.  A negated name,
+    about half the leaves of a two-level form, reads its complement from
+    ``neg`` instead of taking one."""
     t = type(e)
     if t is Var:
         try:
@@ -194,30 +224,36 @@ def _eval(e: Expr, env: dict[str, int], full: int) -> int:
                 f"semantics: unbound variable {e.name!r}"
             ) from None
     if t is Not:
-        return full ^ _eval(e.child, env, full)
+        c = e.child
+        if type(c) is Var:
+            try:
+                return neg[c.name]
+            except KeyError:
+                pass  # unbound: the Var arm names it
+        return full ^ _eval(c, env, neg, full)
     if t is IandChain:
         ops = e.operands
-        acc = _eval(ops[0], env, full)
+        acc = _eval(ops[0], env, neg, full)
         rest = 0
         for x in ops[1:]:
-            rest |= _eval(x, env, full)
+            rest |= _eval(x, env, neg, full)
         return acc & (full ^ rest)
     if t is ImplyChain:
         ops = e.operands
-        acc = _eval(ops[-1], env, full)
+        acc = _eval(ops[-1], env, neg, full)
         rest = full
         for x in reversed(ops[:-1]):
-            rest &= _eval(x, env, full)
+            rest &= _eval(x, env, neg, full)
         return acc | (full ^ rest)
     if t is And:
         acc = full
         for c in e.children:
-            acc &= _eval(c, env, full)
+            acc &= _eval(c, env, neg, full)
         return acc
     if t is Or:
         acc = 0
         for c in e.children:
-            acc |= _eval(c, env, full)
+            acc |= _eval(c, env, neg, full)
         return acc
     if t is Const:
         return full if e.value else 0
@@ -225,9 +261,9 @@ def _eval(e: Expr, env: dict[str, int], full: int) -> int:
 
 
 def _table_masks(names: tuple[str, ...], *exprs: Expr) -> list[int]:
-    full = (1 << (1 << len(names))) - 1
-    env = dict(zip(names, columns(len(names))))
-    return [_eval(e, env, full) for e in exprs]
+    cols, comps, full = _rails(len(names))
+    env, neg = dict(zip(names, cols)), dict(zip(names, comps))
+    return [_eval(e, env, neg, full) for e in exprs]
 
 
 def _union_order(e1: Expr, e2: Expr) -> tuple[str, ...]:

@@ -27,16 +27,18 @@ text of a hand-built one into the same gates.  Both run one check and slot
 plan over them (``_settle``): inputs are distinct names, a gate reads only
 taps and earlier gates, and the output is a value.  A plan-built netlist
 makes its ``gates`` on first read; ``netlist_text`` formats the indices.
-One loop replays the slot plan: each value is a mask of rows
-(``semantics.columns``), a tap ``!in:x`` reads ``full ^ x``, ``OR`` is
-``a | b`` and ``IAND`` is ``a & (full ^ b)``.  The compiler runs it over
-all rows, checks the output mask against its source and keeps that
-checked column on the netlist: 2^n bits for n inputs, 2 MiB at the
-24-input table cap.  ``simulate_netlist`` of a compiled netlist reads its
-output from that column; a netlist built by the constructor or by
-``dataclasses.replace``, or over more than ``MAX_TABLE_VARS`` inputs, has
-none, and ``simulate_netlist`` runs the loop over the single row
-``full = 1``.  ``netlist_stats`` replays depth over the same plan.
+One loop replays the slot plan: each value is a mask of rows, the taps
+``in:x`` and ``!in:x`` start from the table's rails (``semantics._rails``),
+a column and its complement, ``OR`` is ``a | b`` and ``IAND`` is
+``a & (full ^ b)``.  The compiler runs it over all rows, checks the output
+mask against its source and keeps that checked column on the netlist: 2^n
+bits for n inputs, 2 MiB at the 24-input table cap.  ``simulate_netlist``
+of a compiled netlist reads its output from that column; a netlist built
+by the constructor or by ``dataclasses.replace``, or over more than
+``MAX_TABLE_VARS`` inputs, has none, and ``simulate_netlist`` runs the
+loop over the single row ``full = 1``.  ``netlist_stats`` replays depth
+over the same plan; ``netlist_text`` takes each gate's own reference from
+the value texts it formats the gates' inputs with.
 """
 
 from __future__ import annotations
@@ -46,7 +48,7 @@ from dataclasses import dataclass
 from .canon import Product, _read
 from .errors import EvaluationError
 from .expr import Expr, Not, _check_name
-from .semantics import MAX_TABLE_VARS, TruthTable, _bit, check_oracle, columns
+from .semantics import MAX_TABLE_VARS, TruthTable, _bit, _rails, check_oracle
 
 
 @dataclass(frozen=True)
@@ -257,7 +259,8 @@ def _compile(
 
     netlist = _from_plan(names, tuple(ops), out)
     if n <= MAX_TABLE_VARS:
-        mask = _replay(netlist, columns(n), (1 << (1 << n)) - 1)
+        cols, comps, full = _rails(n)
+        mask = _replay(netlist, [*cols, *comps], full)
         check_oracle(want, TruthTable.from_mask(names, mask), "spindiode")
         # checked: ``simulate_netlist`` reads its output from this column
         vars(netlist)["_column"] = mask
@@ -278,17 +281,18 @@ def simulate_netlist(netlist: Netlist, inputs: dict[str, int]) -> int:
     bits = [_bit(inputs, name, "spindiode") for name in netlist.inputs]
     column = vars(netlist).get("_column")
     if column is None:
-        return _replay(netlist, bits, 1)
+        return _replay(netlist, bits + [1 ^ b for b in bits], 1)
     row = 0
     for bit in bits:
         row = row << 1 | bit
     return column >> row & 1
 
 
-def _replay(netlist: Netlist, cols: list[int], full: int) -> int:
-    """The output's row mask within ``full``, given each input's mask."""
+def _replay(netlist: Netlist, vals: list[int], full: int) -> int:
+    """The output's row mask within ``full``, given in ``vals`` the masks of
+    the taps, each input's and then each complement's; ``vals`` grows into
+    the replay's slots."""
     size, plan, out = netlist._plan
-    vals = cols + [full ^ c for c in cols]
     vals += [0] * (size - len(vals))
     for is_or, a, b, dst in plan:
         vals[dst] = vals[a] | vals[b] if is_or else vals[a] & (full ^ vals[b])
@@ -307,10 +311,12 @@ def netlist_stats(netlist: Netlist) -> dict[str, int]:
 
 
 def _lines(netlist: Netlist) -> list[str]:
-    """One interchange line per gate: ``g<i> = <KIND> <a> <b>``."""
+    """One interchange line per gate: ``g<i> = <KIND> <a> <b>``, each
+    gate's own reference taken from the texts ``_references`` made."""
     text = _references(netlist.inputs, len(netlist._ops))
-    return [f"g{k} = {_KIND[is_or]} {text[a]} {text[b]}"
-            for k, (is_or, a, b) in enumerate(netlist._ops)]
+    return [f"{ref} = {_KIND[is_or]} {text[a]} {text[b]}"
+            for ref, (is_or, a, b) in zip(text[2 * len(netlist.inputs):],
+                                          netlist._ops)]
 
 
 def netlist_text(netlist: Netlist) -> str:

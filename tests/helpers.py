@@ -23,10 +23,11 @@ reference checks one step at a time, where the production constructor
 checks each distinct pair of the resolved plan once.  The
 prime generator's reference merges cubes pairwise within each care group
 and sorts trit strings, where the production code takes one shift-AND per
-dash set over the table's mask and sorts int cubes.  The parser's reference
-tokenizes character by character into one token object each, where the
-production parser takes the token texts from one regex ``findall`` and
-finds positions only on error, and
+dash set over the table's mask and sorts int cubes.  The parser's references
+tokenize character by character, or by one regex scan, into one token
+object each, where the production parser splits its text on whitespace
+after padding each operator with spaces and finds positions only on
+error, and
 the ``normalize_not`` reference rebuilds every node, where the production
 code returns unchanged subtrees as they are.  The pattern matcher,
 ``substitute``, ``rebuild``, the structural dual and the printer are
@@ -46,6 +47,7 @@ from __future__ import annotations
 
 import gc
 import heapq
+import re
 from dataclasses import dataclass
 from itertools import product
 from typing import Iterable, Iterator
@@ -1032,6 +1034,32 @@ def _tokenize(text: str) -> list[_Token]:
     return tokens
 
 
+# The error path's tokens, from one regex scan: an operator, ``->``, an
+# ASCII word, or any other non-space character, each of its own.
+_REGEX_TOKEN = re.compile(r"[!&@|()]|->|[A-Za-z0-9_]+|\S")
+_REGEX_KINDS = {**_SINGLE, "->": "IMPLY"}
+
+
+def _regex_tokenize(text: str) -> list[_Token]:
+    tokens: list[_Token] = []
+    for m in _REGEX_TOKEN.finditer(text):
+        word, i = m[0], m.start()
+        kind = _REGEX_KINDS.get(word)
+        if kind is None:
+            if word[0] in "0123456789":
+                raise ParseError(
+                    f"name cannot start with a digit: {word!r}", i
+                )
+            if word[0] not in _WORD:
+                if word == "-":
+                    raise ParseError("expected '->' after '-'", i)
+                raise ParseError(f"unexpected character {word!r}", i)
+            kind = "NAME"
+        tokens.append(_Token(kind, word, i))
+    tokens.append(_Token("EOF", "", len(text)))
+    return tokens
+
+
 def _ident_tail(text: str, i: int) -> bool:
     """True when the digit at ``i`` starts a longer word (an invalid name)."""
     return i + 1 < len(text) and text[i + 1] in _WORD
@@ -1132,7 +1160,16 @@ class _Parser:
 def reference_parse(text: str) -> Expr:
     """``parse`` by a character-by-character tokenizer and a descent that
     recurses once per ``!``."""
-    parser = _Parser(_tokenize(text))
+    return _descend(_tokenize(text))
+
+
+def reference_regex_parse(text: str) -> Expr:
+    """``reference_parse`` over the tokens of one regex scan."""
+    return _descend(_regex_tokenize(text))
+
+
+def _descend(tokens: list[_Token]) -> Expr:
+    parser = _Parser(tokens)
     expr, _ = parser.parse_imply()
     if parser.head.kind != "EOF":
         raise ParseError(

@@ -96,6 +96,17 @@ class TestSourceErrors:
         code, _, err = run(capsys, "table", "--table-file", "/nonexistent.tbl")
         assert code == 2 and err.startswith("error:")
 
+    def test_file_with_a_utf8_bom(self, capsys, tmp_path, carry_file):
+        # some editors start a UTF-8 file with a byte-order mark
+        bom = tmp_path / "bom.tbl"
+        bom.write_bytes(b"\xef\xbb\xbf" + Path(carry_file).read_bytes())
+        for target in ("memristor", "spindiode"):
+            plain = run(capsys, "compile", "--target", target,
+                        "--table-file", carry_file)
+            assert plain[0] == 0
+            assert run(capsys, "compile", "--target", target,
+                       "--table-file", str(bom)) == plain
+
     def test_malformed_file(self, capsys, tmp_path):
         bad = tmp_path / "bad.tbl"
         bad.write_text("A B\n001\n")

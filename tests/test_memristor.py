@@ -534,6 +534,21 @@ class TestMatchesStepwiseReference:
         for env in assignments(("p", "q")):
             assert simulate(prog, env) == reference_simulate(prog, env)
 
+    def test_implies_that_read_inputs(self):
+        # every IMPLY but the last reads an input register, r0 twice
+        prog = ImplyProgram(5, (("a", 0), ("b", 1), ("c", 2)), 4, (
+            Reset(3), Imply(0, 3), Imply(1, 3), Reset(4), Imply(2, 4),
+            Imply(0, 4), Imply(3, 4),
+        ))
+        for env in assignments(("a", "b", "c")):
+            got, want = simulate(prog, env), reference_simulate(prog, env)
+            assert (got.output, got.state, got.trace) == (
+                want.output, want.state, want.trace)
+            state = (env["a"], env["b"], env["c"], 0, 0)
+            for step, after in zip(prog.steps, want.trace):
+                assert step_semantics(state, step) == after
+                state = after
+
     @settings(max_examples=150, deadline=None)
     @given(st.tuples(*[st.integers(0, 1)] * 5), _steps)
     def test_step_semantics(self, state, step):

@@ -29,8 +29,7 @@ from asymlogic.laws import simplify
 from asymlogic.parser import MAX_NESTING, parse
 from asymlogic.semantics import equivalent, truth_table
 
-from .helpers import reference_parse
-from .helpers import one_chain_tree
+from .helpers import one_chain_tree, reference_parse, reference_regex_parse
 from .strategies import expressions, nested_chains
 
 A, B, C, D = Var("A"), Var("B"), Var("C"), Var("D")
@@ -304,6 +303,42 @@ class TestMatchesReference:
             assert outcome[0] is ParseError and "cannot mix" in outcome[1]
         else:
             assert parse(format_expr(outcome)) == outcome
+
+
+# the pieces where a padded split and a regex scan could part: a '-' and a
+# '>' apart or together, a letter and a space outside ASCII, a separator
+# control character, a digit-led word and a stray character
+_SPLIT_PIECES = (
+    "-", ">", "- >", "->", "\u00e9", "\x1c", "\u00a0", "1a", "$",
+    "a", "b_1", "0", "1", "!", "&", "@", "|", "(", ")", " ",
+)
+
+
+class TestTokenizer:
+    """The padded ``split`` against the regex scan the error path uses:
+    the same tree, or the same error type, message and position."""
+
+    def test_every_code_point_as_a_separator_and_after_not(self):
+        # each space, and each code point below U+3000, where all but one
+        # of the spaces are
+        chars = {chr(c) for c in range(0x3000)}
+        chars.update(ch for ch in map(chr, range(0x110000)) if ch.isspace())
+        for ch in sorted(chars):
+            for text in (f"a{ch}b", f"a{ch}&{ch}b", f"!{ch}a"):
+                assert (_outcome(parse, text)
+                        == _outcome(reference_regex_parse, text)), text
+
+    def test_seeded_strings(self):
+        rng = random.Random(29)
+        for _ in range(20_000):
+            text = "".join(rng.choices(_SPLIT_PIECES, k=rng.randint(1, 10)))
+            assert (_outcome(parse, text)
+                    == _outcome(reference_regex_parse, text)), text
+
+    def test_regex_scan_matches_the_character_reference(self):
+        for text in ("a->b", "a - > b", "!\u00e9", "1a & b", "a\x1c&\x1cb"):
+            assert (_outcome(reference_regex_parse, text)
+                    == _outcome(reference_parse, text))
 
 
 def _one_node_per_atom(e):

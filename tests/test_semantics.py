@@ -3,13 +3,17 @@
 from __future__ import annotations
 
 import random
+import subprocess
+import sys
+import tracemalloc
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from asymlogic import semantics
-from asymlogic.canon import noi_term, soi_term
+from asymlogic.canon import literal_table, literals, noi_form, noi_term
+from asymlogic.canon import soi_form, soi_term
 from asymlogic.errors import CapacityError, EvaluationError
 from asymlogic.expr import (
     And,
@@ -22,6 +26,7 @@ from asymlogic.expr import (
     Var,
     variables,
 )
+from asymlogic.memristor import compile_noi
 from asymlogic.semantics import (
     MAX_TABLE_VARS,
     TruthTable,
@@ -32,6 +37,7 @@ from asymlogic.semantics import (
     row_assignment,
     truth_table,
 )
+from asymlogic.spindiode import compile_soi
 
 from .helpers import (
     assignments,
@@ -41,7 +47,7 @@ from .helpers import (
     naive_eval,
     naive_table,
 )
-from .strategies import expressions
+from .strategies import expressions, stacked_nots
 
 A, B, C = Var("A"), Var("B"), Var("C")
 
@@ -387,3 +393,94 @@ class TestDemorganDual:
         t0 = truth_table(Const(0), ("A",))
         assert demorgan_dual_tt(t0).bits == (1, 1)
         assert classical_dual_tt(t0).bits == (1, 1)
+
+
+class TestNegatedNames:
+    """A negated name reads its complement from the rails: the shapes the
+    two-level workloads never build."""
+
+    def test_one_not_shared_across_operands(self):
+        na = Not(A)
+        e = Or((And((na, B)), IandChain((C, na)), ImplyChain((na, na, C))))
+        assert truth_table(e).bits == naive_table(e)
+        assert equivalent(e, Or((And((Not(A), B)), IandChain((C, Not(A))),
+                                 ImplyChain((Not(A), Not(A), C)))))
+        assert equivalent(IandChain((na, B)), And((na, Not(B))))
+
+    @pytest.mark.parametrize("e", [
+        Not(A), And((B, Not(A))), Not(Not(A)), IandChain((B, Not(A))),
+    ])
+    def test_unbound_negated_name(self, e):
+        with pytest.raises(EvaluationError) as exc:
+            evaluate(e, {"B": 1})
+        assert str(exc.value) == "semantics: unbound variable 'A'"
+
+    @given(stacked_nots(expressions()), st.integers(0, 15))
+    def test_evaluate_matches_naive_reference(self, e, seed):
+        env = {n: (seed >> i) & 1 for i, n in enumerate("ABCD")}
+        assert evaluate(e, env) == naive_eval(e, env)
+
+
+def _two_level_pair(n: int) -> tuple[Expr, Expr]:
+    """A seeded SOI over ``n`` variables and the NOI of the same cubes."""
+    rng = random.Random(n)
+    table = literal_table(tuple(f"x{i}" for i in range(n)))
+    products = tuple(
+        literals(table, rng.getrandbits(n),
+                 sum(1 << b for b in rng.sample(range(n), 3)))
+        for _ in range(2 * n)
+    )
+    return soi_form(products), noi_form(products)
+
+
+class TestRails:
+    """Each width's columns, complements and all-ones mask are built once
+    and kept up to 16 variables; wider ones are freed after each call."""
+
+    def test_one_compile_pair_builds_the_columns_once(self, monkeypatch):
+        calls = []
+        real = semantics.columns
+
+        def counting(n):
+            calls.append(n)
+            return real(n)
+
+        monkeypatch.setattr(semantics, "_RAILS", {})
+        monkeypatch.setattr(semantics, "columns", counting)
+        soi, noi = _two_level_pair(10)
+        compile_soi(soi)
+        compile_noi(noi)
+        assert calls == [10]
+
+    def test_cached_rails_are_tuples(self):
+        cols, comps, full = semantics._rails(5)
+        assert type(cols) is tuple and type(comps) is tuple
+        assert cols == tuple(semantics.columns(5))
+        assert comps == tuple(full ^ c for c in cols)
+        assert full == (1 << 32) - 1
+        assert semantics._rails(5)[0] is cols
+
+    def test_only_tables_up_to_16_variables_are_kept(self, monkeypatch):
+        monkeypatch.setattr(semantics, "_RAILS", {})
+        for n in (16, 17):
+            semantics._rails(n)
+        assert list(semantics._RAILS) == [16]
+
+    def test_equivalence_at_20_variables_keeps_no_memory(self):
+        soi, noi = _two_level_pair(20)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            assert equivalent(soi, noi)
+            grown = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert grown < 1 << 20
+
+    def test_import_builds_no_rails(self):
+        proc = subprocess.run(
+            [sys.executable, "-c",
+             "import asymlogic.semantics as s; print(s._RAILS)"],
+            capture_output=True, text=True, check=True,
+        )
+        assert proc.stdout == "{}\n"
