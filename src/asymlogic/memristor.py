@@ -43,10 +43,11 @@ complement in the rails, and the test that picks it, cost more than the
 XOR of a 12-variable column.  The compiler runs it once over all rows,
 checks the output mask against its source, a NOI expression or a table,
 and keeps that checked column on the program with the register of each
-name of its row order: 2^n bits for n variables, 8 KB at the 16-variable
-cap.  ``simulate`` of a compiled program reads its output from that
-column; a program built by the constructor or by ``dataclasses.replace``
-has none, and ``simulate`` runs the loop over the single row ``full = 1``,
+name of its row order: 2^n bits for n variables, 2 MiB at the table cap
+of 24, past which it refuses a source.  ``simulate`` of a compiled
+program reads its output from that column; a program built by the
+constructor or by ``dataclasses.replace`` has none, and ``simulate``
+runs the loop over the single row ``full = 1``,
 as ``step_semantics`` does for one step.  A result's ``state`` and
 ``trace`` are replayed together from its start when either is first read.
 ``step_count`` counts the plan's resets, and ``program_text`` formats the
@@ -59,11 +60,8 @@ from dataclasses import dataclass
 from typing import Union
 
 from .canon import Product, _read
-from .errors import CapacityError
 from .expr import And, Expr, Not, Var, _check_name
-from .semantics import TruthTable, _bit, _rails, check_oracle
-
-MAX_COMPILE_VARS = 16
+from .semantics import TruthTable, _bit, _check_count, _rails, check_oracle
 
 
 @dataclass(frozen=True)
@@ -259,17 +257,6 @@ def _replay(
             regs[written] |= full ^ regs[read]
 
 
-def _table(program: ImplyProgram, names: tuple[str, ...]) -> TruthTable:
-    """The output over every row of ``names``, which hold the inputs."""
-    cols, _, full = _rails(len(names))
-    col = dict(zip(names, cols))
-    regs = [0] * program.registers
-    for name, reg in program.bindings:
-        regs[reg] = col[name]
-    _replay(program._plan, regs, full)
-    return TruthTable.from_mask(names, regs[program.output])
-
-
 def step_count(program: ImplyProgram) -> dict[str, int]:
     total = len(program._plan)
     resets = [r for r, _ in program._plan].count(None)
@@ -299,7 +286,8 @@ def compile_noi(e: Expr, *, peephole: bool = True) -> ImplyProgram:
     One pass of the canon reader takes the expression's variable names, in
     first-appearance order, and its sum of products: a NOI, a negated
     chain, a literal or a constant, with constant chain operands folded.
-    Capacity is capped at 16 input variables.
+    More than ``MAX_TABLE_VARS`` (24) names raise the table cap's
+    ``CapacityError``.
 
     With ``peephole=False`` the schedule keeps the double inversions of the
     textbook lowering: a positive last operand ``x`` of a term is inverted
@@ -321,29 +309,33 @@ def _compile(
 ) -> ImplyProgram:
     """``_lower``'s program, replayed over every row of ``names`` and checked
     against ``want``.  An expression's program binds ``names``; a table's
-    binds the names its products read, in first-read order."""
+    binds the names its products read, in first-read order.  More than
+    ``MAX_TABLE_VARS`` names raise ``CapacityError``."""
+    _check_count(len(names))
     bound = names
     if isinstance(want, TruthTable):
         bound = tuple(dict.fromkeys(
             x.child.name if type(x) is Not else x.name
             for p in products for x in p))
     program = _lower(bound, products, peephole)
-    table = _table(program, names)
-    check_oracle(want, table, "memristor")
+    cols, _, full = _rails(len(names))
+    col = dict(zip(names, cols))
+    regs = [0] * program.registers
+    for name, reg in program.bindings:
+        regs[reg] = col[name]
+    _replay(program._plan, regs, full)
+    mask = regs[program.output]
+    # a table checked its names, and ``_settle`` any other as bindings
+    check_oracle(want, TruthTable._of(names, mask), "memristor")
     # checked: ``simulate`` reads its output from this column
     reg = dict(program.bindings)
-    vars(program)["_column"] = (tuple(map(reg.get, names)), table.mask)
+    vars(program)["_column"] = (tuple(map(reg.get, names)), mask)
     return program
 
 
 def _lower(
     names: tuple[str, ...], products: tuple[Product, ...], peephole: bool
 ) -> ImplyProgram:
-    if len(names) > MAX_COMPILE_VARS:
-        raise CapacityError(
-            f"memristor: {len(names)} variables exceeds the cap of "
-            f"{MAX_COMPILE_VARS}"
-        )
     nin = len(names)
     bindings = tuple((name, i) for i, name in enumerate(names))
     src_of = {name: i for i, name in enumerate(names)}

@@ -27,8 +27,8 @@ from .errors import CapacityError
 from .expr import Expr, _check_name
 from .semantics import (
     TruthTable,
+    _rails,
     check_oracle,
-    columns,
     lowest_row,
     rows_of,
 )
@@ -195,7 +195,7 @@ def _prime_implicants(
     n = len(names)
     full = (1 << n) - 1
     # clear[p]: the rows whose bit p is 0
-    clear = [~col for col in reversed(columns(n))]
+    clear = [~col for col in reversed(_rails(n)[0])]
     # imp[d]: the values of the implicants with dash set d (0 once a
     # subset's mask is empty, since every superset's is then empty too)
     imp = [0] * (1 << n)

@@ -11,8 +11,11 @@ AND and OR are ``&`` and ``|``, and a chain takes one complement, as
 ``x1 & NOT (x2 | ... | xn)`` for IAND and ``NOT (x1 & ... & x(n-1)) | xn``
 for IMPLY.  The columns of an ``n``-variable table, their complements and
 the all-ones mask are its rails (``_rails``): built once per width and kept
-up to 16 variables, they are what the oracle and both compilers' replays
-start from, and a negated name reads its complement from them.
+up to 16 variables, they are what the oracle, the minimizer and both
+compilers' replays start from, and a negated name reads its complement
+from them; a wider table's rails hold no complements.  A table, and so
+every compiled program and netlist, has at most ``MAX_TABLE_VARS`` names
+(``_check_count``).
 """
 
 from __future__ import annotations
@@ -97,19 +100,23 @@ class TruthTable:
         return row_assignment(self.variables, row)
 
 
-def _check_order(names: Iterable[str]) -> tuple[str, ...]:
-    """``names`` as a tuple: at most ``MAX_TABLE_VARS`` of them, each a
-    name, none repeated."""
-    names = tuple(names)
-    n = len(names)
+def _check_count(n: int) -> None:
+    """Raise ``CapacityError`` for more than ``MAX_TABLE_VARS`` names."""
     if n > MAX_TABLE_VARS:
         raise CapacityError(
             f"semantics: truth tables support at most {MAX_TABLE_VARS} "
             f"variables, got {n}"
         )
+
+
+def _check_order(names: Iterable[str]) -> tuple[str, ...]:
+    """``names`` as a tuple: at most ``MAX_TABLE_VARS`` of them, each a
+    name, none repeated."""
+    names = tuple(names)
+    _check_count(len(names))
     for name in names:
         _check_name(name, "semantics")
-    if len(set(names)) != n:
+    if len(set(names)) != len(names):
         raise ValueError("semantics: duplicate variable in table order")
     return names
 
@@ -154,19 +161,20 @@ _RAILS: dict[int, tuple[tuple[int, ...], tuple[int, ...], int]] = {}
 _RAILS_KEPT = 16  # the widest table whose rails stay cached
 
 
-def _rails(n: int) -> tuple[tuple[int, ...], tuple[int, ...], int]:
+def _rails(n: int) -> tuple[tuple[int, ...], tuple[int, ...] | None, int]:
     """``(columns, complements, full)`` of an ``n``-variable table: each
     variable's row mask, its complement within ``full``, and the all-ones
-    mask, as tuples.  Kept after the first call for ``n <= 16``, about
-    0.5 MiB over all such ``n``; a wider table's rails (0.5 MiB at 17
-    variables, 98 MiB at 24) are built per call and freed with it."""
+    mask.  Kept after the first call for ``n <= 16``, about 0.5 MiB over
+    all such ``n``.  A wider table's columns (0.25 MiB at 17 variables,
+    48 MiB at 24) are built per call and freed with it, and its
+    complements are None: a reader XORs those it needs."""
     rails = _RAILS.get(n)
     if rails is None:
         cols = tuple(columns(n))
         full = (1 << (1 << n)) - 1
-        rails = cols, tuple([full ^ c for c in cols]), full
-        if n <= _RAILS_KEPT:
-            _RAILS[n] = rails
+        if n > _RAILS_KEPT:
+            return cols, None, full
+        rails = _RAILS[n] = cols, tuple([full ^ c for c in cols]), full
     return rails
 
 
@@ -262,7 +270,7 @@ def _eval(
 
 def _table_masks(names: tuple[str, ...], *exprs: Expr) -> list[int]:
     cols, comps, full = _rails(len(names))
-    env, neg = dict(zip(names, cols)), dict(zip(names, comps))
+    env, neg = dict(zip(names, cols)), dict(zip(names, comps or ()))
     return [_eval(e, env, neg, full) for e in exprs]
 
 
@@ -352,7 +360,7 @@ def demorgan_dual_tt(t: TruthTable) -> TruthTable:
     """
     n = len(t.variables)
     mask = _complement_rows(t)
-    cols = columns(n)
+    cols = _rails(n)[0]
     # swap variable i with variable n-1-i: move each row whose bit for i
     # is set and whose bit for n-1-i is clear onto its mirror row, and back
     for i in range(n // 2):

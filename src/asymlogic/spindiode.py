@@ -23,22 +23,25 @@ value indices.
 
 The compiler builds its netlist straight from those gates
 (``_from_plan``), and the ``Netlist`` constructor resolves the reference
-text of a hand-built one into the same gates.  Both run one check and slot
-plan over them (``_settle``): inputs are distinct names, a gate reads only
-taps and earlier gates, and the output is a value.  A plan-built netlist
-makes its ``gates`` on first read; ``netlist_text`` formats the indices.
-One loop replays the slot plan: each value is a mask of rows, the taps
+text of a hand-built one into the same gates.  Both run one check over
+them (``_settle``), which also records each value's last reader: inputs
+are distinct names, a gate reads only taps and earlier gates, and the
+output is a value.  A plan-built netlist makes its ``gates`` on first
+read; ``netlist_text`` formats the indices.
+One loop replays the gates: each value is a mask of rows, the taps
 ``in:x`` and ``!in:x`` start from the table's rails (``semantics._rails``),
 a column and its complement, ``OR`` is ``a | b`` and ``IAND`` is
-``a & (full ^ b)``.  The compiler runs it over all rows, checks the output
-mask against its source and keeps that checked column on the netlist: 2^n
-bits for n inputs, 2 MiB at the 24-input table cap.  ``simulate_netlist``
-of a compiled netlist reads its output from that column; a netlist built
-by the constructor or by ``dataclasses.replace``, or over more than
-``MAX_TABLE_VARS`` inputs, has none, and ``simulate_netlist`` runs the
-loop over the single row ``full = 1``.  ``netlist_stats`` replays depth
-over the same plan; ``netlist_text`` takes each gate's own reference from
-the value texts it formats the gates' inputs with.
+``a & (full ^ b)``; each gate appends its value, and a value is dropped
+after its last read.  The compiler refuses more than ``MAX_TABLE_VARS``
+inputs, runs the loop over all rows, checks the output mask against its
+source and keeps that checked column on the netlist: 2^n bits for n
+inputs, 2 MiB at the 24-input table cap.  ``simulate_netlist`` of a
+compiled netlist reads its output from that column; a netlist built by
+the constructor or by ``dataclasses.replace`` has none, and
+``simulate_netlist`` runs the loop over the single row ``full = 1``.
+``netlist_stats`` takes depth over the same gates; ``netlist_text`` takes
+each gate's own reference from the value texts it formats the gates'
+inputs with.
 """
 
 from __future__ import annotations
@@ -48,7 +51,7 @@ from dataclasses import dataclass
 from .canon import Product, _read
 from .errors import EvaluationError
 from .expr import Expr, Not, _check_name
-from .semantics import MAX_TABLE_VARS, TruthTable, _bit, _rails, check_oracle
+from .semantics import TruthTable, _bit, _check_count, _rails, check_oracle
 
 
 @dataclass(frozen=True)
@@ -74,8 +77,8 @@ class Netlist:
     output: str
 
     def __post_init__(self) -> None:
-        """Resolve every reference to a value index once, then check and
-        plan the result as ``_from_plan`` does."""
+        """Resolve every reference to a value index once, then check the
+        result as ``_from_plan`` does."""
         value = {r: v for v, r in
                  enumerate(_references(self.inputs, len(self.gates)))}
         ops = []
@@ -126,12 +129,12 @@ def _from_plan(
 def _settle(
     netlist: Netlist, ops: tuple[tuple[bool, int, int], ...], out: int
 ) -> None:
-    """Check the inputs and a plan of gates over value indices, then plan
-    slots: a gate writes the slot of a gate value past its last read, if
-    there is one, so a replay over all rows holds only values still to be
-    read.  Raise ``ValueError`` for a duplicate input or one that is not a
-    name, a gate that reads itself or a later value, or an output that is
-    no value."""
+    """Check the inputs and a plan of gates over value indices, then keep
+    it as ``_ops``, the output value as ``_out`` and each value's last
+    reader as ``_last`` (the gate count for the output and an unread
+    value).  Raise ``ValueError`` for a duplicate input or one that is not
+    a name, a gate that reads itself or a later value, or an output that
+    is no value."""
     inputs = netlist.inputs
     n = len(inputs)
     if len(set(inputs)) != n:
@@ -149,22 +152,7 @@ def _settle(
     if not 0 <= out < base + end:
         raise _bad_output(_reference(inputs, out))
     last[out] = end
-    where = list(range(base))  # the slot of each value
-    free: list[int] = []
-    size = base
-    plan = []
-    for k, (is_or, a, b) in enumerate(ops):
-        if a >= base and last[a] == k:
-            free.append(where[a])
-        if b >= base and b != a and last[b] == k:
-            free.append(where[b])
-        if free:
-            where.append(free.pop())
-        else:
-            where.append(size)
-            size += 1
-        plan.append((is_or, where[a], where[b], where[-1]))
-    vars(netlist).update(_ops=ops, _plan=(size, tuple(plan), where[out]))
+    vars(netlist).update(_ops=ops, _out=out, _last=tuple(last))
 
 
 def _bad_read(k: int, ref: str) -> ValueError:
@@ -204,9 +192,10 @@ def compile_soi(e: Expr, inputs: tuple[str, ...] | None = None) -> Netlist:
     Constant expressions need at least one declared input to realize the
     constant as ``x IAND x`` (0) or ``x OR NOT x`` (1).
 
-    Up to ``MAX_TABLE_VARS`` inputs, the netlist is replayed over every
-    input row and checked against ``e`` (``semantics.check_oracle``): a
-    wrong netlist raises ``AssertionError``.
+    More than ``MAX_TABLE_VARS`` (24) inputs raise the table cap's
+    ``CapacityError``.  The netlist is replayed over every input row and
+    checked against ``e`` (``semantics.check_oracle``): a wrong netlist
+    raises ``AssertionError``.
     """
     used, products = _read(e, noi=False)
     if inputs is None:
@@ -225,7 +214,9 @@ def _compile(
     names: tuple[str, ...], products: tuple[Product, ...],
     want: Expr | TruthTable,
 ) -> Netlist:
-    """The netlist of a sum of products, checked against ``want``."""
+    """The netlist of a sum of products over at most ``MAX_TABLE_VARS``
+    names, checked against ``want``."""
+    _check_count(len(names))
     n = len(names)
     tap = {x: i for i, x in enumerate(names)}
     ops: list[tuple[bool, int, int]] = []  # (is_or, a, b) over value indices
@@ -258,25 +249,25 @@ def _compile(
         out = refs[0]
 
     netlist = _from_plan(names, tuple(ops), out)
-    if n <= MAX_TABLE_VARS:
-        cols, comps, full = _rails(n)
-        mask = _replay(netlist, [*cols, *comps], full)
-        check_oracle(want, TruthTable.from_mask(names, mask), "spindiode")
-        # checked: ``simulate_netlist`` reads its output from this column
-        vars(netlist)["_column"] = mask
+    cols, comps, full = _rails(n)  # no complements past 16 names: XOR them
+    mask = _replay(netlist, [*cols, *(comps or [full ^ c for c in cols])],
+                   full)
+    # ``_of`` trusts the names: ``_settle`` checked them as the inputs
+    check_oracle(want, TruthTable._of(names, mask), "spindiode")
+    # checked: ``simulate_netlist`` reads its output from this column
+    vars(netlist)["_column"] = mask
     return netlist
 
 
 def simulate_netlist(netlist: Netlist, inputs: dict[str, int]) -> int:
     """Evaluate the netlist on one assignment of every declared input.
 
-    A netlist from ``compile_soi`` or the table route, over at most
-    ``MAX_TABLE_VARS`` inputs, keeps the output column its compiler checked
-    over every row (2^n bits for n inputs), and the result is that
-    column's bit on the row of ``inputs``.  Any other netlist, one built by
-    the constructor, by ``dataclasses.replace`` or over more inputs,
-    replays its gates over the single row ``full = 1``, the one-row case
-    of the compiler's replay.
+    A netlist from ``compile_soi`` or the table route keeps the output
+    column its compiler checked over every row (2^n bits for n inputs),
+    and the result is that column's bit on the row of ``inputs``.  Any
+    other netlist, one built by the constructor or by
+    ``dataclasses.replace``, replays its gates over the single row
+    ``full = 1``, the one-row case of the compiler's replay.
     """
     bits = [_bit(inputs, name, "spindiode") for name in netlist.inputs]
     column = vars(netlist).get("_column")
@@ -288,26 +279,29 @@ def simulate_netlist(netlist: Netlist, inputs: dict[str, int]) -> int:
     return column >> row & 1
 
 
-def _replay(netlist: Netlist, vals: list[int], full: int) -> int:
+def _replay(netlist: Netlist, vals: list[int | None], full: int) -> int:
     """The output's row mask within ``full``, given in ``vals`` the masks of
-    the taps, each input's and then each complement's; ``vals`` grows into
-    the replay's slots."""
-    size, plan, out = netlist._plan
-    vals += [0] * (size - len(vals))
-    for is_or, a, b, dst in plan:
-        vals[dst] = vals[a] | vals[b] if is_or else vals[a] & (full ^ vals[b])
-    return vals[out]
+    the taps, each input's and then each complement's.  Each gate appends
+    its value to ``vals``, and a value is set to None after its last read."""
+    last = netlist._last
+    for k, (is_or, a, b) in enumerate(netlist._ops):
+        vals.append(vals[a] | vals[b] if is_or else vals[a] & (full ^ vals[b]))
+        if last[a] == k:
+            vals[a] = None
+        if last[b] == k:
+            vals[b] = None
+    return vals[netlist._out]
 
 
 def netlist_stats(netlist: Netlist) -> dict[str, int]:
     """Gate count, depth (longest input-to-output path), and per-kind counts."""
-    size, plan, out = netlist._plan
-    depth = [0] * size  # replayed over the slots; inputs and taps are 0
-    for _, a, b, dst in plan:
-        depth[dst] = 1 + max(depth[a], depth[b])
-    ors = sum(step[0] for step in plan)
-    return {"gates": len(plan), "depth": depth[out],
-            "iands": len(plan) - ors, "ors": ors}
+    ops = netlist._ops
+    depth = [0] * (2 * len(netlist.inputs))  # inputs and taps are depth 0
+    for _, a, b in ops:
+        depth.append(1 + max(depth[a], depth[b]))
+    ors = sum(op[0] for op in ops)
+    return {"gates": len(ops), "depth": depth[netlist._out],
+            "iands": len(ops) - ors, "ors": ors}
 
 
 def _lines(netlist: Netlist) -> list[str]:

@@ -323,10 +323,15 @@ class TestCompileNoi:
             compile_noi(Not(ImplyChain((Var("A"), And((Var("B"), Var("C")))))))
 
     def test_capacity(self):
+        # 25 names, one past the table cap: refused with the table's error
         terms = tuple(
-            ImplyChain((Var(f"v{i}"), Var("x"))) for i in range(17)
+            ImplyChain((Var(f"v{i}"), Var("x"))) for i in range(24)
         )
-        with pytest.raises(CapacityError):
+        with pytest.raises(
+            CapacityError,
+            match="^semantics: truth tables support at most 24 variables, "
+                  "got 25$",
+        ):
             compile_noi(Not(And(terms)))
 
     def test_peephole_off_is_still_correct(self):

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import copy
 import dataclasses
+import random
 from itertools import product
 
 import pytest
@@ -21,7 +22,9 @@ from hypothesis import strategies as st
 
 from asymlogic import cli, memristor, spindiode
 from asymlogic.cli import main
-from asymlogic.errors import EvaluationError
+from asymlogic.canon import Product, noi_form, soi_form
+from asymlogic.errors import CapacityError, EvaluationError
+from asymlogic.expr import Not, Var, format_expr
 from asymlogic.memristor import (
     Imply,
     ImplyProgram,
@@ -31,7 +34,7 @@ from asymlogic.memristor import (
     simulate,
 )
 from asymlogic.parser import parse
-from asymlogic.semantics import MAX_TABLE_VARS
+from asymlogic.semantics import MAX_TABLE_VARS, evaluate, row_assignment
 from asymlogic.spindiode import (
     Gate,
     Netlist,
@@ -83,7 +86,8 @@ def _same_netlist(net: Netlist) -> None:
     assert net == rebuilt
     assert hash(net) == hash(rebuilt)
     assert repr(net) == repr(rebuilt)
-    assert (net._ops, net._plan) == (rebuilt._ops, rebuilt._plan)
+    assert (net._ops, net._out, net._last) == (
+        rebuilt._ops, rebuilt._out, rebuilt._last)
     assert netlist_text(net) == netlist_text(rebuilt) == (
         reference_netlist_text(rebuilt)
     )
@@ -329,13 +333,68 @@ class TestColumnMatchesReplay:
         for a in (0, 1):
             assert simulate(prog, {"A": a}).output == a
 
-    def test_no_column_beyond_the_table_cap(self):
-        names = tuple(f"x{i}" for i in range(MAX_TABLE_VARS + 1))
-        net = compile_soi(parse("x0 @ x1"), inputs=names)
-        assert "_column" not in vars(net)
-        env = dict.fromkeys(names, 0) | {"x0": 1}
-        assert simulate_netlist(net, env) == 1
-        assert simulate_netlist(net, env | {"x1": 1}) == 0
+
+def _wide_products(n: int) -> tuple[Product, ...]:
+    """Seeded products of up to four literals that together read each of
+    ``n`` names once."""
+    rng = random.Random(n)
+    order = [Var(f"x{i}") for i in rng.sample(range(n), n)]
+    return tuple(
+        tuple(Not(v) if rng.random() < 0.5 else v for v in order[i:i + 4])
+        for i in range(0, n, 4))
+
+
+def _sampled_rows(n: int) -> list[dict[str, int]]:
+    """Rows 0 and ``2**n - 1`` and 30 seeded rows of ``n`` names."""
+    names = tuple(f"x{i}" for i in range(n))
+    rng = random.Random(-n)
+    rows = [0, (1 << n) - 1] + [rng.randrange(1 << n) for _ in range(30)]
+    return [row_assignment(names, r) for r in rows]
+
+
+class TestCompileToTheTableCap:
+    """Both compilers take up to ``MAX_TABLE_VARS`` names, check what they
+    compile and keep its column; past the cap both refuse the source with
+    the table's ``CapacityError`` (CLI exit 2)."""
+
+    @pytest.mark.parametrize("n", [17, MAX_TABLE_VARS])
+    def test_programs(self, n):
+        noi = noi_form(_wide_products(n))
+        prog = compile_noi(noi)
+        assert len(prog.bindings) == n
+        twin = _program_twin(prog)
+        for env in _sampled_rows(n):
+            want = evaluate(noi, env)
+            assert simulate(prog, env).output == want
+            assert simulate(twin, env).output == want
+
+    @pytest.mark.parametrize("n", [17, MAX_TABLE_VARS])
+    def test_netlists(self, n):
+        soi = soi_form(_wide_products(n))
+        net = compile_soi(soi)
+        assert len(net.inputs) == n
+        twin = _netlist_twin(net)
+        for env in _sampled_rows(n):
+            want = evaluate(soi, env)
+            assert simulate_netlist(net, env) == want
+            assert simulate_netlist(twin, env) == want
+
+    def test_refused_beyond_the_table_cap(self, capsys):
+        n = MAX_TABLE_VARS + 1
+        error = (f"semantics: truth tables support at most {MAX_TABLE_VARS} "
+                 f"variables, got {n}")
+        products = _wide_products(n)
+        names = tuple(f"x{i}" for i in range(n))
+        for compile_ in (lambda: compile_noi(noi_form(products)),
+                         lambda: compile_soi(soi_form(products)),
+                         lambda: compile_soi(parse("x0 @ x1"), inputs=names)):
+            with pytest.raises(CapacityError) as err:
+                compile_()
+            assert str(err.value) == error
+        for target, form in (("memristor", noi_form), ("spindiode", soi_form)):
+            text = format_expr(form(products))
+            assert main(["compile", "--target", target, text]) == 2
+            assert capsys.readouterr().err == f"error: {error}\n"
 
 
 def _outcome(run, *args):

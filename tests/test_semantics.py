@@ -466,6 +466,15 @@ class TestRails:
             semantics._rails(n)
         assert list(semantics._RAILS) == [16]
 
+    def test_wider_tables_build_no_complements(self):
+        # past the cache a negated name XORs its own complement
+        cols, comps, full = semantics._rails(17)
+        assert comps is None
+        assert cols == tuple(semantics.columns(17))
+        x = [Var(f"x{i}") for i in range(17)]
+        t = truth_table(And((Not(x[0]), *x[1:])))
+        assert t.mask == 1 << ((1 << 16) - 1)
+
     def test_equivalence_at_20_variables_keeps_no_memory(self):
         soi, noi = _two_level_pair(20)
         tracemalloc.start()

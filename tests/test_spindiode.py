@@ -12,10 +12,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from asymlogic import spindiode
+from asymlogic import semantics, spindiode
 from asymlogic.canon import soi_from_tt
 from asymlogic.cli import main
-from asymlogic.errors import EvaluationError, ShapeError
+from asymlogic.errors import CapacityError, EvaluationError, ShapeError
 from asymlogic.expr import (
     Const,
     IandChain,
@@ -361,7 +361,7 @@ class TestStatsMatchReference:
                       Gate(1, "OR", "g0", "g0")), "g0",
              {"gates": 2, "depth": 1, "iands": 1, "ors": 1}),
             (("A",), (), "in:A", {"gates": 0, "depth": 0, "iands": 0, "ors": 0}),
-            # g1 reads g0 last and takes its slot, and g2 takes g1's
+            # a chain: g2 reads g1, which reads g0
             (("A", "B"), (Gate(0, "IAND", "in:A", "in:B"),
                           Gate(1, "OR", "g0", "!in:B"),
                           Gate(2, "IAND", "g1", "in:A")), "g2",
@@ -371,6 +371,56 @@ class TestStatsMatchReference:
     def test_hand_built_netlists(self, inputs, gates, output, want):
         net = Netlist(inputs, gates, output)
         assert netlist_stats(net) == reference_netlist_stats(net) == want
+
+
+def _kept_values(net: Netlist) -> set[int]:
+    """The values of ``net`` that no gate reads, and its output, by value
+    index: input ``i`` is ``i``, its complement ``n + i``, gate ``k`` is
+    ``2n + k``."""
+    n = len(net.inputs)
+    index = {f"{s}in:{x}": i + (n if s else 0)
+             for i, x in enumerate(net.inputs) for s in ("", "!")}
+    index |= {g.ref: 2 * n + g.gid for g in net.gates}
+    read = {index[ref] for g in net.gates for ref in (g.in_a, g.in_b)}
+    return set(index.values()) - read | {index[net.output]}
+
+
+class TestReplayDropsEachValueAfterItsLastRead:
+    """Over all rows, the replay drops each value after its last read: it
+    returns the output's column, and only the output and the values that
+    no gate reads are left in its value list.  A value dropped too early
+    would fail the replay, as the next gate to read it reads None."""
+
+    @staticmethod
+    def _check(net: Netlist) -> None:
+        cols, _, full = semantics._rails(len(net.inputs))
+        vals = [*cols, *(full ^ c for c in cols)]
+        mask = spindiode._replay(net, vals, full)
+        rows = [reference_simulate_netlist(net, env)
+                for env in assignments(net.inputs)]
+        assert mask == sum(bit << r for r, bit in enumerate(rows))
+        assert len(vals) == 2 * len(net.inputs) + len(net.gates)
+        assert {v for v, x in enumerate(vals) if x is not None} == (
+            _kept_values(net)
+        )
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.one_of(soi_exprs, soi_exprs_with_constants))
+    def test_compiled_netlists(self, e):
+        self._check(compile_soi(e, inputs=("A", "B", "C", "D")))
+
+    @settings(max_examples=150, deadline=None)
+    @given(_netlists())
+    def test_hand_written_netlists(self, net):
+        self._check(net)
+
+    def test_a_read_output_and_an_unread_gate_stay(self):
+        # g1 reads the output g0, and g2 is read by nothing
+        net = Netlist(("A", "B"), (Gate(0, "IAND", "in:A", "in:B"),
+                                   Gate(1, "OR", "g0", "!in:A"),
+                                   Gate(2, "OR", "g1", "g1")), "g0")
+        assert _kept_values(net) == {3, 4, 6}  # !in:B, g0 and g2
+        self._check(net)
 
 
 def _flip_first_tap(from_plan):
@@ -431,10 +481,13 @@ class TestOracleCatchesWrongNetlists:
         assert proc.returncode == 3, proc.stderr
         assert "internal error: AssertionError" in proc.stderr
 
-    def test_no_check_beyond_the_table_cap(self):
-        # 25 variables: nothing to tabulate, so the netlist is returned as is
-        names = tuple(f"x{i}" for i in range(25))
-        net = compile_soi(IandChain(tuple(map(Var, names))))
-        assert netlist_stats(net)["gates"] == 24
-        env = dict.fromkeys(names, 0) | {"x0": 1}
-        assert simulate_netlist(net, env) == 1
+    def test_refused_beyond_the_table_cap(self, capsys):
+        # 25 variables: nothing to check against, so nothing is compiled
+        chain = " @ ".join(f"x{i}" for i in range(25))
+        with pytest.raises(CapacityError, match="^semantics: .* got 25$"):
+            compile_soi(parse(chain))
+        assert main(["compile", "--target", "spindiode", chain]) == 2
+        assert capsys.readouterr().err == (
+            "error: semantics: truth tables support at most 24 variables, "
+            "got 25\n"
+        )
