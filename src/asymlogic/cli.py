@@ -12,7 +12,14 @@ Expression grammar (tightest first):
 ``0``, ``1``, identifiers, and parenthesized expressions.
 
 Truth-table files have two lines: variable names separated by spaces, then
-``2**n`` bits with the first variable as the most significant row bit.
+``2**n`` bits with the first variable as the most significant row bit.  A
+constant is a table over no variables, so its file has the one line ``0``
+or ``1`` (its names line is empty, and no name can be a digit), as
+``table`` prints it.  Blank lines are skipped.
+
+``main`` hands argv to the parser of the command it names, or to the full
+parser when the first word names none or words are left over; both read
+argv alike and print the same usage and errors.
 
 Exit codes: 0 success, 1 a law was refuted or expressions are inequivalent,
 2 usage or malformed input, 3 internal error.  ``--format structured``
@@ -66,9 +73,12 @@ def _split_names(text: str) -> tuple[str, ...]:
 
 def load_table_file(path: str) -> TruthTable:
     """The table in a file of names then bits; a UTF-8 byte-order mark, as
-    some editors write, is not part of the first name."""
+    some editors write, is not part of the first name.  A lone ``0`` or
+    ``1`` is a constant, a table over no variables."""
     with open(path, encoding="utf-8-sig") as fh:
         lines = [line.strip() for line in fh if line.strip()]
+    if lines in (["0"], ["1"]):  # its names line is blank
+        return TruthTable.from_string((), lines[0])
     if len(lines) != 2:
         raise ValueError(
             f"table file {path!r} must have two lines: names, then bits"
@@ -303,7 +313,10 @@ def _cmd_verify(args: argparse.Namespace) -> _Output:
     )
 
 
-def build_parser() -> argparse.ArgumentParser:
+def _build_parsers() -> tuple[
+    argparse.ArgumentParser, dict[str, argparse.ArgumentParser]
+]:
+    """The full parser, and each command word's own parser."""
     parser = argparse.ArgumentParser(
         prog="asymlogic",
         description="Logic toolchain for the IAND (@) and IMPLY (->) operators",
@@ -370,18 +383,37 @@ def build_parser() -> argparse.ArgumentParser:
             default="text",
             help="structured prints one JSON record per line",
         )
-    return parser
+    return parser, sub.choices
 
 
-_parser: argparse.ArgumentParser | None = None
+_parsers: tuple[
+    argparse.ArgumentParser, dict[str, argparse.ArgumentParser]
+] | None = None
+
+
+def _parse(argv: list[str] | None) -> argparse.Namespace:
+    """``argv`` as the full parser's ``parse_args`` reads it, printing the
+    same help and errors.  When the first word names a command, that
+    command's parser reads the rest, which skips the full parser's pass;
+    anything else, and a command whose parser leaves words over, goes
+    through the full parser, which reports them under its own usage."""
+    global _parsers
+    if _parsers is None:  # built on first use, then kept for the process
+        _parsers = _build_parsers()
+    parser, commands = _parsers
+    if argv is None:
+        argv = sys.argv[1:]
+    if argv and argv[0] in commands:
+        args, rest = commands[argv[0]].parse_known_args(
+            argv[1:], argparse.Namespace(command=argv[0]))
+        if not rest:
+            return args
+    return parser.parse_args(argv)
 
 
 def main(argv: list[str] | None = None) -> int:
-    global _parser
-    if _parser is None:  # built on first use, then kept for the process
-        _parser = build_parser()
     try:
-        args = _parser.parse_args(argv)
+        args = _parse(argv)
     except SystemExit as ex:
         return ex.code if isinstance(ex.code, int) else 2
     try:

@@ -5,8 +5,11 @@ row bits), over the table's int mask: bit ``r`` of ``imp[D]`` is set when
 the cube with value ``r`` and dashes ``D`` lies inside ON plus don't-cares.
 ``imp[0]`` is that union, and adding the dash ``p`` is one shift-AND,
 ``imp[D | p] = imp[D] & (imp[D] >> 2**p)`` over the rows with bit ``p``
-clear.  The primes with dashes ``D`` are the bits of ``imp[D]`` that no
-implicant with one more dash contains.  Covers are chosen exactly
+clear.  Only non-empty masks are made: each set grows from the set
+without its highest dash, once, and an empty mask ends its growth.  The
+primes with dashes ``D`` are the bits of ``imp[D]`` that no implicant with
+one more dash contains; each implicant marks its two halves in the sets
+one dash smaller.  Covers are chosen exactly
 (essential cubes first, then a branch and bound over the rest) with the
 objective ordered by total literal count, then cube count, then ascending
 cube encoding.  The chosen cubes are re-emitted as SOI or NOI terms over
@@ -125,12 +128,44 @@ class PrimeImplicantSet:
         for q in self.cubes:
             q._check_width(len(self.variables))
 
+    @classmethod
+    def _of(
+        cls, variables: tuple[str, ...], cubes: tuple[Cube, ...]
+    ) -> "PrimeImplicantSet":
+        """The set over a table's names, which the table has checked."""
+        s = object.__new__(cls)
+        vars(s).update(variables=variables, cubes=cubes)
+        return s
+
+
+# the trace line of each kind of cover search event (kind, cube, row)
+_TRACE = {
+    "essential": "essential {q.trits}: sole cover of row {row}",
+    "selected": "selected {q.trits}: completes the cover",
+    "degenerate": "degenerate: all-dash cube, function is constant 1",
+}
+
 
 @dataclass(frozen=True)
 class CoverSolution:
+    """A cover, its literal count and the steps that chose it.  A cover
+    from the search words its ``trace`` when it is first read."""
+
     cubes: tuple[Cube, ...]
     cost: int  # total literal count
     trace: tuple[str, ...]
+
+    def __getattr__(self, name: str):
+        # called only for a missing attribute: the trace of a cover from
+        # the search, worded from its (kind, cube, row) events
+        if name != "trace" or "_events" not in vars(self):
+            raise AttributeError(
+                f"{type(self).__name__!r} object has no attribute {name!r}"
+            )
+        trace = tuple([_TRACE[kind].format(q=q, row=row)
+                       for kind, q, row in self._events])
+        vars(self)["trace"] = trace
+        return trace
 
     def products(self, names: tuple[str, ...]) -> tuple[Product, ...]:
         """The cubes as products of ``names``, the table's variables.  The
@@ -184,38 +219,37 @@ def prime_implicants(
     )
     if len(names) != n:
         raise ValueError("minimize: variable list does not match n")
-    return _prime_implicants(on, dcs, tuple(names))
+    return PrimeImplicantSet(tuple(names), _prime_implicants(on, dcs, n))
 
 
-def _prime_implicants(
-    on: int, dc: int, names: tuple[str, ...]
-) -> PrimeImplicantSet:
-    """``prime_implicants`` over row masks; the caller has checked that
-    ``len(names) <= MAX_MINIMIZE_VARS``."""
-    n = len(names)
+def _prime_implicants(on: int, dc: int, n: int) -> tuple[Cube, ...]:
+    """The cubes of ``prime_implicants`` over row masks; the caller has
+    checked that ``n <= MAX_MINIMIZE_VARS``."""
     full = (1 << n) - 1
-    # clear[p]: the rows whose bit p is 0
-    clear = [~col for col in reversed(_rails(n)[0])]
-    # imp[d]: the values of the implicants with dash set d (0 once a
-    # subset's mask is empty, since every superset's is then empty too)
-    imp = [0] * (1 << n)
-    imp[0] = on | dc
-    for d in range(1, 1 << n):
-        low = d & -d
-        m = imp[d ^ low]
-        if m:
-            imp[d] = m & (m >> low) & clear[low.bit_length() - 1]
-    found = []
-    for d, m in enumerate(imp):
-        if not m:
-            continue
-        care = full ^ d
-        rest = care
-        while rest:  # drop the halves of each implicant with one more dash
+    # (2**p, the rows whose bit p is 0) for each dash p
+    dashes = [(1 << p, ~col) for p, col in enumerate(reversed(_rails(n)[0]))]
+    # (d, imp[d]) for each dash set d whose mask is non-empty.  Each set is
+    # grown once, from d without its highest dash, and an empty mask stops
+    # the growth, since every superset's mask is then empty too.
+    grown = [(0, on | dc)]
+    for d, m in grown:  # grows as it is read
+        for low, clear in dashes[d.bit_length():]:
+            up = m & (m >> low) & clear
+            if up:
+                grown.append((d | low, up))
+    # covered[d]: the values with dashes d inside an implicant with one
+    # more dash, both halves of each, marked from the larger sets
+    covered = [0] * (1 << n)
+    for d, m in grown:
+        rest = d
+        while rest:
             low = rest & -rest
-            up = imp[d | low]
-            m &= ~(up | up << low)
+            covered[d ^ low] |= m | m << low
             rest ^= low
+    found = []
+    for d, m in grown:
+        m &= ~covered[d]
+        care = full ^ d
         while m:
             found.append((lowest_row(m), care))
             m &= m - 1
@@ -223,7 +257,7 @@ def _prime_implicants(
     cubes = [Cube._of(v, c, n) for v, c in found]
     if dc:  # drop the cubes that cover only don't-cares
         cubes = [q for q in cubes if _rows(q) & on]
-    return PrimeImplicantSet(names, tuple(cubes))
+    return tuple(cubes)
 
 
 def _rows(q: Cube) -> int:
@@ -261,7 +295,7 @@ def _minimum_cover(primes: PrimeImplicantSet, uncovered: int) -> CoverSolution:
     """``minimum_cover`` of the ON rows in the mask ``uncovered``."""
     cubes = list(primes.cubes)
     masks = [_rows(q) for q in cubes]
-    trace: list[str] = []
+    events: list[tuple[str, Cube, int | None]] = []
     chosen: list[Cube] = []
     once = twice = 0
     for m in masks:
@@ -278,7 +312,7 @@ def _minimum_cover(primes: PrimeImplicantSet, uncovered: int) -> CoverSolution:
     )
     for r, i in essentials:
         chosen.append(cubes[i])
-        trace.append(f"essential {cubes[i].trits}: sole cover of row {r}")
+        events.append(("essential", cubes[i], r))
         uncovered &= ~masks[i]
 
     if uncovered:
@@ -290,14 +324,17 @@ def _minimum_cover(primes: PrimeImplicantSet, uncovered: int) -> CoverSolution:
         )
         for q in sorted(best, key=Cube.sort_key):
             chosen.append(q)
-            trace.append(f"selected {q.trits}: completes the cover")
+            events.append(("selected", q, None))
 
     for q in chosen:
         if q.literal_count == 0:
-            trace.append("degenerate: all-dash cube, function is constant 1")
+            events.append(("degenerate", q, None))
     chosen.sort(key=Cube.sort_key)
-    cost = sum(q.literal_count for q in chosen)
-    return CoverSolution(tuple(chosen), cost, tuple(trace))
+    cover = object.__new__(CoverSolution)
+    vars(cover).update(cubes=tuple(chosen),
+                       cost=sum(q.literal_count for q in chosen),
+                       _events=events)
+    return cover
 
 
 def _branch_and_bound(
@@ -403,11 +440,13 @@ def minimize_table(t: TruthTable) -> tuple[PrimeImplicantSet, CoverSolution]:
     """Prime implicants and a minimum cover for a table's ON-set."""
     if not t.mask:
         return (
-            PrimeImplicantSet(t.variables, ()),
+            PrimeImplicantSet._of(t.variables, ()),
             CoverSolution((), 0, ("empty ON-set: function is constant 0",)),
         )
-    _check_size(len(t.variables))
-    primes = _prime_implicants(t.mask, 0, t.variables)
+    n = len(t.variables)
+    _check_size(n)
+    primes = PrimeImplicantSet._of(
+        t.variables, _prime_implicants(t.mask, 0, n))
     return primes, _minimum_cover(primes, t.mask)
 
 

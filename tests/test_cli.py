@@ -627,6 +627,29 @@ class TestTableFileParsing:
         t = load_table_file(str(path))
         assert t.bits == (0, 1, 1, 0)
 
+    @pytest.mark.parametrize("expr", ["0", "1", "A @ B"])
+    def test_table_output_reads_back(self, capsys, tmp_path, expr):
+        # a constant's table has a blank names line, then its one bit
+        path = tmp_path / "t.tbl"
+        _, text, _ = run(capsys, "table", expr)
+        path.write_text(text)
+        src = ["--table-file", str(path)]
+        assert run(capsys, "table", *src) == (0, text, "")
+        for form in ("soi", "noi"):
+            got = run(capsys, "minimize", "--form", form, "--cover", *src)
+            assert got == run(capsys, "minimize", "--form", form, "--cover",
+                              expr)
+            assert got[0] == 0
+        t = load_table_file(str(path))
+        n = len(t.variables)
+        for row, bit in enumerate(t.bits):
+            bits = "".join(str(row >> (n - 1 - i) & 1) for i in range(n))
+            assert run(capsys, "simulate", "--target", "memristor", *src,
+                       "--inputs", bits) == (0, f"output {bit}\n", "")
+        # a netlist of no inputs is refused on both routes alike
+        assert run(capsys, "compile", "--target", "spindiode", *src) == run(
+            capsys, "compile", "--target", "spindiode", expr)
+
 
 def test_readme_quick_start(capsys):
     # the README's Quick start block runs and prints what its comments say
@@ -663,17 +686,63 @@ def test_head_pipe_does_not_crash():
     assert proc.returncode == 0
 
 
+# Every command with valid words; help, no words; an unknown command and a
+# bad choice; a word left over, an abbreviated option, and "--".
+DISPATCH_ARGV = [
+    ["table", "A @ B", "--vars", "B,A"],
+    ["laws", "--format", "structured"],
+    ["canon", "--form", "ion", "--table-file", "f.tbl"],
+    ["convert", "--to", "noi", "A @ B"],
+    ["minimize", "--form", "soi", "--cover", "A | B"],
+    ["compile", "--target", "memristor", "!(A & B)"],
+    ["simulate", "--target", "spindiode", "--inputs", "10", "A @ B"],
+    ["verify", "A", "A -> A"],
+    ["dual", "A @ B"],
+    ["dmdual", "A @ B @ C"],
+    ["-h"],
+    ["compile", "-h"],
+    [],
+    ["bogus", "A"],
+    ["compile", "--target", "fpga", "A"],
+    ["table", "A", "--bogus"],
+    ["table", "--tab", "f.tbl"],
+    ["table", "--", "-A"],
+    ["table", "A", "--", "B"],
+    ["--", "table", "A"],
+]
+
+
+def _parsed(parse, argv, capsys):
+    """The namespace, or the exit code, then what was printed."""
+    try:
+        result = parse(argv)
+    except SystemExit as ex:
+        result = ex.code
+    captured = capsys.readouterr()
+    return result, captured.out, captured.err
+
+
+@pytest.mark.parametrize("argv", DISPATCH_ARGV, ids=" ".join)
+def test_dispatch_reads_argv_as_the_full_parser(capsys, argv):
+    want = _parsed(cli._build_parsers()[0].parse_args, argv, capsys)
+    assert _parsed(cli._parse, argv, capsys) == want
+    if isinstance(want[0], argparse.Namespace):
+        assert want[0].command == argv[0]
+    else:  # main returns the exit code and prints the same words
+        assert run(capsys, *argv) == want
+
+
 def test_parser_is_built_once(monkeypatch, capsys):
     from asymlogic import cli
 
-    build, built = cli.build_parser, []
+    build, built = cli._build_parsers, []
 
-    def counting_build_parser():
+    def counting_build_parsers():
         built.append(1)
         return build()
 
-    monkeypatch.setattr(cli, "_parser", None)
-    monkeypatch.setattr(cli, "build_parser", counting_build_parser)
+    monkeypatch.setattr(cli, "_parsers", None)
+    monkeypatch.setattr(cli, "_build_parsers", counting_build_parsers)
     assert main(["table", "A @ B"]) == 0
     assert main(["table", "A -> B"]) == 0
     assert len(built) == 1

@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import copy
 import dataclasses
 import json
+import pickle
 import random
 import re
 import subprocess
@@ -280,10 +282,12 @@ class TestPrimesMatchReference:
             dcs = [r for r, k in enumerate(kinds) if k == "-"]
             self.same(ons, dcs, 3)
 
-    @pytest.mark.parametrize("n", [4, 5, 6, 7, 8])
+    @pytest.mark.parametrize("n", [4, 5, 6, 7, 8, 9, 10, 12])
     def test_seeded_tables(self, n):
+        # up to the minimize cap; there only the half-density table (k = 1),
+        # as the reference takes 0.4 s on it and 4 s on the cube list
         rng = random.Random(100 + n)
-        for k in range(12 if n < 8 else 4):
+        for k in range(n == 12, 12 if n < 8 else 4 if n == 8 else 2):
             rows = list(range(1 << n))
             if k % 2:
                 ons = [r for r in rows if rng.random() < 0.5]
@@ -374,6 +378,27 @@ class TestMinimumCover:
         assert len(cover.cubes) == 3 and cover.cost == 6
         assert all(line.startswith("selected") for line in cover.trace)
         assert truth_table(minimized_soi(t), t.variables).bits == t.bits
+
+    @pytest.mark.parametrize("t", [
+        CARRY,  # essentials
+        TruthTable(NAMES3, (1, 1, 1, 0, 0, 1, 1, 1)),  # selected
+        TruthTable(("A",), (1, 1)),  # degenerate
+        TruthTable(("A",), (0, 0)),  # constant 0, built by the constructor
+    ])
+    def test_deferred_trace_behaves_as_constructed(self, t):
+        # a cover from the search words its trace on first read; unread, it
+        # equals, hashes, prints and copies as the constructor's cover
+        read = minimize_table(t)[1]
+        built = CoverSolution(read.cubes, read.cost, read.trace)
+        assert minimize_table(t)[1] == built
+        assert hash(minimize_table(t)[1]) == hash(built)
+        assert repr(minimize_table(t)[1]) == repr(built)
+        assert copy.deepcopy(minimize_table(t)[1]) == built
+        assert pickle.loads(pickle.dumps(minimize_table(t)[1])) == built
+        cover = minimize_table(t)[1]
+        assert cover.trace is cover.trace
+        with pytest.raises(AttributeError, match="'traces'"):
+            cover.traces
 
     def test_uncoverable_row_raises(self):
         primes = prime_implicants([0], (), 2)

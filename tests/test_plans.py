@@ -118,7 +118,7 @@ class TestCompiledMatchesRebuilt:
         _same_netlist(compile_soi(e, inputs=("A", "B", "C", "D")))
 
     def test_every_three_variable_table_on_the_cli_route(self, tmp_path):
-        parser = cli.build_parser()
+        parser = cli._build_parsers()[0]
         for bits in product("01", repeat=8):
             path = tmp_path / "t.tbl"
             path.write_text("A B C\n" + "".join(bits) + "\n")
@@ -263,7 +263,7 @@ def _table_route(tmp_path, bits: str, target: str):
     """The CLI's program or netlist for the table ``bits`` over A B C."""
     path = tmp_path / "t.tbl"
     path.write_text(f"A B C\n{bits}\n")
-    args = cli.build_parser().parse_args(
+    args = cli._build_parsers()[0].parse_args(
         ["compile", "--target", target, "--table-file", str(path)])
     if target == "memristor":
         return cli._build_memristor(args)[0]
