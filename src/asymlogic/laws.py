@@ -3,7 +3,9 @@
 The rules are rows of text in the concrete grammar, one table each for the
 catalog, the classical helper rules and the demonstrations, and ``parse``
 reads them on first use.  Every ``Var`` leaf inside a rule pattern is a
-metavariable that matches an arbitrary subexpression.  A rule is admitted
+metavariable that matches an arbitrary subexpression.  A pattern is
+compiled once, into one closure per node (``_matcher``), and both
+``match_pattern`` and ``simplify`` run that matcher.  A rule is admitted
 to the default catalog only if ``verify_rule`` proves it by exhaustive
 enumeration, so the catalog doubles as a machine-checked law table.
 Expected-negative exhibits (shapes that look like laws but are not) live
@@ -14,9 +16,9 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from functools import cache
-from itertools import repeat
-from typing import Iterable
+from functools import cache, lru_cache
+from operator import attrgetter
+from typing import Callable, Iterable
 
 from .errors import NoMatchError, ShapeError
 from .expr import (
@@ -246,43 +248,61 @@ def export_report(reports: list[RuleReport]) -> str:
 
 # --- pattern matching and rewriting ---------------------------------------
 
+# A compiled pattern: ``match(subject, binding, complement)`` says whether
+# ``subject`` matches, adding to ``binding`` what it binds.  A ``!A`` binds
+# ``complement(subject)`` to ``A`` for a subject that is not a ``Not``.
+_Matcher = Callable[[Expr, dict[str, Expr], Callable[[Expr], Expr]], bool]
+
 
 def match_pattern(pattern: Expr, subject: Expr) -> dict[str, Expr] | None:
     """Match a metavariable pattern against a subject expression.
 
     Returns the binding on success, None otherwise.  A negated bare
     metavariable may bind to the complement of a non-negated subject, so
-    e.g. ``A @ !A`` matches ``!p @ p`` with ``A = !p``.
+    e.g. ``A @ !A`` matches ``!p @ p`` with ``A = !p``.  The complement is
+    ``normalize_not(Not(subject))``, for any subject.
     """
     binding: dict[str, Expr] = {}
-    if _match(pattern, subject, binding):
+    if _matcher(pattern)(subject, binding, _complement):
         return binding
     return None
 
 
-def _match(pattern: Expr, subject: Expr, binding: dict[str, Expr]) -> bool:
+def _complement(e: Expr) -> Expr:
+    return normalize_not(Not(e))
+
+
+@lru_cache(maxsize=512)
+def _matcher(pattern: Expr) -> _Matcher:
+    """``pattern`` compiled once: one closure per pattern node, with the
+    node's type and arity fixed.  A metavariable binds the subject it meets
+    first, and each later one must equal it."""
     t = type(pattern)
     if t is Var:
-        return _bind(pattern.name, subject, binding)
-    if type(subject) is not t:
-        return (
-            t is Not
-            and type(pattern.child) is Var
-            and _bind(pattern.child.name, normalize_not(Not(subject)), binding)
-        )
+        name = pattern.name
+        return lambda s, b, c: (v := b.setdefault(name, s)) is s or v == s
     if t is Const:
-        return subject.value == pattern.value
-    pk = children(pattern)
-    sk = children(subject)
-    return len(pk) == len(sk) and all(map(_match, pk, sk, repeat(binding)))
-
-
-def _bind(name: str, value: Expr, binding: dict[str, Expr]) -> bool:
-    seen = binding.get(name)
-    if seen is None:
-        binding[name] = value
-        return True
-    return seen == value
+        value = pattern.value
+        return lambda s, b, c: type(s) is Const and s.value == value
+    kids = tuple(map(_matcher, children(pattern)))
+    if t is Not:
+        m = kids[0]
+        if type(pattern.child) is Var:
+            return lambda s, b, c: m(s.child if type(s) is Not else c(s), b, c)
+        return lambda s, b, c: type(s) is Not and m(s.child, b, c)
+    chain = t is IandChain or t is ImplyChain
+    operands = attrgetter("operands" if chain else "children")
+    if len(kids) == 2:
+        m0, m1 = kids
+        return lambda s, b, c: (
+            type(s) is t and len(k := operands(s)) == 2
+            and m0(k[0], b, c) and m1(k[1], b, c)
+        )
+    n = len(kids)
+    return lambda s, b, c: (
+        type(s) is t and len(k := operands(s)) == n
+        and all(m(x, b, c) for m, x in zip(kids, k))
+    )
 
 
 def substitute(pattern: Expr, binding: dict[str, Expr]) -> Expr:
@@ -290,6 +310,22 @@ def substitute(pattern: Expr, binding: dict[str, Expr]) -> Expr:
         return binding[pattern.name]
     kids = tuple(substitute(k, binding) for k in children(pattern))
     return rebuild(pattern, kids)
+
+
+def _build(pattern: Expr, binding: dict[str, Expr]) -> Expr:
+    """``normalize_not(substitute(pattern, binding))`` for Not-normal bound
+    values, without a walk of any bound subtree.  Each ``Not`` of the
+    pattern is built as the ``negate`` of its built operand, which for a
+    Not-normal operand is its ``peel``ed ``Not``, and a chain's constructor
+    flattens a chain at its associative end as ``normalize_not`` would."""
+    t = type(pattern)
+    if t is Var:
+        return binding[pattern.name]
+    if t is Const:
+        return pattern
+    if t is Not:
+        return negate(_build(pattern.child, binding))
+    return t(tuple(_build(k, binding) for k in children(pattern)))
 
 
 def rewrite_once(e: Expr, rule: Rule, position: Path) -> Expr:
@@ -311,16 +347,17 @@ def rewrite_once(e: Expr, rule: Rule, position: Path) -> Expr:
 def _rewrite(e: Expr, path: Path, rule: Rule, binding: dict) -> Expr:
     """The one rewrite step: ``rule`` at ``path`` under ``binding``.
 
-    The substituted right side is Not-normalized, and each node rebuilt
-    above it is ``peel``ed, bottom up.  On a Not-normal ``e`` that is all
-    that ``normalize_not`` of the whole result would change: only a
+    The right side is built Not-normal from the binding (``_build``), and
+    each node rebuilt above it is ``peel``ed, bottom up.  On a Not-normal
+    ``e``, whose subtrees and so whose bound values are Not-normal, that is
+    all that ``normalize_not`` of the whole result would change: only a
     rebuilt ``Not`` can come to stand over a ``Not`` or a constant, and a
     rebuilt chain's constructor flattens a chain put at its associative
     end.  So the result is Not-normal, and every subtree off the path is
     the object it was in ``e``.  ``rewrite_once`` normalizes the result
-    whole, for any ``e``.
+    whole, for any ``e`` and binding.
     """
-    new = normalize_not(substitute(rule.rhs, binding))
+    new = _build(rule.rhs, binding)
     above = []
     for i in path:
         above.append(e)
@@ -356,6 +393,12 @@ def simplify(
     position) and stops when nothing reduces it or the budget runs out.
     A match is scored from its binding (``_literal_delta``); only a match
     that can still win is built and has its operators counted.
+
+    Every tree a round looks at is Not-normal, so no step walks a bound
+    subtree again: each rule's compiled left side binds a ``!A`` to the
+    ``negate`` of a node that is not a ``Not``, which is its
+    ``normalize_not(Not(node))``, and a candidate's right side is built
+    Not-normal from the binding (``_build``).
 
     Each node has one record per call, kept by node identity: its matches
     that cut literals, scored, its literal and operator counts, and the
@@ -430,9 +473,9 @@ def _record(node: Expr, records: dict[int, _Record], index: _Index) -> _Record:
         if k_least < least:
             least = k_least
     found = []
-    for rule, const, weights in index.rules(node):
-        binding = match_pattern(rule.lhs, node)
-        if binding is None:
+    for rule, const, weights, match in index.rules(node):
+        binding: dict[str, Expr] = {}
+        if not match(node, binding, negate):
             continue
         delta = const
         for name, w in weights:
@@ -503,11 +546,14 @@ def _can_reduce(const: int, weights: tuple[tuple[str, int], ...]) -> bool:
 
 # (rule, constant, weights) as ``_literal_delta`` gives them
 _Scored = tuple[Rule, int, tuple[tuple[str, int], ...]]
+# a scored rule and its compiled left side
+_Entry = tuple[Rule, int, tuple[tuple[str, int], ...], _Matcher]
 
 
 class _Index:
-    """Scored rules, and the ones to try on a node, narrowed by the node's
-    root type and the kind of each operand (``_kind``).
+    """Scored rules, each with its compiled left side (``_matcher``), and
+    the ones to try on a node, narrowed by the node's root type and the
+    kind of each operand (``_kind``).
 
     A pattern operand that is a constant matches only that constant; a
     metavariable or ``!A`` matches any operand; any other pattern only an
@@ -520,14 +566,14 @@ class _Index:
     """
 
     def __init__(self, scored: Iterable[_Scored]) -> None:
-        self.scored = tuple(scored)
+        self.scored = tuple((*s, _matcher(s[0].lhs)) for s in scored)
         self.shapes = {
             (type(s[0].lhs), len(children(s[0].lhs))) for s in self.scored
         }
         self.anywhere = tuple(s for s in self.scored if _wild(s[0].lhs))
-        self.narrowed: dict[tuple, tuple[_Scored, ...]] = {}
+        self.narrowed: dict[tuple, tuple[_Entry, ...]] = {}
 
-    def rules(self, node: Expr) -> tuple[_Scored, ...]:
+    def rules(self, node: Expr) -> tuple[_Entry, ...]:
         t = type(node)
         kids = children(node)
         if (t, len(kids)) not in self.shapes:

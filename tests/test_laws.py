@@ -208,6 +208,15 @@ class TestMatching:
         binding = match_pattern(pattern, subject)
         assert binding == {"A": Not(Var("p"))}
 
+    def test_complement_binding_normalizes_any_subject(self):
+        # the complement of !!p & q is !(p & q), equal to the first operand;
+        # Not(subject) alone would be !(!!p & q) and miss the match
+        p, q = Var("p"), Var("q")
+        subject = IandChain((Not(And((p, q))), And((Not(Not(p)), q))))
+        want = {"A": Not(And((p, q)))}
+        assert match_pattern(parse("A @ !A"), subject) == want
+        assert reference_match_pattern(parse("A @ !A"), subject) == want
+
     def test_arity_must_agree(self):
         assert match_pattern(IandChain((A, B)), IandChain((A, B, C))) is None
         assert match_pattern(And((A, B)), And((A, B, C))) is None
@@ -593,6 +602,7 @@ class TestTreeWalksMatchReference:
 
     @settings(deadline=None)
     @given(_TREES)
+    @example(parse("!(p & q) @ (!!p & q)"))  # complement of a non-normal node
     def test_every_rule_at_every_subtree(self, e):
         for _, node in iter_subexpressions(e):
             for rule in _ALL_RULES:

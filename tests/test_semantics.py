@@ -26,10 +26,12 @@ from asymlogic.expr import (
     Var,
     variables,
 )
+from asymlogic.laws import simplify
 from asymlogic.memristor import compile_noi
 from asymlogic.semantics import (
     MAX_TABLE_VARS,
     TruthTable,
+    check_oracle,
     classical_dual_tt,
     demorgan_dual_tt,
     equivalent,
@@ -259,6 +261,41 @@ class TestEquivalence:
         assert v.equal == (want is None)
         if want is not None:
             assert list(v.counterexample.items()) == list(want.items())
+
+
+class TestOracle:
+    """``check_oracle`` tabulates both sides, except for one object passed
+    as both, which computes its own function."""
+
+    @staticmethod
+    def _count(monkeypatch) -> list:
+        calls = []
+        real = semantics._table_masks
+
+        def counting(names, *exprs):
+            calls.append(len(exprs))
+            return real(names, *exprs)
+
+        monkeypatch.setattr(semantics, "_table_masks", counting)
+        return calls
+
+    def test_one_object_is_not_evaluated(self, monkeypatch):
+        calls = self._count(monkeypatch)
+        e = IandChain((A, Not(B)))
+        check_oracle(e, e, "same")
+        assert calls == []
+        check_oracle(e, IandChain((A, Not(B))), "equal")  # a copy is checked
+        assert calls == [2]
+        with pytest.raises(AssertionError, match="wrong"):
+            check_oracle(e, Not(e), "wrong")
+
+    def test_simplify_without_a_step_is_not_evaluated(self, monkeypatch):
+        calls = self._count(monkeypatch)
+        e = IandChain((A, B))
+        assert simplify(e).expression is e
+        assert calls == []
+        simplify(IandChain((A, Const(0))))  # one step: A @ 0 => A
+        assert calls == [2]
 
 
 def _random_tables(seed: int):
