@@ -7,12 +7,17 @@ functions with exactly one ON row / one OFF row respectively; outside that
 domain they return an ``Unsupported`` value rather than raising.
 
 Two-level forms.  SOI and NOI are two spellings of one sum of products,
-held as a tuple of products, each a tuple of literals (``()`` is 0, a form
-holding the empty product is 1).  One reader takes an expression apart in
-a single pass, into its variable names, its products and a check of its
-shape; ``soi_products`` / ``noi_products`` return its products and the
-compilers take its names too.  ``soi_form`` / ``noi_form`` write a sum of
-products back; a product ``l1 .. lk`` is written
+held as ``(names, products)``: a product is a tuple of literal codes
+``2*i + p``, the ``i``-th name plain (``p = 1``) or complemented
+(``p = 0``), so ``code ^ 1`` is the complement; ``()`` is 0, and a form
+holding the empty product is 1.  The reader (``_read``) takes an
+expression apart into that form in one pass, checking its shape, and
+``cube_form`` makes it from cubes; both number the names in first-read
+order.  The compilers take the form as it is; ``soi_products`` /
+``noi_products`` decode it into literals through ``literal_table``, one
+``Var`` and one ``Not`` per name, indexed by code.  ``soi_form`` /
+``noi_form`` write a sum of products of literals back; a product
+``l1 .. lk`` is written
 
 * as an SOI term ``IandChain(l1, !l2, ..., !lk)``: the head as written, the
   rest complemented, because the chain evaluates ``l1 AND NOT(!l2)...``;
@@ -23,13 +28,13 @@ A one-literal product is the bare literal (SOI) or its complement (NOI).
 By the conversion theorem ``NOT(x1 @ ... @ xk) = !xk -> ... -> !x1``,
 converting between the forms reverses each product.  The reader folds
 constant operands with the chain identity laws: a literal that is 1 drops
-out, a 0 drops its product, and the empty product makes the whole form 1.
-It reads every term and operand even so, and raises ShapeError for any of
-the wrong shape, wherever it stands.  It reads a ``Var`` or ``Not(Var)``
-operand as it stands and peels every other node it reads with
-``expr.peel``.  The reader and both writers complement with
-``expr.negate``, the one negation rule; the writers take their products
-as literals, as the reader, ``literals`` and the minimizer make them.
+out, a 0 drops its product, and the empty product makes the whole form 1;
+a name it read keeps its number even so.  It reads every term and operand,
+and raises ShapeError for any of the wrong shape, wherever it stands.  It
+reads a ``Var`` or ``Not(Var)`` operand as it stands and peels every other
+node it reads with ``expr.peel``.  The writers complement with
+``expr.negate``, the one negation rule, and the reader complements a code
+with ``^ 1``.
 
 Canonical terms are ordered by ascending minterm index.
 """
@@ -37,6 +42,7 @@ Canonical terms are ordered by ascending minterm index.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterable
 
 from .errors import ShapeError
 from .expr import (
@@ -62,27 +68,44 @@ class Unsupported:
 
 
 Product = tuple[Expr, ...]  # literals: each a Var or a Not(Var)
+Codes = tuple[int, ...]  # a product as literal codes over a names tuple
+Form = tuple[tuple[str, ...], tuple[Codes, ...]]  # (names, products)
 
 
-LiteralTable = tuple[tuple[int, tuple[Not, Var]], ...]
+def literal_table(names: tuple[str, ...]) -> tuple[Expr, ...]:
+    """The ``2n`` literals of a names tuple, indexed by code: ``Not(v)``
+    then ``v`` per name, each built once, so every product decoded
+    through one table shares these nodes."""
+    return tuple(x for v in map(Var, names) for x in (Not(v), v))
 
 
-def literal_table(names: tuple[str, ...]) -> LiteralTable:
-    """The ``2n`` literals of a variable order, each built once: per name
-    (the first is the MSB) its row bit and its pair ``(Not(v), v)``, so
-    the literal of polarity ``p`` is ``pair[p]``.  Every product built
-    from one table shares these nodes."""
+def cube_form(
+    names: tuple[str, ...], cubes: Iterable[tuple[int, int]]
+) -> Form:
+    """Cubes ``(value, care)`` over ``names`` (the first is the MSB) as a
+    two-level form over the names they read, numbered in first-read
+    order.  Each name whose ``care`` bit is set is a literal, complemented
+    where its ``value`` bit is clear; a minterm cares for every name:
+    ``care = -1``."""
     n = len(names)
-    return tuple(
-        (n - 1 - i, (Not(v), v)) for i, v in enumerate(map(Var, names))
-    )
+    index: dict[int, int] = {}  # row bit -> number, given as first read
+    products = []
+    for value, care in cubes:
+        care &= (1 << n) - 1
+        p = []
+        while care:
+            b = care.bit_length() - 1  # the first name left
+            care ^= 1 << b
+            p.append(2 * index.setdefault(b, len(index)) + (value >> b & 1))
+        products.append(tuple(p))
+    return tuple([names[n - 1 - b] for b in index]), tuple(products)
 
 
-def literals(table: LiteralTable, value: int, care: int) -> Product:
-    """A cube's literals, picked from ``table``: each variable whose
-    ``care`` bit is set, complemented where its ``value`` bit is clear.
-    A minterm cares for every variable: ``care = -1``."""
-    return tuple(pair[value >> b & 1] for b, pair in table if care >> b & 1)
+def _decoded(form: Form) -> tuple[Product, ...]:
+    """The products of a two-level form as literals, from one
+    ``literal_table`` of its names."""
+    table = literal_table(form[0])
+    return tuple([tuple(map(table.__getitem__, p)) for p in form[1]])
 
 
 def soi_term(literals: Product) -> Expr:
@@ -123,11 +146,10 @@ _SOI_SHAPE = "an SOI expression (OR of IAND chains or literals)"
 _NOI_SHAPE = "a NOI expression (negated AND of IMPLY chains or literals)"
 
 
-def _read(
-    e: Expr, noi: bool
-) -> tuple[tuple[str, ...], tuple[Product, ...]]:
-    """Read an SOI expression, or a NOI expression if ``noi``, in one pass:
-    its variable names in first-appearance order and its sum of products.
+def _read(e: Expr, noi: bool) -> Form:
+    """Read an SOI expression, or a NOI expression if ``noi``, in one pass
+    as a two-level form: its variable names in first-appearance order and
+    its sum of products, as codes over those names.
 
     Every term and every operand is read, so a term or an operand of the
     wrong shape raises ShapeError wherever it stands.  A literal or a
@@ -149,8 +171,8 @@ def _read(
         noi = False
         terms = e.children if t is Or else (e,)
     chain, shape = (ImplyChain, _NOI_SHAPE) if noi else (IandChain, _SOI_SHAPE)
-    names: list[str] = []
-    products: list[Product] = []
+    index: dict[str, int] = {}  # each name's number, given as first read
+    products: list[Codes] = []
     for term in terms:
         t = type(term)
         if t is Not:
@@ -164,7 +186,7 @@ def _read(
             raise ShapeError(f"canon: not {shape}: got {t.__name__}")
         # SOI complements every operand after the head, NOI only the last
         cut = len(ops) - 1 if noi else 1
-        kept: list[Expr] = []
+        kept: list[int] = []
         zero = False
         for i, x in enumerate(ops):
             t = type(x)
@@ -184,25 +206,25 @@ def _read(
                     "canon: chain operands must be literals, "
                     f"got {t.__name__}"
                 )
-            names.append(v.name)
-            kept.append(x if i < cut else negate(x))
+            code = 2 * index.setdefault(v.name, len(index)) + (x is v)
+            kept.append(code if i < cut else code ^ 1)
         if not zero:
             products.append(tuple(kept))
     if () in products:
         products = [()]
-    return tuple(dict.fromkeys(names)), tuple(products)
+    return tuple(index), tuple(products)
 
 
 def soi_products(e: Expr) -> tuple[Product, ...]:
     """Read an SOI expression (an OR of IAND chains of literals, a chain, a
     literal or a constant) as a sum of products."""
-    return _read(e, False)[1]
+    return _decoded(_read(e, False))
 
 
 def noi_products(e: Expr) -> tuple[Product, ...]:
     """Read a NOI expression (a negated AND of IMPLY chains of literals, a
     negated chain, a literal or a constant) as a sum of products."""
-    return _read(e, True)[1]
+    return _decoded(_read(e, True))
 
 
 def _require_vars(t: TruthTable, what: str) -> None:
@@ -210,9 +232,12 @@ def _require_vars(t: TruthTable, what: str) -> None:
         raise ShapeError(f"canon: {what} needs a table with >= 1 variable")
 
 
-def _minterms(t: TruthTable) -> tuple[Product, ...]:
-    table = literal_table(t.variables)
-    return tuple(literals(table, r, -1) for r in rows_of(t.mask))
+def _minterms(
+    t: TruthTable, rows: Iterable[int] | None = None
+) -> tuple[Product, ...]:
+    """The minterm of each of ``rows``, by default the ON rows of ``t``."""
+    rows = rows_of(t.mask) if rows is None else rows
+    return _decoded(cube_form(t.variables, [(r, -1) for r in rows]))
 
 
 def soi_from_tt(t: TruthTable) -> Expr:
@@ -249,20 +274,6 @@ def noi_to_soi(e: Expr) -> Expr:
     return result
 
 
-def _maxterm_sum(table: LiteralTable, row: int) -> Expr:
-    """Full-support sum that is false exactly at ``row``: the complement
-    of each literal of its minterm, the literals of ``~row``."""
-    lits = literals(table, ~row, -1)
-    return lits[0] if len(lits) == 1 else Or(lits)
-
-
-def _minterm_nand(table: LiteralTable, row: int) -> Expr:
-    """Negated full-support product that is false exactly at ``row``."""
-    lits = literals(table, row, -1)
-    body = lits[0] if len(lits) == 1 else And(lits)
-    return negate(body)
-
-
 def ios_from_tt(t: TruthTable) -> Expr | Unsupported:
     """IAND of sums; representable exactly when the ON-set is one row.
 
@@ -279,8 +290,10 @@ def ios_from_tt(t: TruthTable) -> Expr | Unsupported:
         )
     p = t.mask.bit_length() - 1
     off = lowest_row(~t.mask)
-    table = literal_table(t.variables)
-    result = IandChain((_maxterm_sum(table, off), _maxterm_sum(table, p)))
+    # the sums false exactly at ``off`` and at ``p``: each is the
+    # complement of that row's minterm, the literals of ``~row``
+    result = IandChain(tuple(x[0] if len(x) == 1 else Or(x)
+                             for x in _minterms(t, [~off, ~p])))
     check_oracle(result, t, "canon")
     return result
 
@@ -302,11 +315,10 @@ def ion_from_tt(t: TruthTable) -> Expr | Unsupported:
             "an IMPLY of full-support minterm-NANDs denotes a function with "
             f"at most one OFF row; this table has {offs.bit_count()} OFF rows"
         )
-    table = literal_table(t.variables)
     p = (offs or 1 << top).bit_length() - 1
-    n1 = _minterm_nand(table, t.mask.bit_length() - 1)
-    n2 = _minterm_nand(table, p)
-    result = ImplyChain((n1, n2))
+    rows = [t.mask.bit_length() - 1, p]
+    result = ImplyChain(tuple(negate(x[0] if len(x) == 1 else And(x))
+                              for x in _minterms(t, rows)))
     check_oracle(result, t, "canon")
     return result
 

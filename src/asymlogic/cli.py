@@ -37,6 +37,7 @@ from typing import Callable
 from . import memristor, spindiode
 from .canon import (
     Unsupported,
+    cube_form,
     ion_from_tt,
     ios_from_tt,
     noi_from_tt,
@@ -219,23 +220,28 @@ def _cmd_minimize(args: argparse.Namespace) -> _Output:
     )
 
 
+def _table_form(args: argparse.Namespace):
+    """The table file's table, and its minimum cover as a two-level form
+    over the names the cover reads, in first-read order."""
+    t = _source_table(args)
+    return t, cube_form(t.variables, minimize_table(t)[1]._pairs)
+
+
 def _build_memristor(args: argparse.Namespace):
     """The program, and the input order that ``--inputs`` reads: the table
     file's header, or first appearance in the expression, which is also
     the order of the program's bindings."""
     if args.table_file is not None:
-        t = _source_table(args)
-        products = minimize_table(t)[1].products(t.variables)
-        return memristor._compile(t.variables, products, t, True), t.variables
+        t, form = _table_form(args)
+        return memristor._compile(t.variables, form, t, True), t.variables
     program = compile_noi(_source_expr(args))
     return program, tuple(n for n, _ in program.bindings)
 
 
 def _build_spindiode(args: argparse.Namespace):
     if args.table_file is not None:
-        t = _source_table(args)
-        products = minimize_table(t)[1].products(t.variables)
-        return spindiode._compile(t.variables, products, t)
+        t, form = _table_form(args)
+        return spindiode._compile(t.variables, form, t)
     return compile_soi(_source_expr(args))
 
 

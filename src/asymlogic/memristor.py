@@ -18,11 +18,12 @@ and assigns registers as it emits the steps, not in a second pass: inputs
 are pinned to ``r0 .. r(k-1)``, each RESET takes the smallest free
 register, and a scratch register is free again right after its last read.
 
-Three sources reach that one compiler (``_compile``): a NOI expression
-(``compile_noi``), bound in first-appearance order; a table's minimum
-cover (the CLI's table route), checked over the table's header and bound
-in the order its products first read each name; and the NAND of two names
-(``compile_nand``), whose schedule is ``RESET s; IMPLY p, s; IMPLY q, s``.
+Three sources reach that one compiler (``_compile``) as a two-level form
+of literal codes (``canon``), which binds its ``i``-th name to register
+``i``: a NOI expression (``compile_noi``), in first-appearance order; a
+table's minimum cover (the CLI's table route), checked over the table's
+header, in the order its products first read each name; and the NAND of
+two names (``compile_nand``), ``RESET s; IMPLY p, s; IMPLY q, s``.
 
 A program's plan is ``_plan``, a ``(read, written)`` register pair per
 step with ``read`` None for a ``RESET``.  The compiler emits that plan and
@@ -59,7 +60,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Union
 
-from .canon import Product, _read
+from .canon import Codes, Form, _read
 from .expr import And, Expr, Not, Var, _check_name
 from .semantics import TruthTable, _bit, _check_count, _rails, check_oracle
 
@@ -275,9 +276,8 @@ def compile_nand(in1: str, in2: str) -> ImplyProgram:
     ``!(in1 & in2)``, replays it over every row and checks it against the
     NAND.  Two equal names raise ``ValueError``.
     """
-    a, b = Var(in1), Var(in2)
-    return _compile((in1, in2), ((Not(a),), (Not(b),)), Not(And((a, b))),
-                    True)
+    names, want = (in1, in2), Not(And((Var(in1), Var(in2))))
+    return _compile(names, (names, ((0,), (2,))), want, True)
 
 
 def compile_noi(e: Expr, *, peephole: bool = True) -> ImplyProgram:
@@ -299,25 +299,19 @@ def compile_noi(e: Expr, *, peephole: bool = True) -> ImplyProgram:
     ``e`` (``semantics.check_oracle``): a wrong schedule raises
     ``AssertionError``.
     """
-    names, products = _read(e, noi=True)
-    return _compile(names, products, e, peephole)
+    form = _read(e, noi=True)
+    return _compile(form[0], form, e, peephole)
 
 
 def _compile(
-    names: tuple[str, ...], products: tuple[Product, ...],
-    want: Expr | TruthTable, peephole: bool,
+    names: tuple[str, ...], form: Form, want: Expr | TruthTable,
+    peephole: bool,
 ) -> ImplyProgram:
-    """``_lower``'s program, replayed over every row of ``names`` and checked
-    against ``want``.  An expression's program binds ``names``; a table's
-    binds the names its products read, in first-read order.  More than
-    ``MAX_TABLE_VARS`` names raise ``CapacityError``."""
+    """``_lower``'s program of a two-level form, which binds the form's
+    names, replayed over every row of ``names`` and checked against
+    ``want``.  More than ``MAX_TABLE_VARS`` names raise ``CapacityError``."""
     _check_count(len(names))
-    bound = names
-    if isinstance(want, TruthTable):
-        bound = tuple(dict.fromkeys(
-            x.child.name if type(x) is Not else x.name
-            for p in products for x in p))
-    program = _lower(bound, products, peephole)
+    program = _lower(*form, peephole)
     cols, _, full = _rails(len(names))
     col = dict(zip(names, cols))
     regs = [0] * program.registers
@@ -334,21 +328,16 @@ def _compile(
 
 
 def _lower(
-    names: tuple[str, ...], products: tuple[Product, ...], peephole: bool
+    names: tuple[str, ...], products: tuple[Codes, ...], peephole: bool
 ) -> ImplyProgram:
     nin = len(names)
     bindings = tuple((name, i) for i, name in enumerate(names))
-    src_of = {name: i for i, name in enumerate(names)}
     match products:
-        case ((),):
-            return _from_plan(
-                nin + 2,
-                bindings,
-                nin + 1,
-                ((None, nin), (None, nin + 1), (nin, nin + 1)),
-            )
-        case ((Var(name),),):
-            return _from_plan(nin, bindings, src_of[name], ())
+        case ((),):  # 1 is 0 -> 0: two resets and an IMPLY
+            plan = ((None, nin), (None, nin + 1), (nin, nin + 1))
+            return _from_plan(nin + 2, bindings, nin + 1, plan)
+        case ((c,),) if c & 1:  # a plain literal is its input register
+            return _from_plan(nin, bindings, c >> 1, ())
 
     # Every scratch register is free again at the end of its term, so the
     # smallest free register a RESET takes is fixed by its role: the
@@ -356,41 +345,32 @@ def _lower(
     # inverts a literal, and g, the second inversion of the textbook
     # lowering.
     out, w, f, g = nin, nin + 1, nin + 2, nin + 3
-    # a literal's steps into w: one IMPLY, after inverting a negation into f
-    positive = {name: ((r, w),) for name, r in src_of.items()}
-    negative = {
-        name: ((None, f), (r, f), (f, w)) for name, r in src_of.items()
-    }
+    # the steps into w of literal code c, on register c >> 1: one IMPLY,
+    # after inverting a complemented literal (c even) into f
+    into_w = [s for r in range(nin) for s in (
+        ((None, f), (r, f), (f, w)), ((r, w),))]
 
     plan: list[tuple[int | None, int]] = [(None, out)]
-    top = out  # the highest register used
     for p in products:
         # the term is the IMPLY chain p1 -> ... -> p(k-1) -> !pk, that is
         # NOT p1 OR ... OR NOT pk: one IMPLY per literal
         last = p[-1]
-        if type(last) is Not:
-            if peephole and len(p) == 1:
-                # the work register would hold NOT (NOT y), which is y
-                plan.append((src_of[last.child.name], out))
-                continue
-            tail = negative[last.child.name]
-            top = max(top, f)
-        elif peephole:
-            tail = positive[last.name]
-            top = max(top, w)
+        if peephole and len(p) == 1 and not last & 1:
+            # the work register would hold NOT (NOT y), which is y
+            plan.append((last >> 1, out))
+            continue
+        if peephole or not last & 1:
+            tail = into_w[last]
         else:
-            tail = ((None, f), (src_of[last.name], f), (None, g), (f, g),
-                    (g, w))
-            top = g
+            tail = ((None, f), (last >> 1, f), (None, g), (f, g), (g, w))
         plan.append((None, w))
-        for x in p[:-1]:
-            if type(x) is Var:
-                plan += positive[x.name]
-            else:
-                plan += negative[x.child.name]
-                top = max(top, f)
+        for c in p[:-1]:
+            plan += into_w[c]
         plan += tail
         plan.append((w, out))
+    # the highest register is the highest written: every read is of an
+    # input or of a register written before it
+    top = max([r for _, r in plan])
     return _from_plan(top + 1, bindings, out, tuple(plan))
 
 

@@ -12,8 +12,10 @@ one more dash contains; each implicant marks its two halves in the sets
 one dash smaller.  Covers are chosen exactly
 (essential cubes first, then a branch and bound over the rest) with the
 objective ordered by total literal count, then cube count, then ascending
-cube encoding.  The chosen cubes are re-emitted as SOI or NOI terms over
-only their non-dash literals.
+cube encoding.  The search runs on ``(value, care)`` pairs, and a set or
+cover makes its ``Cube`` objects only when its ``cubes`` are read.  The
+CLI's table route hands the chosen pairs to both compilers as literal
+codes (``canon.cube_form``); ``cover_form`` decodes them into terms.
 
 Cubes are ``(value, care)`` ints over the row bits, first variable as the
 MSB.  Their trit view has one character per variable in table order ('1'
@@ -35,7 +37,9 @@ from .semantics import (
     lowest_row,
     rows_of,
 )
-from .canon import Product, literal_table, literals, noi_form, soi_form
+from .canon import Product, _decoded, cube_form, noi_form, soi_form
+
+Pair = tuple[int, int]  # a cube as (value, care)
 
 MAX_MINIMIZE_VARS = 12
 # Budget units one cover search may use (see ``_branch_and_bound``).  The
@@ -105,7 +109,7 @@ class Cube:
     def literals(self, names: tuple[str, ...]) -> Product:
         """The cube as a product of ``names``, the table's variables."""
         self._check_width(len(names))
-        return literals(literal_table(names), self.value, self.care)
+        return _products(names, [(self.value, self.care)])[0]
 
     def _check_width(self, n: int) -> None:
         if self.width != n:
@@ -130,12 +134,33 @@ class PrimeImplicantSet:
 
     @classmethod
     def _of(
-        cls, variables: tuple[str, ...], cubes: tuple[Cube, ...]
+        cls, variables: tuple[str, ...], pairs: tuple[Pair, ...]
     ) -> "PrimeImplicantSet":
-        """The set over a table's names, which the table has checked."""
+        """The set of ``(value, care)`` pairs over a table's names, which
+        the table has checked; its ``cubes`` are made on first read."""
         s = object.__new__(cls)
-        vars(s).update(variables=variables, cubes=cubes)
+        vars(s).update(variables=variables, _pairs=pairs,
+                       _width=len(variables))
         return s
+
+    def __getattr__(self, name: str):
+        return _cube_view(self, name)
+
+
+def _cube_view(obj, name: str):
+    """A missing ``cubes`` or ``_pairs`` of a set or a cover, made from the
+    other on first read: the search keeps ``(value, care)`` pairs, and a
+    set or cover built from cubes has only those."""
+    d = vars(obj)
+    if name == "cubes" and "_pairs" in d:
+        d[name] = tuple([Cube._of(*q, d["_width"]) for q in d["_pairs"]])
+    elif name == "_pairs" and "cubes" in d:
+        d[name] = tuple([(q.value, q.care) for q in d["cubes"]])
+    else:
+        raise AttributeError(
+            f"{type(obj).__name__!r} object has no attribute {name!r}"
+        )
+    return d[name]
 
 
 # the trace line of each kind of cover search event (kind, cube, row)
@@ -149,7 +174,8 @@ _TRACE = {
 @dataclass(frozen=True)
 class CoverSolution:
     """A cover, its literal count and the steps that chose it.  A cover
-    from the search words its ``trace`` when it is first read."""
+    from the search keeps its cubes as ``(value, care)`` pairs, and makes
+    its ``cubes`` and words its ``trace`` when each is first read."""
 
     cubes: tuple[Cube, ...]
     cost: int  # total literal count
@@ -157,24 +183,33 @@ class CoverSolution:
 
     def __getattr__(self, name: str):
         # called only for a missing attribute: the trace of a cover from
-        # the search, worded from its (kind, cube, row) events
+        # the search, worded from its (kind, pair, row) events
         if name != "trace" or "_events" not in vars(self):
-            raise AttributeError(
-                f"{type(self).__name__!r} object has no attribute {name!r}"
-            )
-        trace = tuple([_TRACE[kind].format(q=q, row=row)
-                       for kind, q, row in self._events])
+            return _cube_view(self, name)
+        width = self._width
+        trace = tuple([
+            _TRACE[kind].format(q=q and Cube._of(*q, width), row=row)
+            for kind, q, row in self._events])
         vars(self)["trace"] = trace
         return trace
 
     def products(self, names: tuple[str, ...]) -> tuple[Product, ...]:
         """The cubes as products of ``names``, the table's variables.  The
-        literals come from one ``canon.literal_table`` of ``names``, so
-        each variable is one ``Var`` and one ``Not`` across all products."""
-        table = literal_table(names)
+        literals are decoded through one ``canon.literal_table``, so each
+        variable is one ``Var`` and one ``Not`` across all products."""
         for q in self.cubes:
             q._check_width(len(names))
-        return tuple(literals(table, q.value, q.care) for q in self.cubes)
+        return _products(names, self._pairs)
+
+
+def _products(
+    names: tuple[str, ...], pairs: Iterable[Pair]
+) -> tuple[Product, ...]:
+    """Cubes over ``names`` as products of literals.  Each name is checked
+    as its ``Var`` checks it, whether a cube reads it or not."""
+    for name in names:
+        _check_name(name, "expr")
+    return _decoded(cube_form(names, pairs))
 
 
 def _check_size(n: int) -> None:
@@ -219,12 +254,14 @@ def prime_implicants(
     )
     if len(names) != n:
         raise ValueError("minimize: variable list does not match n")
-    return PrimeImplicantSet(tuple(names), _prime_implicants(on, dcs, n))
+    return PrimeImplicantSet(tuple(names), tuple(
+        [Cube._of(v, c, n) for v, c in _prime_implicants(on, dcs, n)]))
 
 
-def _prime_implicants(on: int, dc: int, n: int) -> tuple[Cube, ...]:
-    """The cubes of ``prime_implicants`` over row masks; the caller has
-    checked that ``n <= MAX_MINIMIZE_VARS``."""
+def _prime_implicants(on: int, dc: int, n: int) -> tuple[Pair, ...]:
+    """The cubes of ``prime_implicants`` over row masks, as ``(value,
+    care)`` pairs in order; the caller has checked that
+    ``n <= MAX_MINIMIZE_VARS``."""
     full = (1 << n) - 1
     # (2**p, the rows whose bit p is 0) for each dash p
     dashes = [(1 << p, ~col) for p, col in enumerate(reversed(_rails(n)[0]))]
@@ -254,16 +291,15 @@ def _prime_implicants(on: int, dc: int, n: int) -> tuple[Cube, ...]:
             found.append((lowest_row(m), care))
             m &= m - 1
     found.sort()
-    cubes = [Cube._of(v, c, n) for v, c in found]
     if dc:  # drop the cubes that cover only don't-cares
-        cubes = [q for q in cubes if _rows(q) & on]
-    return tuple(cubes)
+        found = [q for q in found if _rows(*q, n) & on]
+    return tuple(found)
 
 
-def _rows(q: Cube) -> int:
+def _rows(value: int, care: int, width: int) -> int:
     """The rows a cube covers as a mask: its value, doubled once per dash."""
-    rows = 1 << q.value
-    dashes = ((1 << q.width) - 1) ^ q.care
+    rows = 1 << value
+    dashes = ((1 << width) - 1) ^ care
     while dashes:
         low = dashes & -dashes
         rows |= rows << low
@@ -293,10 +329,11 @@ def minimum_cover(
 
 def _minimum_cover(primes: PrimeImplicantSet, uncovered: int) -> CoverSolution:
     """``minimum_cover`` of the ON rows in the mask ``uncovered``."""
-    cubes = list(primes.cubes)
-    masks = [_rows(q) for q in cubes]
-    events: list[tuple[str, Cube, int | None]] = []
-    chosen: list[Cube] = []
+    cubes = primes._pairs
+    width = len(primes.variables)
+    masks = [_rows(v, c, width) for v, c in cubes]
+    events: list[tuple[str, Pair | None, int | None]] = []
+    chosen: list[Pair] = []
     once = twice = 0
     for m in masks:
         twice |= once & m
@@ -322,25 +359,25 @@ def _minimum_cover(primes: PrimeImplicantSet, uncovered: int) -> CoverSolution:
              if i not in taken],
             uncovered,
         )
-        for q in sorted(best, key=Cube.sort_key):
+        for q in sorted(best):
             chosen.append(q)
             events.append(("selected", q, None))
 
     for q in chosen:
-        if q.literal_count == 0:
+        if not q[1]:
             events.append(("degenerate", q, None))
-    chosen.sort(key=Cube.sort_key)
+    chosen.sort()
     cover = object.__new__(CoverSolution)
-    vars(cover).update(cubes=tuple(chosen),
-                       cost=sum(q.literal_count for q in chosen),
-                       _events=events)
+    vars(cover).update(cost=sum(c.bit_count() for _, c in chosen),
+                       _pairs=tuple(chosen), _width=width, _events=events)
     return cover
 
 
 def _branch_and_bound(
-    rest: list[tuple[int, Cube]], uncovered: int
-) -> list[Cube]:
-    """Least-cost cubes of ``rest`` (row mask, cube) covering ``uncovered``.
+    rest: list[tuple[int, Pair]], uncovered: int
+) -> list[Pair]:
+    """Least-cost cubes of ``rest`` (row mask, ``(value, care)`` pair)
+    covering ``uncovered``.
 
     The uncovered rows are renumbered once, fewest covering cubes first and
     then by row, so a node's lowest uncovered row is its most constrained
@@ -380,19 +417,18 @@ def _branch_and_bound(
     for i, r in enumerate(order):
         for j in covering[r]:
             masks[j] |= 1 << i
-    # (rows, literals, sort key, cube) per cube, listed under each row it
-    # covers in prime order; per row, the rows sharing a cube with it and
-    # the literals of its cheapest cube
-    cubes = [(m, q.literal_count, q.sort_key(), q)
-             for m, (_, q) in zip(masks, rest)]
+    # (rows, literals, cube) per cube, listed under each row it covers in
+    # prime order; per row, the rows sharing a cube with it and the
+    # literals of its cheapest cube.  A pair is its own sort key.
+    cubes = [(m, q[1].bit_count(), q) for m, (_, q) in zip(masks, rest)]
     by_row = [[cubes[j] for j in covering[r]] for r in order]
     near = [0] * len(order)
     for i, b in enumerate(by_row):
         for c in b:
             near[i] |= c[0]
     cheapest = [min(c[1] for c in b) for b in by_row]
-    sel: list[tuple[int, int, tuple[int, int], Cube]] = []
-    best: list[Cube] = []
+    sel: list[tuple[int, int, Pair]] = []
+    best: list[Pair] = []
     best_key: tuple | None = None
     cap: tuple[int, int] | None = None  # the best cover's (literals, cubes)
     # open nodes, root first: (literals, uncovered rows, untried branches)
@@ -412,7 +448,7 @@ def _branch_and_bound(
                 units += len(sel)
                 key = (lits, len(sel), tuple(sorted(c[2] for c in sel)))
                 if best_key is None or key < best_key:
-                    best, best_key, cap = [c[3] for c in sel], key, key[:2]
+                    best, best_key, cap = [c[2] for c in sel], key, key[:2]
             else:
                 frames.append((lits, left, iter(by_row[lowest_row(left)])))
         if units > MAX_COVER_NODES:

@@ -14,10 +14,12 @@ complemented chain head or operand cost zero gates), and ``g<i>`` reads an
 earlier gate.  Gates are listed in topological order.
 
 Over ``n`` inputs, input ``i`` is value ``i``, its complement ``n + i`` and
-gate ``k`` value ``2n + k``.  The compiler reads a sum of products, from a
-table's cover or from an expression by one pass of the canon reader, which
-also gives the expression's variable names (folding constant operands, as
-``canon.soi_products`` does).  A product ``l1 .. lk`` becomes the cascade
+gate ``k`` value ``2n + k``.  The compiler reads a two-level form of
+literal codes (``canon``), from a table's cover or, by one pass of the
+canon reader, from an expression, with its constant operands folded.  A
+code ``c`` reads tap ``tap[c]``, a plain literal its input and a
+complemented one the input's complement, so ``tap[c ^ 1]`` is the
+complement.  A product ``l1 .. lk`` becomes the cascade
 ``l1 IAND !l2 ... IAND !lk``, emitted as ``(is_or, a, b)`` gates over
 value indices.
 
@@ -48,9 +50,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .canon import Product, _read
+from .canon import Form, _read
 from .errors import EvaluationError
-from .expr import Expr, Not, _check_name
+from .expr import Expr, _check_name
 from .semantics import TruthTable, _bit, _check_count, _rails, check_oracle
 
 
@@ -197,28 +199,30 @@ def compile_soi(e: Expr, inputs: tuple[str, ...] | None = None) -> Netlist:
     checked against ``e`` (``semantics.check_oracle``): a wrong netlist
     raises ``AssertionError``.
     """
-    used, products = _read(e, noi=False)
+    form = _read(e, noi=False)
     if inputs is None:
-        names = used
+        names = form[0]
     else:
         names = tuple(inputs)
-        missing = [v for v in used if v not in names]
+        missing = [v for v in form[0] if v not in names]
         if missing:
             raise EvaluationError(
                 f"spindiode: inputs do not cover variables {missing}"
             )
-    return _compile(names, products, e)
+    return _compile(names, form, e)
 
 
 def _compile(
-    names: tuple[str, ...], products: tuple[Product, ...],
-    want: Expr | TruthTable,
+    names: tuple[str, ...], form: Form, want: Expr | TruthTable
 ) -> Netlist:
-    """The netlist of a sum of products over at most ``MAX_TABLE_VARS``
-    names, checked against ``want``."""
+    """The netlist of a two-level form over inputs ``names``, which hold
+    the form's names, checked against ``want``.  More than
+    ``MAX_TABLE_VARS`` inputs raise ``CapacityError``."""
     _check_count(len(names))
     n = len(names)
-    tap = {x: i for i, x in enumerate(names)}
+    at = {x: i for i, x in enumerate(names)}
+    tap = [v for i in map(at.__getitem__, form[0]) for v in (n + i, i)]
+    products = form[1]
     ops: list[tuple[bool, int, int]] = []  # (is_or, a, b) over value indices
     last = 2 * n - 1  # the value of the last gate is last + len(ops)
     if products in ((), ((),)):  # 1 is x OR NOT x, 0 is x IAND x
@@ -231,11 +235,9 @@ def _compile(
     else:
         refs = []
         for p in products:  # l1 IAND !l2 ... IAND !lk, from the taps
-            x = p[0]
-            acc = tap[x.child.name] + n if type(x) is Not else tap[x.name]
-            for x in p[1:]:
-                b = tap[x.child.name] if type(x) is Not else tap[x.name] + n
-                ops.append((False, acc, b))
+            acc = tap[p[0]]
+            for c in p[1:]:
+                ops.append((False, acc, tap[c ^ 1]))
                 acc = last + len(ops)
             refs.append(acc)
         while len(refs) > 1:  # balanced OR tree by adjacent pairing

@@ -38,9 +38,12 @@ copies, replacing a subtree by ``reference_replace_at`` where the
 production splices the rewritten path in ``laws._rewrite``.  The
 cube-to-product reference builds a fresh ``Var``, or ``Not(Var)``, for
 every literal of every cube and reads a program's binding order back with
-``variables``, where the production code picks each literal from one
-table of ``2n`` nodes per variable order and reads the names off the
-literals.
+``variables``, where the production code numbers each name as its cubes
+first read it and decodes those literal codes through one table of ``2n``
+nodes per names tuple.  The netlist compiler's reference reads each term
+of the expression itself and writes gate texts as it goes, where the
+production compiler lowers the canon reader's literal codes to value
+indices and formats them afterwards.
 """
 
 from __future__ import annotations
@@ -738,6 +741,70 @@ def reference_netlist_text(netlist: Netlist) -> str:
     lines += [f"{g.ref} = {g.kind} {g.in_a} {g.in_b}" for g in netlist.gates]
     lines.append(f"output {netlist.output}")
     return "\n".join(lines) + "\n"
+
+
+def reference_compile_soi(
+    e: Expr, inputs: tuple[str, ...] | None = None
+) -> str:
+    """``netlist_text(compile_soi(e, inputs))``, built from the expression
+    alone: each term of the normalized sum is read as a product of
+    ``(name, polarity)`` literals (the head as written, the rest
+    complemented; a 1 drops out, a 0 drops the product and the empty
+    product makes the sum 1), written as one IAND ladder per product from
+    reference texts, then an OR tree pairing adjacent values."""
+    e = reference_normalize_not(e)
+    names = variables(e) if inputs is None else tuple(inputs)
+    products: list[list[tuple[str, int]]] = []
+    for term in e.children if type(e) is Or else (e,):
+        ops = term.operands if type(term) is IandChain else (term,)
+        product: list[tuple[str, int]] | None = []
+        for i, x in enumerate(ops):
+            flip = int(i > 0)
+            match x:
+                case Const(value):
+                    if value ^ flip == 0:
+                        product = None
+                    continue
+                case Var(name):
+                    lit = (name, 1 ^ flip)
+                case Not(Var(name)):
+                    lit = (name, flip)
+                case _:
+                    raise ValueError(f"not an SOI operand: {x!r}")
+            if product is not None:
+                product.append(lit)
+        if product is not None:
+            products.append(product)
+    if [] in products:
+        products = [[]]
+
+    def tap(name: str, polarity: int) -> str:
+        return f"in:{name}" if polarity else f"!in:{name}"
+
+    lines: list[str] = []
+
+    def gate(kind: str, a: str, b: str) -> str:
+        ref = f"g{len(lines)}"
+        lines.append(f"{ref} = {kind} {a} {b}")
+        return ref
+
+    if not products:
+        out = gate("IAND", tap(names[0], 1), tap(names[0], 1))
+    elif products == [[]]:
+        out = gate("OR", tap(names[0], 1), tap(names[0], 0))
+    else:
+        refs = []
+        for (head, *rest) in products:
+            acc = tap(*head)
+            for name, polarity in rest:
+                acc = gate("IAND", acc, tap(name, 1 - polarity))
+            refs.append(acc)
+        while len(refs) > 1:
+            pairs = [gate("OR", a, b) for a, b in zip(refs[::2], refs[1::2])]
+            refs = pairs + refs[len(refs) - len(refs) % 2:]
+        out = refs[0]
+    return "\n".join(
+        ["inputs " + " ".join(names), *lines, f"output {out}"]) + "\n"
 
 
 def one_chain_tree(e: Expr) -> bool:

@@ -307,6 +307,11 @@ def _spliced_by_normalize_not(e):
     )
 
 
+def _products(e, noi):
+    """The products ``_read`` gives, decoded into literals."""
+    return (noi_products if noi else soi_products)(e)
+
+
 def _read_outcome(e, noi):
     """The names and products, or the ShapeError's type and message."""
     try:
@@ -352,7 +357,8 @@ class TestReaderPeelsAsItReads:
         flat = normalize_not(e)
         assert flat == parse(text.replace("!!", ""))
         products = (tuple(map(parse, product)),)
-        assert _read(flat, noi) == (tuple(names), products)
+        assert _read(flat, noi)[0] == tuple(names)
+        assert _products(flat, noi) == products
 
     @pytest.mark.parametrize("text, noi, products", [
         ("!!(A @ !!!B | !!C)", False, ((A, B), (C,))),
@@ -363,7 +369,7 @@ class TestReaderPeelsAsItReads:
         ("!!!1", False, ()),
     ])
     def test_stacked_negations_fold(self, text, noi, products):
-        assert _read(parse(text), noi)[1] == products
+        assert _products(parse(text), noi) == products
 
     @pytest.mark.parametrize("text, noi, message", [
         ("!!!(A @ B)", False, "got Not"),

@@ -13,13 +13,13 @@ from pathlib import Path
 
 import pytest
 
-from asymlogic import cli, memristor, minimize, semantics, spindiode
+from asymlogic import canon, cli, memristor, minimize, semantics, spindiode
 from asymlogic.cli import load_table_file, main
-from asymlogic.memristor import compile_noi
+from asymlogic.memristor import compile_noi, program_text
 from asymlogic.minimize import minimize_table, minimized_noi, minimized_soi
 from asymlogic.parser import MAX_NESTING
 from asymlogic.semantics import TruthTable
-from asymlogic.spindiode import compile_soi
+from asymlogic.spindiode import compile_soi, netlist_text
 
 from .helpers import reference_binding_order, reference_products
 
@@ -434,9 +434,21 @@ def _cube_tables(seed: int, count: int) -> list[TruthTable]:
     return tables
 
 
+def _random_tables(seed: int, count: int) -> list[TruthTable]:
+    """Seeded uniformly random 4- to 6-variable tables."""
+    rng = random.Random(seed)
+    tables = []
+    for _ in range(count):
+        n = rng.randint(4, 6)
+        names = tuple(rng.sample("ABCDEFGHJK", n))
+        tables.append(TruthTable.from_mask(names, rng.getrandbits(1 << n)))
+    return tables
+
+
 class TestTableRoute:
-    """``--table-file`` hands the minimum cover's products straight to the
-    compilers, which check their result against the table itself."""
+    """``--table-file`` hands the minimum cover straight to the compilers,
+    as literal codes, and they check their result against the table
+    itself."""
 
     TABLES3 = [TruthTable.from_mask(("A", "B", "C"), m) for m in range(256)]
 
@@ -447,22 +459,29 @@ class TestTableRoute:
         return argparse.Namespace(expr=None, table_file=str(path), vars=None)
 
     @pytest.mark.parametrize(
-        "tables", [TABLES3, _cube_tables(11, 40)], ids=["all3", "cubes4-8"]
+        "tables",
+        [TABLES3, _cube_tables(11, 40), _random_tables(5, 300)],
+        ids=["all3", "cubes4-8", "random4-6"],
     )
     def test_same_program_and_netlist_as_the_expr_route(
         self, tmp_path, tables
     ):
+        # the table route numbers the cover's names in first-read order,
+        # the order the NOI expression of the cover binds them in
         permuted = 0
         for t in tables:
             args = self.source(tmp_path, t)
             program, names = cli._build_memristor(args)
             assert names == t.variables
-            assert program == compile_noi(minimized_noi(t)), t
+            want = compile_noi(minimized_noi(t))
+            assert program == want, t
+            assert program_text(program) == program_text(want), t
             bound = tuple(n for n, _ in program.bindings)
             permuted += bound != tuple(v for v in t.variables if v in bound)
             netlist = cli._build_spindiode(args)
-            assert netlist == compile_soi(minimized_soi(t),
-                                          inputs=t.variables), t
+            want = compile_soi(minimized_soi(t), inputs=t.variables)
+            assert netlist == want, t
+            assert netlist_text(netlist) == netlist_text(want), t
         if tables is self.TABLES3:
             # binding in header order would fail these: 145 tables, 136 of
             # them over all three inputs (e.g. 11001000 binds B, C, A)
@@ -505,6 +524,10 @@ class TestTableRoute:
         monkeypatch.setattr(memristor, "_read", forbidden)
         monkeypatch.setattr(spindiode, "_read", forbidden)
         monkeypatch.setattr(cli, "cover_form", forbidden)
+        # nor a Cube or a literal node per cube: the cover reaches the
+        # compilers as literal codes
+        monkeypatch.setattr(canon, "literal_table", forbidden)
+        monkeypatch.setattr(minimize.Cube, "_of", forbidden)
         for target in ("memristor", "spindiode"):
             code, _, err = run(
                 capsys, "compile", "--target", target,

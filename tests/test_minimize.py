@@ -210,6 +210,13 @@ class TestProducts:
             CoverSolution((Cube("1-0"),), 2, ()).products(("A", "B"))
         with pytest.raises(ValueError, match="expr: variable names are"):
             CoverSolution((Cube("1"),), 1, ()).products(("1x",))
+        # a name no cube reads is checked too, in table order
+        for decode in (CoverSolution((Cube("1-"),), 1, ()).products,
+                       Cube("1-").literals):
+            with pytest.raises(ValueError, match="got '1x'"):
+                decode(("A", "1x"))
+        with pytest.raises(ValueError, match="got '2y'"):
+            CoverSolution((Cube("1-"),), 1, ()).products(("2y", "1x"))
         assert CoverSolution((), 0, ()).products(NAMES3) == ()
 
 

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from asymlogic.canon import literal_table, literals, noi_form, soi_form
+from asymlogic.canon import _decoded, cube_form, noi_form, soi_form
 from asymlogic.errors import ParseError
 from asymlogic.expr import (
     BINARY_OPERATORS,
@@ -360,12 +360,11 @@ def _one_node_per_atom(e):
 def _random_products(seed, n, cubes):
     """``cubes`` seeded products over ``n`` variables, 2 to 6 literals each."""
     rng = random.Random(seed)
-    table = literal_table(tuple(f"x{i}" for i in range(n)))
-    products = []
+    pairs = []
     for _ in range(cubes):
         care = sum(1 << b for b in rng.sample(range(n), rng.randint(2, 6)))
-        products.append(literals(table, rng.getrandbits(n), care))
-    return tuple(products)
+        pairs.append((rng.getrandbits(n), care))
+    return _decoded(cube_form(tuple(f"x{i}" for i in range(n)), pairs))
 
 
 class TestAtWorkloadScale:

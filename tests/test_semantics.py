@@ -12,7 +12,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from asymlogic import semantics
-from asymlogic.canon import literal_table, literals, noi_form, noi_term
+from asymlogic.canon import _decoded, cube_form, noi_form, noi_term
 from asymlogic.canon import soi_form, soi_term
 from asymlogic.errors import CapacityError, EvaluationError
 from asymlogic.expr import (
@@ -461,12 +461,10 @@ class TestNegatedNames:
 def _two_level_pair(n: int) -> tuple[Expr, Expr]:
     """A seeded SOI over ``n`` variables and the NOI of the same cubes."""
     rng = random.Random(n)
-    table = literal_table(tuple(f"x{i}" for i in range(n)))
-    products = tuple(
-        literals(table, rng.getrandbits(n),
-                 sum(1 << b for b in rng.sample(range(n), 3)))
+    products = _decoded(cube_form(tuple(f"x{i}" for i in range(n)), [
+        (rng.getrandbits(n), sum(1 << b for b in rng.sample(range(n), 3)))
         for _ in range(2 * n)
-    )
+    ]))
     return soi_form(products), noi_form(products)
 
 

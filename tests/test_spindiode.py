@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import argparse
 import subprocess
 import sys
 import textwrap
@@ -12,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from asymlogic import semantics, spindiode
+from asymlogic import cli, semantics, spindiode
 from asymlogic.canon import soi_from_tt
 from asymlogic.cli import main
 from asymlogic.errors import CapacityError, EvaluationError, ShapeError
@@ -38,6 +39,7 @@ from asymlogic.spindiode import (
 
 from .helpers import (
     assignments,
+    reference_compile_soi,
     reference_netlist_stats,
     reference_simulate_netlist,
 )
@@ -257,6 +259,31 @@ class TestExhaustiveSweep:
                 net = compile_soi(build(t), inputs=names)
                 for row, want in enumerate(bits):
                     assert simulate_netlist(net, t.row_assignment(row)) == want
+
+
+class TestMatchesReferenceCompiler:
+    """``compile_soi`` writes, byte for byte, the netlist text that the
+    reference builds from the expression alone, and so does the table
+    route for the expression of its cover."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.one_of(soi_exprs, soi_exprs_with_constants))
+    def test_soi_exprs(self, e):
+        if variables(e):
+            assert netlist_text(compile_soi(e)) == reference_compile_soi(e)
+        names = ("D", "C", "B", "A")  # a constant needs a declared input
+        assert netlist_text(compile_soi(e, inputs=names)) == (
+            reference_compile_soi(e, inputs=names))
+
+    def test_every_three_variable_table_route(self, tmp_path):
+        path = tmp_path / "t.tbl"
+        args = argparse.Namespace(expr=None, table_file=str(path), vars=None)
+        for m in range(256):
+            t = TruthTable.from_mask(("A", "B", "C"), m)
+            path.write_text(f"A B C\n{t.to_string()}\n")
+            got = netlist_text(cli._build_spindiode(args))
+            assert got == reference_compile_soi(minimized_soi(t),
+                                                inputs=t.variables), m
 
 
 class TestNetlistValidation:
