@@ -9,32 +9,32 @@ domain they return an ``Unsupported`` value rather than raising.
 Two-level forms.  SOI and NOI are two spellings of one sum of products,
 held as ``(names, products)``: a product is a tuple of literal codes
 ``2*i + p``, the ``i``-th name plain (``p = 1``) or complemented
-(``p = 0``), so ``code ^ 1`` is the complement; ``()`` is 0, and a form
-holding the empty product is 1.  The reader (``_read``) takes an
-expression apart into that form in one pass, checking its shape, and
-``cube_form`` makes it from cubes; both number the names in first-read
-order.  The compilers take the form as it is; ``soi_products`` /
-``noi_products`` decode it into literals through ``literal_table``, one
-``Var`` and one ``Not`` per name, indexed by code.  ``soi_form`` /
-``noi_form`` write a sum of products of literals back; a product
-``l1 .. lk`` is written
+(``p = 0``), so ``code ^ 1`` is the complement, the one complement of a
+literal; ``()`` is 0, and a form holding the empty product is 1.  The
+reader (``_read``) takes an expression apart into that form in one pass,
+checking its shape, and ``cube_form`` makes it from cubes; both number
+the names in first-read order.  The compilers take the form as it is, and
+the writers ``soi_form`` / ``noi_form`` index one ``literal_table`` of its
+names, one ``Var`` and one ``Not`` per name, by code.  A product
+``c1 .. ck`` is written
 
-* as an SOI term ``IandChain(l1, !l2, ..., !lk)``: the head as written, the
-  rest complemented, because the chain evaluates ``l1 AND NOT(!l2)...``;
-* as a NOI term ``ImplyChain(l1, ..., l_{k-1}, !lk)``: only the last
+* as an SOI term ``IandChain(c1, c2 ^ 1, ..., ck ^ 1)``: the head as
+  written, the rest complemented, because the chain evaluates
+  ``c1 AND NOT(c2 ^ 1)...``;
+* as a NOI term ``ImplyChain(c1, ..., c_{k-1}, ck ^ 1)``: only the last
   literal complemented, so the term's negation is exactly the product.
 
 A one-literal product is the bare literal (SOI) or its complement (NOI).
 By the conversion theorem ``NOT(x1 @ ... @ xk) = !xk -> ... -> !x1``,
-converting between the forms reverses each product.  The reader folds
-constant operands with the chain identity laws: a literal that is 1 drops
-out, a 0 drops its product, and the empty product makes the whole form 1;
-a name it read keeps its number even so.  It reads every term and operand,
-and raises ShapeError for any of the wrong shape, wherever it stands.  It
+converting between the forms reverses each product: ``soi_to_noi`` and
+``noi_to_soi`` read, reverse and write codes.  The reader folds constant
+operands with the chain identity laws: a literal that is 1 drops out, a 0
+drops its product, and the empty product makes the whole form 1; a name
+it read keeps its number even so.  It reads every term and operand, and
+raises ShapeError for any of the wrong shape, wherever it stands.  It
 reads a ``Var`` or ``Not(Var)`` operand as it stands and peels every other
-node it reads with ``expr.peel``.  The writers complement with
-``expr.negate``, the one negation rule, and the reader complements a code
-with ``^ 1``.
+node it reads with ``expr.peel``.  ``expr.negate`` complements only what
+is not a literal: the NAND's outer ``Not`` and ``ion_from_tt``'s operands.
 
 Canonical terms are ordered by ascending minterm index.
 """
@@ -67,15 +67,14 @@ class Unsupported:
     reason: str
 
 
-Product = tuple[Expr, ...]  # literals: each a Var or a Not(Var)
 Codes = tuple[int, ...]  # a product as literal codes over a names tuple
 Form = tuple[tuple[str, ...], tuple[Codes, ...]]  # (names, products)
 
 
 def literal_table(names: tuple[str, ...]) -> tuple[Expr, ...]:
     """The ``2n`` literals of a names tuple, indexed by code: ``Not(v)``
-    then ``v`` per name, each built once, so every product decoded
-    through one table shares these nodes."""
+    then ``v`` per name, each built once, so every literal written or
+    decoded through one table shares these nodes."""
     return tuple(x for v in map(Var, names) for x in (Not(v), v))
 
 
@@ -101,44 +100,29 @@ def cube_form(
     return tuple([names[n - 1 - b] for b in index]), tuple(products)
 
 
-def _decoded(form: Form) -> tuple[Product, ...]:
-    """The products of a two-level form as literals, from one
-    ``literal_table`` of its names."""
-    table = literal_table(form[0])
-    return tuple([tuple(map(table.__getitem__, p)) for p in form[1]])
-
-
-def soi_term(literals: Product) -> Expr:
-    """IAND chain equal to the product of the given literals."""
-    if not literals:
-        return Const(1)
-    if len(literals) == 1:
-        return literals[0]
-    return IandChain((literals[0], *map(negate, literals[1:])))
-
-
-def noi_term(literals: Product) -> Expr:
-    """IMPLY chain whose negation is the product of the given literals."""
-    if not literals:
+def soi_form(form: Form) -> Expr:
+    """OR of IAND chains for a two-level form: a product ``c1 .. ck`` is
+    the chain of ``c1`` and the complements ``c ^ 1`` of the rest."""
+    lit = literal_table(form[0])
+    terms = tuple([
+        IandChain((lit[p[0]], *[lit[c ^ 1] for c in p[1:]])) if len(p) > 1
+        else lit[p[0]] if p else Const(1)
+        for p in form[1]])
+    if not terms:
         return Const(0)
-    if len(literals) == 1:
-        return negate(literals[0])
-    return ImplyChain((*literals[:-1], negate(literals[-1])))
-
-
-def soi_form(products: tuple[Product, ...]) -> Expr:
-    """OR of IAND chains for a sum of products."""
-    if not products:
-        return Const(0)
-    terms = tuple(map(soi_term, products))
     return terms[0] if len(terms) == 1 else Or(terms)
 
 
-def noi_form(products: tuple[Product, ...]) -> Expr:
-    """NAND of IMPLY chains for a sum of products."""
-    if not products:
+def noi_form(form: Form) -> Expr:
+    """NAND of IMPLY chains for a two-level form: a product ``c1 .. ck`` is
+    the chain of ``c1 .. c_{k-1}`` and the complement ``ck ^ 1``."""
+    lit = literal_table(form[0])
+    terms = tuple([
+        ImplyChain((*[lit[c] for c in p[:-1]], lit[p[-1] ^ 1])) if len(p) > 1
+        else lit[p[0] ^ 1] if p else Const(0)
+        for p in form[1]])
+    if not terms:
         return Const(0)
-    terms = tuple(map(noi_term, products))
     return negate(terms[0] if len(terms) == 1 else And(terms))
 
 
@@ -215,34 +199,19 @@ def _read(e: Expr, noi: bool) -> Form:
     return tuple(index), tuple(products)
 
 
-def soi_products(e: Expr) -> tuple[Product, ...]:
-    """Read an SOI expression (an OR of IAND chains of literals, a chain, a
-    literal or a constant) as a sum of products."""
-    return _decoded(_read(e, False))
-
-
-def noi_products(e: Expr) -> tuple[Product, ...]:
-    """Read a NOI expression (a negated AND of IMPLY chains of literals, a
-    negated chain, a literal or a constant) as a sum of products."""
-    return _decoded(_read(e, True))
-
-
 def _require_vars(t: TruthTable, what: str) -> None:
     if not t.variables:
         raise ShapeError(f"canon: {what} needs a table with >= 1 variable")
 
 
-def _minterms(
-    t: TruthTable, rows: Iterable[int] | None = None
-) -> tuple[Product, ...]:
+def _minterms(t: TruthTable, rows: Iterable[int] | None = None) -> Form:
     """The minterm of each of ``rows``, by default the ON rows of ``t``."""
     rows = rows_of(t.mask) if rows is None else rows
-    return _decoded(cube_form(t.variables, [(r, -1) for r in rows]))
+    return cube_form(t.variables, [(r, -1) for r in rows])
 
 
 def soi_from_tt(t: TruthTable) -> Expr:
     """Canonical OR-of-IAND-chains for a truth table."""
-    _require_vars(t, "soi_from_tt")
     result = soi_form(_minterms(t))
     check_oracle(result, t, "canon")
     return result
@@ -250,26 +219,25 @@ def soi_from_tt(t: TruthTable) -> Expr:
 
 def noi_from_tt(t: TruthTable) -> Expr:
     """Canonical NAND-of-IMPLY-chains for a truth table."""
-    _require_vars(t, "noi_from_tt")
     result = noi_form(_minterms(t))
     check_oracle(result, t, "canon")
     return result
 
 
-def _reversed(products: tuple[Product, ...]) -> tuple[Product, ...]:
-    return tuple(p[::-1] for p in products)
+def _reversed(form: Form) -> Form:
+    return form[0], tuple([p[::-1] for p in form[1]])
 
 
 def soi_to_noi(e: Expr) -> Expr:
     """Term-by-term conversion: NOT(IandChain(x1..xk)) = ImplyChain(!xk..!x1)."""
-    result = noi_form(_reversed(soi_products(e)))
+    result = noi_form(_reversed(_read(e, False)))
     check_oracle(result, e, "canon")
     return result
 
 
 def noi_to_soi(e: Expr) -> Expr:
     """Term-by-term conversion: NOT(ImplyChain(y1..yk)) = IandChain(!yk..!y1)."""
-    result = soi_form(_reversed(noi_products(e)))
+    result = soi_form(_reversed(_read(e, True)))
     check_oracle(result, e, "canon")
     return result
 
@@ -292,8 +260,11 @@ def ios_from_tt(t: TruthTable) -> Expr | Unsupported:
     off = lowest_row(~t.mask)
     # the sums false exactly at ``off`` and at ``p``: each is the
     # complement of that row's minterm, the literals of ``~row``
-    result = IandChain(tuple(x[0] if len(x) == 1 else Or(x)
-                             for x in _minterms(t, [~off, ~p])))
+    names, sums = _minterms(t, [~off, ~p])
+    lit = literal_table(names)
+    result = IandChain(tuple([
+        Or(tuple([lit[c] for c in s])) if len(s) > 1 else lit[s[0]]
+        for s in sums]))
     check_oracle(result, t, "canon")
     return result
 
@@ -316,9 +287,11 @@ def ion_from_tt(t: TruthTable) -> Expr | Unsupported:
             f"at most one OFF row; this table has {offs.bit_count()} OFF rows"
         )
     p = (offs or 1 << top).bit_length() - 1
-    rows = [t.mask.bit_length() - 1, p]
-    result = ImplyChain(tuple(negate(x[0] if len(x) == 1 else And(x))
-                              for x in _minterms(t, rows)))
+    names, minterms = _minterms(t, [t.mask.bit_length() - 1, p])
+    lit = literal_table(names)
+    result = ImplyChain(tuple([
+        negate(And(tuple([lit[c] for c in m]))) if len(m) > 1
+        else lit[m[0] ^ 1]
+        for m in minterms]))
     check_oracle(result, t, "canon")
     return result
-

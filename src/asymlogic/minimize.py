@@ -15,7 +15,9 @@ objective ordered by total literal count, then cube count, then ascending
 cube encoding.  The search runs on ``(value, care)`` pairs, and a set or
 cover makes its ``Cube`` objects only when its ``cubes`` are read.  The
 CLI's table route hands the chosen pairs to both compilers as literal
-codes (``canon.cube_form``); ``cover_form`` decodes them into terms.
+codes (``canon.cube_form``), and ``cover_form`` writes the same codes as
+an SOI or a NOI.  Only the public ``Cube.literals`` and
+``CoverSolution.products`` decode codes into ``Var`` / ``Not`` literals.
 
 Cubes are ``(value, care)`` ints over the row bits, first variable as the
 MSB.  Their trit view has one character per variable in table order ('1'
@@ -37,9 +39,10 @@ from .semantics import (
     lowest_row,
     rows_of,
 )
-from .canon import Product, _decoded, cube_form, noi_form, soi_form
+from .canon import cube_form, literal_table, noi_form, soi_form
 
 Pair = tuple[int, int]  # a cube as (value, care)
+Product = tuple[Expr, ...]  # literals: each a Var or a Not(Var)
 
 MAX_MINIMIZE_VARS = 12
 # Budget units one cover search may use (see ``_branch_and_bound``).  The
@@ -209,7 +212,9 @@ def _products(
     as its ``Var`` checks it, whether a cube reads it or not."""
     for name in names:
         _check_name(name, "expr")
-    return _decoded(cube_form(names, pairs))
+    names, codes = cube_form(names, pairs)
+    lit = literal_table(names)
+    return tuple([tuple(map(lit.__getitem__, p)) for p in codes])
 
 
 def _check_size(n: int) -> None:
@@ -489,8 +494,10 @@ def minimize_table(t: TruthTable) -> tuple[PrimeImplicantSet, CoverSolution]:
 def cover_form(t: TruthTable, cover: CoverSolution, form: str) -> Expr:
     """A cover of ``t``'s ON-set as ``form`` "soi" (OR of IAND chains) or
     "noi" (NAND of IMPLY chains), checked against ``t`` by the oracle."""
-    products = cover.products(t.variables)
-    result = noi_form(products) if form == "noi" else soi_form(products)
+    for q in cover.cubes:
+        q._check_width(len(t.variables))
+    codes = cube_form(t.variables, cover._pairs)
+    result = noi_form(codes) if form == "noi" else soi_form(codes)
     check_oracle(result, t, "minimize")
     return result
 

@@ -40,7 +40,10 @@ cube-to-product reference builds a fresh ``Var``, or ``Not(Var)``, for
 every literal of every cube and reads a program's binding order back with
 ``variables``, where the production code numbers each name as its cubes
 first read it and decodes those literal codes through one table of ``2n``
-nodes per names tuple.  The netlist compiler's reference reads each term
+nodes per names tuple.  The two-level writers' references write products
+of those literals and complement each with ``negate``, where the
+production writers index the table by code and complement a code with
+``^ 1``.  The netlist compiler's reference reads each term
 of the expression itself and writes gate texts as it goes, where the
 production compiler lowers the canon reader's literal codes to value
 indices and formats them afterwards.
@@ -78,7 +81,7 @@ from asymlogic.expr import (
     operator_count,
     variables,
 )
-from asymlogic.canon import noi_products
+from asymlogic.canon import Form, _read
 from asymlogic.laws import (
     Rule,
     SimplifyResult,
@@ -273,6 +276,46 @@ def reference_products(
     )
 
 
+def decoded(form: Form) -> tuple[tuple[Expr, ...], ...]:
+    """A two-level form's products of literal codes as literals, one new
+    node per literal: code ``2*i + 1`` is the ``i``-th name, ``2*i`` its
+    complement."""
+    names, products = form
+    return tuple(
+        tuple(Var(names[c >> 1]) if c & 1 else Not(Var(names[c >> 1]))
+              for c in p)
+        for p in products
+    )
+
+
+def reference_soi_form(products: tuple[tuple[Expr, ...], ...]) -> Expr:
+    """OR of IAND chains for products of literals: each product's head as
+    written and the rest complemented by ``negate``, a one-literal product
+    the bare literal, the empty product 1 and no product 0."""
+    terms = tuple(
+        IandChain((p[0], *map(negate, p[1:]))) if len(p) > 1
+        else p[0] if p else Const(1)
+        for p in products
+    )
+    if not terms:
+        return Const(0)
+    return terms[0] if len(terms) == 1 else Or(terms)
+
+
+def reference_noi_form(products: tuple[tuple[Expr, ...], ...]) -> Expr:
+    """NAND of IMPLY chains for products of literals: only each product's
+    last literal complemented by ``negate``, a one-literal product its
+    complement, the empty product 0 and no product the constant 0."""
+    terms = tuple(
+        ImplyChain((*p[:-1], negate(p[-1]))) if len(p) > 1
+        else negate(p[0]) if p else Const(0)
+        for p in products
+    )
+    if not terms:
+        return Const(0)
+    return negate(terms[0] if len(terms) == 1 else And(terms))
+
+
 def reference_binding_order(
     products: tuple[tuple[Expr, ...], ...]
 ) -> tuple[str, ...]:
@@ -407,7 +450,7 @@ def reference_compile_noi(e: Expr, *, peephole: bool = True) -> ImplyProgram:
     bindings = tuple((name, i) for i, name in enumerate(names))
     src_of = {name: i for i, name in enumerate(names)}
 
-    products = noi_products(e)
+    products = decoded(_read(e, True))
     match products:
         case ():
             return ImplyProgram(nin + 1, bindings, nin, (Reset(nin),))

@@ -16,11 +16,9 @@ from asymlogic.canon import (
     ios_from_tt,
     noi_form,
     noi_from_tt,
-    noi_products,
     noi_to_soi,
     soi_form,
     soi_from_tt,
-    soi_products,
     soi_to_noi,
 )
 from asymlogic.errors import ShapeError
@@ -32,15 +30,24 @@ from asymlogic.expr import (
     Not,
     Or,
     Var,
+    format_expr,
     iter_subexpressions,
+    negate,
     normalize_not,
     peel,
     variables,
 )
+from asymlogic.minimize import minimize_table, minimized_noi, minimized_soi
 from asymlogic.parser import parse
 from asymlogic.semantics import TruthTable, equivalent, truth_table
 
-from .helpers import reference_literals, shared_literals
+from .helpers import (
+    decoded,
+    reference_literals,
+    reference_noi_form,
+    reference_products,
+    reference_soi_form,
+)
 from .strategies import (
     expressions,
     noi_exprs,
@@ -108,11 +115,16 @@ class TestDisjunctiveForms:
         assert soi_from_tt(t0) == Not(A)
         assert noi_from_tt(t0) == Not(A)
 
-    def test_empty_variable_table_rejected(self):
-        with pytest.raises(ShapeError):
-            soi_from_tt(TruthTable((), (1,)))
-        with pytest.raises(ShapeError):
-            noi_from_tt(TruthTable((), (0,)))
+    def test_empty_variable_table_is_a_constant(self):
+        # the table of a constant over no names: its one row is the form
+        for bit in (0, 1):
+            t = TruthTable((), (bit,))
+            assert soi_from_tt(t) == Const(bit)
+            assert noi_from_tt(t) == Const(bit)
+        # the conjunctive chains need an operand, so they still refuse
+        for form in (ios_from_tt, ion_from_tt):
+            with pytest.raises(ShapeError, match="needs a table with >= 1"):
+                form(TruthTable((), (1,)))
 
     @pytest.mark.parametrize("names", [("A",), ("A", "B"), NAMES3])
     def test_exhaustive_oracle(self, names):
@@ -190,43 +202,53 @@ class TestConversions:
             noi_to_soi(Not(ImplyChain((And((A, B)), C))))
         # a constant that settles the form does not end the reading
         with pytest.raises(ShapeError, match=not_soi + "ImplyChain"):
-            soi_products(parse("1 | (A -> B)"))
+            _read(parse("1 | (A -> B)"), False)
         with pytest.raises(ShapeError, match="operands must be literals"):
-            soi_products(parse("A @ 1 @ (B | C)"))
+            _read(parse("A @ 1 @ (B | C)"), False)
         with pytest.raises(ShapeError, match="operands must be literals"):
-            noi_products(parse("!((A -> B) & (0 -> (C @ D)))"))
+            _read(parse("!((A -> B) & (0 -> (C @ D)))"), True)
         with pytest.raises(ShapeError, match=not_noi + "Or"):
-            noi_products(parse("!(0 & (A | B))"))
+            _read(parse("!(0 & (A | B))"), True)
+
+
+def _products(e, noi):
+    """The products ``_read`` gives, decoded into literals."""
+    return decoded(_read(e, noi))
 
 
 class TestProducts:
     def test_soi_products(self):
-        assert soi_products(Or((IandChain((A, B, Not(C))), Not(A)))) == (
+        soi = Or((IandChain((A, B, Not(C))), Not(A)))
+        assert _products(soi, False) == (
             (A, Not(B), C),
             (Not(A),),
         )
 
     def test_noi_products(self):
         noi = Not(And((ImplyChain((A, B, C)), Not(A))))
-        assert noi_products(noi) == ((A, B, Not(C)), (A,))
-        assert noi_products(A) == ((A,),)
-        assert noi_products(Not(A)) == ((Not(A),),)
+        assert _products(noi, True) == ((A, B, Not(C)), (A,))
+        assert _products(A, True) == ((A,),)
+        assert _products(Not(A), True) == ((Not(A),),)
 
     def test_constants(self):
-        for read in (soi_products, noi_products):
-            assert read(Const(0)) == ()
-            assert read(Const(1)) == ((),)
+        for noi in (False, True):
+            assert _products(Const(0), noi) == ()
+            assert _products(Const(1), noi) == ((),)
 
     def test_constant_operands_fold(self):
         # a 1 literal drops out, a 0 literal drops its product
-        assert soi_products(parse("A @ B @ 1 | C")) == ((C,),)
-        assert soi_products(parse("1 @ A @ 0")) == ((Not(A),),)
-        assert noi_products(parse("!((A -> 1) & (1 -> B))")) == ((Not(B),),)
-        assert noi_products(parse("!((A -> 0) & B)")) == ((A,), (Not(B),))
+        assert _products(parse("A @ B @ 1 | C"), False) == ((C,),)
+        assert _products(parse("1 @ A @ 0"), False) == ((Not(A),),)
+        assert _products(parse("!((A -> 1) & (1 -> B))"), True) == (
+            (Not(B),),
+        )
+        assert _products(parse("!((A -> 0) & B)"), True) == (
+            (A,), (Not(B),)
+        )
 
     def test_a_true_term_makes_the_form_one(self):
-        assert soi_products(parse("A | 1 @ 0 | B")) == ((),)
-        assert noi_products(parse("!(A & 0 & B)")) == ((),)
+        assert _products(parse("A | 1 @ 0 | B"), False) == ((),)
+        assert _products(parse("!(A & 0 & B)"), True) == ((),)
 
     @pytest.mark.parametrize("strategy, noi", [
         (soi_exprs, False),
@@ -243,32 +265,33 @@ class TestProducts:
 
     def test_writers_invert_readers(self):
         soi = Or((IandChain((A, Not(B))), C))
-        assert soi_form(soi_products(soi)) == soi
+        assert soi_form(_read(soi, False)) == soi
         noi = Not(And((ImplyChain((A, B)), C)))
-        assert noi_form(noi_products(noi)) == noi
+        assert noi_form(_read(noi, True)) == noi
 
     @given(soi_exprs)
     def test_conversion_reverses_each_product(self, soi):
         noi = soi_to_noi(soi)
-        assert noi_products(noi) == tuple(p[::-1] for p in soi_products(soi))
+        assert _products(noi, True) == tuple(
+            p[::-1] for p in _products(soi, False))
 
     @given(noi_exprs)
     def test_noi_conversion_reverses_each_product(self, noi):
         soi = noi_to_soi(noi)
-        assert soi_products(soi) == tuple(p[::-1] for p in noi_products(noi))
+        assert _products(soi, False) == tuple(
+            p[::-1] for p in _products(noi, True))
 
 
 class TestMinterms:
     def test_equal_the_per_literal_construction(self):
-        # one literal table per call: every minterm shares its 2n nodes
         for m in range(256):
             rows = [r for r in range(8) if m >> r & 1]
             got = _minterms(TruthTable.from_mask(NAMES3, m))
-            assert got == tuple(
+            assert decoded(got) == tuple(
                 reference_literals(NAMES3, r, -1) for r in rows
             ), m
-            # a literal per variable and polarity that some ON row reads
-            assert len(shared_literals(got)) == sum(
+            # a code per variable and polarity that some ON row reads
+            assert len({c for p in got[1] for c in p}) == sum(
                 len({r >> b & 1 for r in rows}) for b in range(3)
             )
 
@@ -305,11 +328,6 @@ def _spliced_by_normalize_not(e):
         or (type(n) is ImplyChain and type(peel(n.operands[-1])) is ImplyChain)
         for _, n in iter_subexpressions(e)
     )
-
-
-def _products(e, noi):
-    """The products ``_read`` gives, decoded into literals."""
-    return (noi_products if noi else soi_products)(e)
 
 
 def _read_outcome(e, noi):
@@ -422,13 +440,15 @@ class TestConstantOperands:
     def test_soi_to_noi_keeps_the_table(self, soi):
         noi = soi_to_noi(soi)
         assert truth_table(noi, NAMES4).bits == truth_table(soi, NAMES4).bits
-        assert noi_products(noi) == tuple(p[::-1] for p in soi_products(soi))
+        assert _products(noi, True) == tuple(
+            p[::-1] for p in _products(soi, False))
 
     @given(noi_exprs_with_constants)
     def test_noi_to_soi_keeps_the_table(self, noi):
         soi = noi_to_soi(noi)
         assert truth_table(soi, NAMES4).bits == truth_table(noi, NAMES4).bits
-        assert soi_products(soi) == tuple(p[::-1] for p in noi_products(noi))
+        assert _products(soi, False) == tuple(
+            p[::-1] for p in _products(noi, True))
 
 
 class TestConjunctiveForms:
@@ -489,3 +509,79 @@ class TestConjunctiveForms:
         assert truth_table(ios, ("A",)).bits == (0, 1)
         ion = ion_from_tt(t)
         assert truth_table(ion, ("A",)).bits == (0, 1)
+
+
+def _same(got, want):
+    """The same tree, printing the same text."""
+    assert got == want
+    assert format_expr(got) == format_expr(want)
+
+
+def _one_node_per_literal(e):
+    """Whether each literal of ``e`` is one node wherever it stands."""
+    seen = {}
+    for _, n in iter_subexpressions(e):
+        if type(n) is Var or (type(n) is Not and type(n.child) is Var):
+            if seen.setdefault(format_expr(n), n) is not n:
+                return False
+    return True
+
+
+def _reference_conversion(e, noi):
+    """``e`` read, each product reversed and written in the other form,
+    literal by literal."""
+    reversed_ = tuple(p[::-1] for p in decoded(_read(e, noi)))
+    write = reference_soi_form if noi else reference_noi_form
+    return write(reversed_)
+
+
+class TestWritersMatchThePerLiteralReference:
+    """The writers index one literal table by code and complement a code
+    with ``^ 1``; the reference writes products of literals and
+    complements each with ``negate``.  Both give the same trees."""
+
+    @pytest.mark.parametrize("m", range(256))
+    def test_every_three_variable_table(self, m):
+        t = TruthTable.from_mask(NAMES3, m)
+        ons = [r for r in range(8) if m >> r & 1]
+        offs = [r for r in range(8) if not m >> r & 1]
+        minterms = [reference_literals(NAMES3, r, -1) for r in ons]
+        cover = reference_products(minimize_table(t)[1], NAMES3)
+        sois = [(soi_from_tt(t), reference_soi_form(minterms)),
+                (minimized_soi(t), reference_soi_form(cover))]
+        nois = [(noi_from_tt(t), reference_noi_form(minterms)),
+                (minimized_noi(t), reference_noi_form(cover))]
+        written = sois + nois
+        written += [(soi_to_noi(e), _reference_conversion(e, False))
+                    for e, _ in sois]
+        written += [(noi_to_soi(e), _reference_conversion(e, True))
+                    for e, _ in nois]
+        ios, ion = ios_from_tt(t), ion_from_tt(t)
+        assert isinstance(ios, Unsupported) == (len(ons) != 1)
+        if len(ons) == 1:
+            # the sums false at the first OFF row and at the ON row
+            written.append((ios, IandChain(tuple(
+                Or(reference_literals(NAMES3, ~r, -1))
+                for r in (offs[0], ons[0])))))
+        assert isinstance(ion, Unsupported) == (len(offs) > 1)
+        if len(offs) <= 1:
+            # the NANDs of the last ON row and of the OFF row, else row 7
+            written.append((ion, ImplyChain(tuple(
+                negate(And(reference_literals(NAMES3, r, -1)))
+                for r in (ons[-1], (offs or [7])[0])))))
+        for got, want in written:
+            _same(got, want)
+            assert _one_node_per_literal(got)
+
+    @pytest.mark.parametrize("strategy, noi", [
+        (soi_exprs_with_constants, False),
+        (noi_exprs_with_constants, True),
+    ])
+    def test_conversions_with_constants(self, strategy, noi):
+        @given(strategy)
+        def check(e):
+            got = (noi_to_soi if noi else soi_to_noi)(e)
+            _same(got, _reference_conversion(e, noi))
+            assert _one_node_per_literal(got)
+
+        check()

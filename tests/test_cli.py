@@ -214,6 +214,23 @@ class TestCanon:
         code, out, _ = run(capsys, "canon", "--form", "ios", "A @ B")
         assert code == 0 and "@" in out
 
+    @pytest.mark.parametrize("expr", ["0", "1"])
+    def test_constant_table_file(self, capsys, tmp_path, expr):
+        # a table over no names: SOI and NOI are the constant, as minimize
+        # prints it; the chains of IOS and ION need an operand
+        path = tmp_path / "t.tbl"
+        path.write_text(run(capsys, "table", expr)[1])
+        src = ["--table-file", str(path)]
+        for form in ("soi", "noi"):
+            assert run(capsys, "canon", "--form", form, *src) == (
+                0, f"{expr}\n", "")
+            assert run(capsys, "minimize", "--form", form, *src)[1] == (
+                f"{expr}\n")
+        for form in ("ios", "ion"):
+            assert run(capsys, "canon", "--form", form, *src) == (
+                2, "", f"error: canon: {form}_from_tt needs a table with "
+                ">= 1 variable\n")
+
 
 class TestConvert:
     def test_soi_to_noi(self, capsys):

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from asymlogic.canon import _decoded, cube_form, noi_form, soi_form
+from asymlogic.canon import cube_form, noi_form, soi_form
 from asymlogic.errors import ParseError
 from asymlogic.expr import (
     BINARY_OPERATORS,
@@ -357,14 +357,15 @@ def _one_node_per_atom(e):
     return all(n.child is nodes[k[1:]] for k, n in nodes.items() if k[0] == "!")
 
 
-def _random_products(seed, n, cubes):
-    """``cubes`` seeded products over ``n`` variables, 2 to 6 literals each."""
+def _random_form(seed, n, cubes):
+    """``cubes`` seeded products over ``n`` variables, 2 to 6 literals each,
+    as a two-level form."""
     rng = random.Random(seed)
     pairs = []
     for _ in range(cubes):
         care = sum(1 << b for b in rng.sample(range(n), rng.randint(2, 6)))
         pairs.append((rng.getrandbits(n), care))
-    return _decoded(cube_form(tuple(f"x{i}" for i in range(n)), pairs))
+    return cube_form(tuple(f"x{i}" for i in range(n)), pairs)
 
 
 class TestAtWorkloadScale:
@@ -376,7 +377,7 @@ class TestAtWorkloadScale:
         (1, 8, 16), (2, 10, 64), (3, 12, 128), (4, 16, 512),
     ])
     def test_two_level_texts(self, form, seed, n, cubes):
-        text = format_expr(form(_random_products(seed, n, cubes)))
+        text = format_expr(form(_random_form(seed, n, cubes)))
         e = parse(text)
         assert e == reference_parse(text)
         assert _one_node_per_atom(e)

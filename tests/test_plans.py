@@ -22,9 +22,9 @@ from hypothesis import strategies as st
 
 from asymlogic import cli, memristor, spindiode
 from asymlogic.cli import main
-from asymlogic.canon import Product, noi_form, soi_form
+from asymlogic.canon import Form, noi_form, soi_form
 from asymlogic.errors import CapacityError, EvaluationError
-from asymlogic.expr import Not, Var, format_expr
+from asymlogic.expr import format_expr
 from asymlogic.memristor import (
     Imply,
     ImplyProgram,
@@ -334,13 +334,13 @@ class TestColumnMatchesReplay:
             assert simulate(prog, {"A": a}).output == a
 
 
-def _wide_products(n: int) -> tuple[Product, ...]:
-    """Seeded products of up to four literals that together read each of
-    ``n`` names once."""
+def _wide_form(n: int) -> Form:
+    """A seeded two-level form whose products of up to four literals
+    together read each of ``n`` names once."""
     rng = random.Random(n)
-    order = [Var(f"x{i}") for i in rng.sample(range(n), n)]
-    return tuple(
-        tuple(Not(v) if rng.random() < 0.5 else v for v in order[i:i + 4])
+    order = tuple(f"x{i}" for i in rng.sample(range(n), n))
+    return order, tuple(
+        tuple(2 * j + (rng.random() >= 0.5) for j in range(i, min(i + 4, n)))
         for i in range(0, n, 4))
 
 
@@ -359,7 +359,7 @@ class TestCompileToTheTableCap:
 
     @pytest.mark.parametrize("n", [17, MAX_TABLE_VARS])
     def test_programs(self, n):
-        noi = noi_form(_wide_products(n))
+        noi = noi_form(_wide_form(n))
         prog = compile_noi(noi)
         assert len(prog.bindings) == n
         twin = _program_twin(prog)
@@ -370,7 +370,7 @@ class TestCompileToTheTableCap:
 
     @pytest.mark.parametrize("n", [17, MAX_TABLE_VARS])
     def test_netlists(self, n):
-        soi = soi_form(_wide_products(n))
+        soi = soi_form(_wide_form(n))
         net = compile_soi(soi)
         assert len(net.inputs) == n
         twin = _netlist_twin(net)
@@ -383,16 +383,17 @@ class TestCompileToTheTableCap:
         n = MAX_TABLE_VARS + 1
         error = (f"semantics: truth tables support at most {MAX_TABLE_VARS} "
                  f"variables, got {n}")
-        products = _wide_products(n)
+        form = _wide_form(n)
         names = tuple(f"x{i}" for i in range(n))
-        for compile_ in (lambda: compile_noi(noi_form(products)),
-                         lambda: compile_soi(soi_form(products)),
+        for compile_ in (lambda: compile_noi(noi_form(form)),
+                         lambda: compile_soi(soi_form(form)),
                          lambda: compile_soi(parse("x0 @ x1"), inputs=names)):
             with pytest.raises(CapacityError) as err:
                 compile_()
             assert str(err.value) == error
-        for target, form in (("memristor", noi_form), ("spindiode", soi_form)):
-            text = format_expr(form(products))
+        for target, write in (("memristor", noi_form),
+                              ("spindiode", soi_form)):
+            text = format_expr(write(form))
             assert main(["compile", "--target", target, text]) == 2
             assert capsys.readouterr().err == f"error: {error}\n"
 

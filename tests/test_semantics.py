@@ -12,8 +12,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from asymlogic import semantics
-from asymlogic.canon import _decoded, cube_form, noi_form, noi_term
-from asymlogic.canon import soi_form, soi_term
+from asymlogic.canon import cube_form, noi_form, soi_form
 from asymlogic.errors import CapacityError, EvaluationError
 from asymlogic.expr import (
     And,
@@ -48,6 +47,8 @@ from .helpers import (
     naive_demorgan_dual,
     naive_eval,
     naive_table,
+    reference_noi_form,
+    reference_soi_form,
 )
 from .strategies import expressions, stacked_nots
 
@@ -334,8 +335,8 @@ class TestTableCap:
         return out
 
     def test_soi_noi_and_planted_row(self):
-        soi = Or(tuple(soi_term(c) for c in self.cubes()))
-        noi = Not(And(tuple(noi_term(c) for c in self.cubes())))
+        soi = reference_soi_form(self.cubes())
+        noi = reference_noi_form(self.cubes())
         order = variables(soi)
         assert sorted(order) == sorted(self.NAMES)
 
@@ -461,11 +462,11 @@ class TestNegatedNames:
 def _two_level_pair(n: int) -> tuple[Expr, Expr]:
     """A seeded SOI over ``n`` variables and the NOI of the same cubes."""
     rng = random.Random(n)
-    products = _decoded(cube_form(tuple(f"x{i}" for i in range(n)), [
+    form = cube_form(tuple(f"x{i}" for i in range(n)), [
         (rng.getrandbits(n), sum(1 << b for b in rng.sample(range(n), 3)))
         for _ in range(2 * n)
-    ]))
-    return soi_form(products), noi_form(products)
+    ])
+    return soi_form(form), noi_form(form)
 
 
 class TestRails:
