@@ -17,9 +17,9 @@ constant is a table over no variables, so its file has the one line ``0``
 or ``1`` (its names line is empty, and no name can be a digit), as
 ``table`` prints it.  Blank lines are skipped.
 
-``main`` hands argv to the parser of the command it names, or to the full
-parser when the first word names none or words are left over; both read
-argv alike and print the same usage and errors.
+``main`` reads well-formed argv itself, from a table of the options that
+each command's parser declares; help, errors and any other argv go to the
+full parser, which prints the usage and error text.
 
 Exit codes: 0 success, 1 a law was refuted or expressions are inequivalent,
 2 usage or malformed input, 3 internal error.  ``--format structured``
@@ -392,28 +392,97 @@ def _build_parsers() -> tuple[
     return parser, sub.choices
 
 
+_WORD = object()  # the value of an option that stores the word after it
+
+
+def _table(p: argparse.ArgumentParser) -> tuple | None:
+    """What ``_read`` needs of a command's parser, drawn from the actions
+    and ``set_defaults`` values it declares: each option string's (dest,
+    choices, value), where the value is ``_WORD`` or the constant the
+    option stores; the positional dests and how many argv must give; the
+    required dests; and every default, in the order argparse sets them.
+    None when an action is one the reader does not apply, so that argparse
+    reads every argv of the command."""
+    options, positionals, required, defaults = {}, [], set(), {}
+    for a in p._actions:
+        if a.dest != argparse.SUPPRESS and a.default != argparse.SUPPRESS:
+            defaults.setdefault(a.dest, a.default)
+        if isinstance(a, argparse._HelpAction):
+            continue  # argparse prints the help
+        if isinstance(a, argparse._StoreConstAction):
+            value = a.const
+        elif type(a) is argparse._StoreAction and a.type is None and (
+                a.nargs is None or not a.option_strings and a.nargs == "?"):
+            value = _WORD
+        else:
+            return None
+        if not a.option_strings:
+            positionals.append(a)
+            continue
+        options.update(dict.fromkeys(a.option_strings,
+                                     (a.dest, a.choices, value)))
+        if a.required:
+            required.add(a.dest)
+    least = sum(a.nargs is None for a in positionals)
+    # argparse may give an optional positional no word before a later one
+    # reads it, so the reader takes required ones or one optional one
+    if len(positionals) > 1 and least < len(positionals) or any(
+            a.choices is not None for a in positionals):
+        return None
+    for dest, value in p._defaults.items():
+        defaults.setdefault(dest, value)
+    return (options, tuple(a.dest for a in positionals), least,
+            frozenset(required), defaults)
+
+
+def _read(table: tuple, argv: list[str]) -> argparse.Namespace | None:
+    """The namespace that ``parse_args(argv)`` returns, when each word after
+    the command is an option string followed by a valid value that does not
+    start with ``-``, or a positional; None for any other argv."""
+    options, positionals, least, required, defaults = table
+    values, given, seen = dict(defaults), [], set()
+    words = iter(argv[1:])
+    for word in words:
+        if word[:1] != "-":
+            given.append(word)
+            continue
+        if word not in options:
+            return None
+        dest, choices, value = options[word]
+        if value is _WORD:
+            value = next(words, "-")  # a missing value reads as "-"
+            if value[:1] == "-" or (
+                    choices is not None and value not in choices):
+                return None
+        values[dest] = value
+        seen.add(dest)
+    if not least <= len(given) <= len(positionals) or required - seen:
+        return None
+    values.update(zip(positionals, given))
+    args = argparse.Namespace(command=argv[0])
+    vars(args).update(values)  # faster than __init__'s setattr per value
+    return args
+
+
 _parsers: tuple[
-    argparse.ArgumentParser, dict[str, argparse.ArgumentParser]
+    argparse.ArgumentParser, dict[str, tuple | None]
 ] | None = None
 
 
 def _parse(argv: list[str] | None) -> argparse.Namespace:
     """``argv`` as the full parser's ``parse_args`` reads it, printing the
-    same help and errors.  When the first word names a command, that
-    command's parser reads the rest, which skips the full parser's pass;
-    anything else, and a command whose parser leaves words over, goes
-    through the full parser, which reports them under its own usage."""
+    same help and errors.  The reader takes well-formed argv of a command
+    from that command's table; the full parser reads any other argv."""
     global _parsers
     if _parsers is None:  # built on first use, then kept for the process
-        _parsers = _build_parsers()
-    parser, commands = _parsers
+        parser, commands = _build_parsers()
+        _parsers = parser, {name: _table(p) for name, p in commands.items()}
+    parser, tables = _parsers
     if argv is None:
         argv = sys.argv[1:]
-    if argv and argv[0] in commands:
-        args, rest = commands[argv[0]].parse_known_args(
-            argv[1:], argparse.Namespace(command=argv[0]))
-        if not rest:
-            return args
+    table = tables.get(argv[0]) if argv else None
+    if table is not None and (args := _read(table, argv)) is not None:
+        return args
     return parser.parse_args(argv)
 
 

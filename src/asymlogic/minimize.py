@@ -200,9 +200,17 @@ class CoverSolution:
         """The cubes as products of ``names``, the table's variables.  The
         literals are decoded through one ``canon.literal_table``, so each
         variable is one ``Var`` and one ``Not`` across all products."""
-        for q in self.cubes:
-            q._check_width(len(names))
+        _check_widths(self, len(names))
         return _products(names, self._pairs)
+
+
+def _check_widths(cover: CoverSolution, n: int) -> None:
+    """Each cube of ``cover`` has ``n`` trits.  A cover from the search
+    holds the one width of its cubes, so its cubes are made only when that
+    width is not ``n``, to name the first that differs."""
+    if vars(cover).get("_width") != n:
+        for q in cover.cubes:
+            q._check_width(n)
 
 
 def _products(
@@ -494,8 +502,7 @@ def minimize_table(t: TruthTable) -> tuple[PrimeImplicantSet, CoverSolution]:
 def cover_form(t: TruthTable, cover: CoverSolution, form: str) -> Expr:
     """A cover of ``t``'s ON-set as ``form`` "soi" (OR of IAND chains) or
     "noi" (NAND of IMPLY chains), checked against ``t`` by the oracle."""
-    for q in cover.cubes:
-        q._check_width(len(t.variables))
+    _check_widths(cover, len(t.variables))
     codes = cube_form(t.variables, cover._pairs)
     result = noi_form(codes) if form == "noi" else soi_form(codes)
     check_oracle(result, t, "minimize")

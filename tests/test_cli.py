@@ -762,31 +762,106 @@ def _parsed(parse, argv, capsys):
     return result, captured.out, captured.err
 
 
+def _same_as_the_full_parser(capsys, full, argv):
+    """What ``_parse`` reads of ``argv``: the full parser's namespace, or
+    its exit code and the words it printed."""
+    want = _parsed(full.parse_args, argv, capsys)
+    assert _parsed(cli._parse, argv, capsys) == want, argv
+    return want
+
+
 @pytest.mark.parametrize("argv", DISPATCH_ARGV, ids=" ".join)
 def test_dispatch_reads_argv_as_the_full_parser(capsys, argv):
-    want = _parsed(cli._build_parsers()[0].parse_args, argv, capsys)
-    assert _parsed(cli._parse, argv, capsys) == want
+    want = _same_as_the_full_parser(capsys, cli._build_parsers()[0], argv)
     if isinstance(want[0], argparse.Namespace):
         assert want[0].command == argv[0]
     else:  # main returns the exit code and prints the same words
         assert run(capsys, *argv) == want
 
 
-def test_parser_is_built_once(monkeypatch, capsys):
-    from asymlogic import cli
+# words that are never well formed: an option with "=", an abbreviation,
+# "--", help, and words that start with "-" but name no option
+MALFORMED_WORDS = [
+    "--target=memristor", "--tab", "--", "-h", "-1", "", "-A B", "-",
+]
 
-    build, built = cli._build_parsers, []
+
+def _corpus(rng: random.Random, command: str,
+            parser: argparse.ArgumentParser, count: int):
+    """Seeded argv of one command: up to six words, drawn mostly from its
+    option strings with valid values and from expressions, and else from
+    bad choices, options without a value or with "=", abbreviations and
+    the malformed words; any option may repeat."""
+    good = [["A @ B"], ["!(A & B)"], ["f.tbl"]]
+    bad = [[word] for word in MALFORMED_WORDS]
+    for action in parser._actions:
+        for option in action.option_strings:
+            if action.nargs == 0:  # a flag, or help
+                (bad if option in ("-h", "--help") else good).append([option])
+                continue
+            values = action.choices or ("A,B", "10", "")
+            good += [[option, value] for value in values]
+            bad += [[option, "fpga"], [option], [option[:5]],
+                    [f"{option}={values[0]}"]]
+    for _ in range(count):
+        words = [word for _ in range(rng.randint(0, 5))
+                 for word in rng.choice(good if rng.random() < 0.85 else bad)]
+        yield [command] + words[:6]
+
+
+@pytest.mark.parametrize("command", sorted(cli._build_parsers()[1]))
+def test_dispatch_reads_a_seeded_corpus_as_the_full_parser(capsys, command):
+    # the reader's namespace is the full parser's, and any argv it leaves
+    # is read by the full parser, with the same exit code and text
+    full, commands = cli._build_parsers()
+    table, read = cli._table(commands[command]), 0
+    corpus = list(_corpus(random.Random(command), command,
+                          commands[command], 300))
+    for argv in corpus:
+        want = _same_as_the_full_parser(capsys, full, argv)
+        if (args := cli._read(table, argv)) is not None:
+            assert args == want[0], argv
+            read += 1
+    assert 0 < read < len(corpus)
+
+
+def test_the_reader_takes_the_golden_and_synth_argv():
+    # argparse reads none of them, so a new argparse release cannot send
+    # these routes back to it without this test failing
+    full, commands = cli._build_parsers()
+    synth = [["compile", "--target", target, "--table-file", "t.tbl",
+              "--format", "structured"]
+             for target in ("memristor", "spindiode")]
+    for argv in [case["argv"] for case in GOLDEN_CASES] + synth:
+        args = cli._read(cli._table(commands[argv[0]]), argv)
+        assert args == full.parse_args(argv), argv
+
+
+def test_parser_is_built_once(monkeypatch, capsys):
+    build, table, built, tables = cli._build_parsers, cli._table, [], []
 
     def counting_build_parsers():
         built.append(1)
         return build()
 
+    def counting_table(parser):
+        tables.append(parser)
+        return table(parser)
+
     monkeypatch.setattr(cli, "_parsers", None)
     monkeypatch.setattr(cli, "_build_parsers", counting_build_parsers)
+    monkeypatch.setattr(cli, "_table", counting_table)
     assert main(["table", "A @ B"]) == 0
     assert main(["table", "A -> B"]) == 0
-    assert len(built) == 1
+    assert len(built) == 1 and len(tables) == 10
     assert capsys.readouterr().out == "A B\n0010\nA B\n1101\n"
+    # and neither is built when the module is imported
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import asymlogic.cli as cli; print(cli._parsers)"],
+        capture_output=True, text=True,
+    )
+    assert proc.stdout == "None\n"
 
 
 @pytest.mark.parametrize(

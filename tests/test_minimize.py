@@ -679,6 +679,24 @@ class TestCoverForm:
         assert cover_form(CARRY, cover, "soi") == minimized_soi(CARRY)
         assert cover_form(CARRY, cover, "noi") == minimized_noi(CARRY)
 
+    def test_makes_no_cube_of_a_searched_cover(self):
+        # a cover from the search holds the width of its cubes, so neither
+        # width check makes its cubes
+        _, cover = minimize_table(CARRY)
+        cover_form(CARRY, cover, "soi")
+        cover_form(CARRY, cover, "noi")
+        cover.products(NAMES3)
+        assert "cubes" not in vars(cover)
+
+    def test_width_errors_stay(self):
+        t = TruthTable(("A", "B"), (0, 0, 0, 1))
+        with pytest.raises(ValueError, match="cube 1-0 has 3 trits for 2"):
+            cover_form(t, CoverSolution((Cube("1-0"),), 2, ()), "soi")
+        # a searched cover of another width names its first cube
+        _, cover = minimize_table(CARRY)
+        with pytest.raises(ValueError, match="cube -11 has 3 trits for 2"):
+            cover_form(t, cover, "noi")
+
 
 class TestCoverText:
     def test_format(self):
